@@ -1,0 +1,97 @@
+"""Golden digests: SHA-256 of ``format_report`` bytes for a fixed run matrix.
+
+The digests pin every report byte for a given config and seed, so a change
+that is meant to keep outputs byte-identical (a faster kernel, a refactor)
+is checked rather than assumed. NumPy NEP 19 promises no ``Generator``
+stream stability across versions, so the digests hold for one numpy
+version only and the tests skip on any other.
+
+To regenerate after a deliberate contract change, print
+``_digest(case)`` for every case in ``CASES`` and name the change in
+CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from uwbloc.calibration import ModelKind
+from uwbloc.evaluation import PipelineConfig, format_report, run_baseline, run_ml
+from uwbloc.fingerprint import GridSpec
+from uwbloc.geometry import DEFAULT_ANCHORS
+from uwbloc.preprocess import CorrectionPolicy
+
+NUMPY_VERSION = "2.4.6"
+
+pytestmark = pytest.mark.skipif(
+    np.__version__ != NUMPY_VERSION,
+    reason=f"golden digests hold for numpy {NUMPY_VERSION}, found {np.__version__}",
+)
+
+COARSE = GridSpec(spacing=250.0)  # 32 cells: one KNN chunk
+DENSE = GridSpec(spacing=10.0)  # 20,000 cells: many KNN chunks, the last one partial
+SEED = 11
+
+# (case id, config overrides, grid or None for the baseline)
+CASES = [
+    ("baseline-r1.0", dict(correction=CorrectionPolicy(ratio=1.0)), None),
+    ("baseline-r0.9", dict(correction=CorrectionPolicy(ratio=0.9)), None),
+]
+for _model in ModelKind:
+    for _name, _clf in (("knn1", dict(classifier="knn", knn_k=1)),
+                        ("knn3", dict(classifier="knn", knn_k=3)),
+                        ("vote", dict(classifier="vote"))):
+        for _augment in (0, 2):
+            CASES.append((f"{_model.value}-{_name}-aug{_augment}",
+                          dict(model_kind=_model, augment=_augment, **_clf), COARSE))
+CASES.append(("four-knn1-dense", dict(model_kind=ModelKind.FOUR, classifier="knn"), DENSE))
+
+DIGESTS = {
+    "baseline-r1.0": "2485a2ceac271bf0dae5a383cc7f823770d48c196524d4d9fca96cbc1c031614",
+    "baseline-r0.9": "14c98e17e21acaaa4bb4999f5d593daf8edc348cef6e5e90a2b864d323abdcc9",
+    "one-knn1-aug0": "e94283ca18c1567410d7c3594ba1198aae85354900c47a729891fd5891230759",
+    "one-knn1-aug2": "31767a1d2b414dcb461d388152911c51f4dd9e7b41bce301982cba46df9d3e70",
+    "one-knn3-aug0": "c0620effdd8e01f6891612dd937eaa93dcdc45d077eba26089b91b3597e506b9",
+    "one-knn3-aug2": "b2ea2eb0849c0c40af35873d59834adc2353323c383674bcbcf2aef5dede3254",
+    "one-vote-aug0": "0d913aad9fdecb1a367afc2ec816f89a06586f942c1eac2019a8a1fea1887f44",
+    "one-vote-aug2": "72fd3be8a4c46e04a179408c776bc557e019f037db1d9002ebd3270ceecadd31",
+    "two-knn1-aug0": "d97172022fd92e4cc61a6341f519363814b569bb491d57a51f3d3b89cccc2f4a",
+    "two-knn1-aug2": "204caa52fe02c04bb7e429ca54c7c3dd54dcfabba4551aa81cc93b7cb1b52c33",
+    "two-knn3-aug0": "a7ba4f182a450cbe6234b0834099b3372937788abf9e9bc07f50639f70c1f5d7",
+    "two-knn3-aug2": "ce186baeef37158c3aabfa18d9264a5e35bcef784dd4d2cc434ed45579665c02",
+    "two-vote-aug0": "086879c06ab9536db3fbdc323fac52c2cf2c8816ac555561fb1ba863c15d409e",
+    "two-vote-aug2": "12759650955c95a1a6e7f8474f6aa9575bba27a7adbcfcf814c386c3e8bb3be9",
+    "three-knn1-aug0": "3b80421519fb1ea3ee176f6028d54eea29d1a1e4ba5723b28ca5af09ca250534",
+    "three-knn1-aug2": "b13cefcae1c43bde0666b299182710343b9c496e95a834559e1f09e76f010b09",
+    "three-knn3-aug0": "448d1e9b159fec4f995396247886ac7d5623c2823ab88ab8a752f436ec61e32f",
+    "three-knn3-aug2": "f3fb71339dc8f791adcd06bf7a1ed545555d42c4d3578abe1a49315f07a868c7",
+    "three-vote-aug0": "254bbf743c1a6ce94f944cefb1e615e5c02485d5dd738b97367e4028e3d8bad4",
+    "three-vote-aug2": "46157c7ff830c719ea625fcd4d0506aa5d1c786b9ea697079ee7cf3540375243",
+    "four-knn1-aug0": "766e4810676bd6be9b20b0f76a30aefd1e3509c984740c34e4f876374befbd11",
+    "four-knn1-aug2": "d588b704be4f84a9480d229779a7fb7e26bb21ec3c8d56b9189350e856710f28",
+    "four-knn3-aug0": "cbb06348d5eb787784733e98374ad471096aaeca3e78d043ea36abca2b7ef3e6",
+    "four-knn3-aug2": "87addda364645d0a33fabb89ff6a61c1ef65af2544e9d7574c706ac30b573b8e",
+    "four-vote-aug0": "0e94d0d670e06474465f0b1b999daa3f0800e0c4caa50dc8b6749a9fc98dea14",
+    "four-vote-aug2": "5a82f15d74294d38e63c1e2adba3941f22199a6b4f5d1e24969b065548c5b5d3",
+    "four-knn1-dense": "1d835ab2f91ee3307833bd4f2a32b059dab44e731172b090c74806ab7e262f76",
+}
+
+
+def _digest(case) -> str:
+    _, overrides, grid = case
+    cfg = PipelineConfig(seed=SEED, n_trials=20, obs_sets=40, n_select=20, **overrides)
+    if grid is None:
+        report = run_baseline(cfg, DEFAULT_ANCHORS)
+    else:
+        report = run_ml(cfg, DEFAULT_ANCHORS, grid)
+    return hashlib.sha256(format_report(report).encode("utf-8")).hexdigest()
+
+
+def test_matrix_is_complete():
+    assert sorted(DIGESTS) == sorted(case[0] for case in CASES)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_report_digest(case):
+    assert _digest(case) == DIGESTS[case[0]]
