@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .geometry import AnchorLayout, PointMM, distance
-from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, correct_range, mad_keep_mask
+from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, mad_keep_mask
 from .simulator import MeasurementSet
 
 __all__ = [

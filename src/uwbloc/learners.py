@@ -99,11 +99,25 @@ def argmax_label(probs: ClassProbabilities) -> int:
     return best_label
 
 
-class KnnClassifier:
-    """Brute-force k-nearest-neighbor over fingerprint vectors.
+#: Float64 elements of one query chunk's distance matrix in the KNN search;
+#: a chunk holds max(1, _CHUNK_ELEMENTS // n_rows) queries.
+_CHUNK_ELEMENTS = 1 << 16
 
-    Neighbors are ranked by squared Euclidean distance, ties by lower
-    label, and each of the k winners contributes 1/k probability mass.
+
+def _query_batch(X: np.ndarray) -> np.ndarray:
+    """``X`` as an (m, 3) float array of query range vectors."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 3:
+        raise ValueError(f"query batch must have shape (m, 3), got {X.shape}")
+    return X
+
+
+class KnnClassifier:
+    """Exact k-nearest-neighbor over fingerprint vectors.
+
+    Neighbors are ranked by squared Euclidean distance
+    ``((X[r] - q)**2).sum()``, ties by lower label, then lower row, and
+    each of the k winners contributes 1/k probability mass.
     """
 
     def __init__(self, train: TrainingSet, k: int = 1):
@@ -111,12 +125,59 @@ class KnnClassifier:
             raise KOutOfRangeError(f"k={k} with {len(train)} training rows")
         self._X = train.X
         self._y = train.y
+        # the filter's inputs; overflow here only widens the filter
+        with np.errstate(over="ignore"):
+            self._xx = (self._X ** 2).sum(axis=1)
+        self._xx_max = float(self._xx.max())
         self.k = k
 
-    def _neighbors(self, q: np.ndarray) -> np.ndarray:
-        d2 = ((self._X - q) ** 2).sum(axis=1)
-        order = np.lexsort((self._y, d2))
-        return order[: self.k]
+    def _neighbors_batch(self, Q: np.ndarray) -> np.ndarray:
+        """Row indices of each query's k nearest rows, in rank order: (m, k).
+
+        Two stages per chunk of queries. The expanded form
+        ``xx - 2 q.x + qq`` (one matmul) rules out every row that is
+        provably farther than the k-th nearest; the survivors are ranked by
+        the exact expression above, so the result does not depend on how
+        the matmul rounds.
+        """
+        X, y, k = self._X, self._y, self.k
+        n = X.shape[0]
+        eps = np.finfo(float).eps
+        tiny = np.finfo(float).smallest_subnormal
+        out = np.empty((Q.shape[0], k), dtype=np.int64)
+        step = max(1, _CHUNK_ELEMENTS // n)
+        for start in range(0, Q.shape[0], step):
+            q = Q[start : start + step]
+            with np.errstate(over="ignore", invalid="ignore"):
+                qq = (q ** 2).sum(axis=1)
+                approx = (-2.0 * q) @ X.T
+                approx += self._xx
+                approx += qq[:, None]
+                if k == 1:  # the k = 1 partition, at a tenth of its cost
+                    kth = approx.min(axis=1)
+                else:
+                    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+                # Rounding bound, with u = eps/2 and S = max_r |x_r|^2 + |q|^2:
+                # xx and qq are within 3u of their true sums, the matmul within
+                # 3u of sum |q_i x_i| <= S/2 in any summation order, with or
+                # without FMA (the -2 scaling is exact), and the two additions
+                # add u each on at most 2S, so |approx - d2| <= 10u*S. The exact
+                # expression is within a relative 5u of d2 <= 2S. If row r ranks
+                # within the exact top k, one of the k rows with the smallest
+                # approx (s, with approx_s <= kth) does not rank before r, so
+                # approx_r <= d2_r + 10u*S <= d2_s + 30u*S <= kth + 40u*S, below
+                # kth + 32*eps*S. The subnormal term covers underflow, which
+                # adds at most half the smallest subnormal per operation. 8*S
+                # overflows before any intermediate can, and an inf or NaN
+                # tolerance (overflow, non-finite query) keeps every row.
+                tol = 4.0 * eps * (8.0 * (self._xx_max + qq)) + 64.0 * tiny
+            qi, rows = np.divmod(np.flatnonzero(~(approx > (kth + tol)[:, None])), n)
+            d2 = ((X[rows] - q[qi]) ** 2).sum(axis=1)
+            ranked = rows[np.lexsort((rows, y[rows], d2, qi))]
+            counts = np.bincount(qi, minlength=q.shape[0])
+            first = np.cumsum(counts) - counts
+            out[start : start + q.shape[0]] = ranked[first[:, None] + np.arange(k)]
+        return out
 
     def predict_proba(self, ranges: RangeTriple) -> ClassProbabilities:
         return self.predict_proba_batch(np.asarray([ranges.as_tuple()], dtype=float))[0]
@@ -125,18 +186,18 @@ class KnnClassifier:
         return argmax_label(self.predict_proba(ranges))
 
     def predict_proba_batch(self, X: np.ndarray) -> list[ClassProbabilities]:
-        X = np.asarray(X, dtype=float)
         out: list[ClassProbabilities] = []
         w = 1.0 / self.k
-        for q in X:
+        for labels in self._y[self._neighbors_batch(_query_batch(X))].tolist():
             probs: ClassProbabilities = {}
-            for r in self._neighbors(q):
-                label = int(self._y[r])
+            for label in labels:
                 probs[label] = probs.get(label, 0.0) + w
             out.append(probs)
         return out
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        if self.k == 1:
+            return self._y[self._neighbors_batch(_query_batch(X))[:, 0]]
         return np.array([argmax_label(p) for p in self.predict_proba_batch(X)], dtype=np.int64)
 
 
@@ -310,7 +371,7 @@ class TreeClassifier:
 
     def apply_batch(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id reached by each query row."""
-        X = np.asarray(X, dtype=float)
+        X = _query_batch(X)
         out = np.empty(X.shape[0], dtype=np.int64)
         stack: list[tuple[int, np.ndarray]] = [(0, np.arange(X.shape[0]))]
         while stack:
@@ -391,7 +452,7 @@ class ForestClassifier:
             )
 
     def predict_proba_batch(self, X: np.ndarray) -> list[ClassProbabilities]:
-        X = np.asarray(X, dtype=float)
+        X = _query_batch(X)
         acc: list[ClassProbabilities] = [dict() for _ in range(X.shape[0])]
         for tree in self._trees:
             for qi, probs in enumerate(tree.predict_proba_batch(X)):
@@ -449,6 +510,7 @@ class SoftVoteClassifier:
         return soft_vote(self.knn.predict_proba(ranges), self.tree.predict_proba(ranges), self.weights)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        X = _query_batch(X)
         pk = self.knn.predict_proba_batch(X)
         pt = self.tree.predict_proba_batch(X)
         return np.array(

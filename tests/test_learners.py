@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uwbloc import learners
 from uwbloc.calibration import CalibrationModel, LinearRangingEq, ModelKind
 from uwbloc.fingerprint import DEFAULT_GRID, GridSpec, build_db, cell_vertex
 from uwbloc.geometry import DEFAULT_ANCHORS, RangeTriple
@@ -107,6 +108,109 @@ def test_knn_matches_exhaustive_oracle():
             got = knn.predict_proba_batch(q[None, :])[0]
             assert got == probs
             assert int(knn.predict_batch(q[None, :])[0]) == argmax_label(probs)
+
+
+def _reference_neighbors(X, y, Q, k):
+    """The per-query search the batched one replaced: a full lexsort per query."""
+    rows = np.empty((Q.shape[0], k), dtype=np.int64)
+    for i, q in enumerate(Q):
+        d2 = ((X - q) ** 2).sum(axis=1)
+        rows[i] = np.lexsort((y, d2))[:k]
+    return rows
+
+
+def _ulp_ties(rng):
+    # rows whose squared distances to the query differ by about one ulp
+    base = np.array([1234.5, 987.25, 1500.125])
+    X = np.repeat(base[None, :], 40, axis=0)
+    X[:, 0] = base[0] + np.arange(-20, 20) * np.spacing(base[0])
+    X[::3, 1] = np.nextafter(base[1], np.inf)
+    y = rng.permutation(40) % 13
+    Q = np.vstack([base, X[7], X[8] + np.spacing(X[8]), (X[3] + X[4]) / 2.0])
+    return X, y, Q
+
+
+def _adversarial_cases():
+    rng = np.random.default_rng(61)
+    cases = {}
+    X = np.repeat(rng.uniform(1.0, 2500.0, size=(6, 3)), 5, axis=0)
+    cases["duplicate-rows"] = (X, rng.permutation(30) % 9, np.vstack([X[::4], X[:3] + 0.5]))
+    Xb = rng.uniform(1.0, 2500.0, size=(50, 3))
+    Xa = np.vstack([Xb, Xb + rng.normal(0.0, 5.0, size=Xb.shape), Xb])
+    ya = np.concatenate([np.arange(50), np.arange(50)[::-1], np.arange(50)])
+    cases["unsorted-labels"] = (Xa, ya, rng.uniform(1.0, 2500.0, size=(25, 3)))
+    cases["ulp-ties"] = _ulp_ties(rng)
+    X = 1e9 + rng.uniform(0.0, 4.0, size=(80, 3))
+    cases["coordinates-1e9"] = (X, rng.integers(0, 20, size=80), 1e9 + rng.uniform(0.0, 4.0, size=(9, 3)))
+    X = rng.uniform(0.5, 2.0, size=(30, 3)) * 1e155
+    cases["overflow-1e155"] = (X, rng.integers(0, 7, size=30), rng.uniform(0.5, 2.0, size=(6, 3)) * 1e155)
+    X = np.vstack([rng.uniform(1.0, 2500.0, size=(20, 3)), rng.uniform(0.5, 2.0, size=(5, 3)) * 1e155])
+    Q = np.vstack([rng.uniform(1.0, 2500.0, size=(4, 3)), [[1e155, 1.0, 1.0]]])
+    cases["mixed-1e155"] = (X, rng.integers(0, 6, size=25), Q)
+    X = rng.uniform(1.0, 4.0, size=(30, 3)) * 1e-160
+    cases["underflow-1e-160"] = (X, rng.integers(0, 7, size=30), rng.uniform(1.0, 4.0, size=(6, 3)) * 1e-160)
+    X = rng.uniform(1.0, 2500.0, size=(30, 3))
+    Q = np.array([[np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [-np.inf, 5.0, 5.0],
+                  [np.inf, -np.inf, 1.0], [np.nan, np.nan, np.nan], [1.0, 2.0, 3.0]])
+    cases["non-finite-queries"] = (X, rng.integers(0, 8, size=30), Q)
+    cases["empty-batch"] = (X, rng.integers(0, 8, size=30), np.empty((0, 3)))
+    budget = learners._CHUNK_ELEMENTS
+    n = budget // 2 - 100  # two queries per chunk
+    cases["partial-last-chunk"] = (
+        rng.uniform(1.0, 2500.0, size=(n, 3)), rng.integers(0, n // 4, size=n),
+        rng.uniform(1.0, 2500.0, size=(7, 3)),
+    )
+    n = budget + 3  # more rows than the budget: one query per chunk
+    cases["rows-over-budget"] = (
+        rng.uniform(1.0, 2500.0, size=(n, 3)), rng.integers(0, n // 4, size=n),
+        rng.uniform(1.0, 2500.0, size=(3, 3)),
+    )
+    return cases
+
+
+_ADVERSARIAL = _adversarial_cases()
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("name", sorted(_ADVERSARIAL))
+def test_knn_batch_search_matches_per_query_reference(name, k):
+    X, y, Q = _ADVERSARIAL[name]
+    knn = KnnClassifier(_train(X, y), k=k)
+    ref = _reference_neighbors(knn._X, knn._y, Q, k)
+    assert np.array_equal(knn._neighbors_batch(Q), ref)
+    ref_probs = []
+    for labels in knn._y[ref]:
+        probs = {}
+        for label in labels:
+            probs[int(label)] = probs.get(int(label), 0.0) + 1.0 / k
+        ref_probs.append(probs)
+    assert knn.predict_proba_batch(Q) == ref_probs
+    labels = knn.predict_batch(Q)
+    assert labels.dtype == np.int64 and labels.shape == (Q.shape[0],)
+    assert labels.tolist() == [argmax_label(p) for p in ref_probs]
+
+
+def _query_shape_classifiers():
+    rng = np.random.default_rng(67)
+    train = _train(rng.uniform(1.0, 100.0, size=(20, 3)), rng.integers(0, 4, size=20))
+    knn = KnnClassifier(train, k=3)
+    tree = TreeClassifier(train)
+    return {
+        "knn": knn,
+        "tree": tree,
+        "forest": ForestClassifier(train, n_trees=2, seed=5),
+        "vote": SoftVoteClassifier(knn, tree, VoteWeights()),
+    }
+
+
+@pytest.mark.parametrize("kind", ["knn", "tree", "forest", "vote"])
+@pytest.mark.parametrize("bad", [[100.0, 200.0, 300.0], np.ones((2, 2)), np.ones((1, 3, 1)), 5.0])
+def test_batch_methods_reject_anything_but_m_by_3(kind, bad):
+    clf = _query_shape_classifiers()[kind]
+    for method in ("predict_batch", "predict_proba_batch", "apply_batch"):
+        if hasattr(clf, method):
+            with pytest.raises(ValueError, match=r"shape \(m, 3\)"):
+                getattr(clf, method)(bad)
 
 
 def test_tree_pure_node_is_a_single_leaf():
