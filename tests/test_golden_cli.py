@@ -1,0 +1,162 @@
+"""Golden digests for the command line and the resolved configuration.
+
+``test_golden.py`` builds ``PipelineConfig`` directly, so it does not see
+how config keys and flags reach the pipeline. These digests pin that path:
+the SHA-256 of every file a seven-command CLI chain writes, and the
+``config_hash`` plus the built domain objects for the all-defaults config
+and for a config that sets every key to a non-default value.
+
+As in ``test_golden.py``, the digests hold for one numpy version only. To
+regenerate after a deliberate contract change, run this file as a script
+and name the change in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from uwbloc.cli import main
+from uwbloc.config import load_config, parse_config_text
+
+NUMPY_VERSION = "2.4.6"
+
+pytestmark = pytest.mark.skipif(
+    np.__version__ != NUMPY_VERSION,
+    reason=f"golden digests hold for numpy {NUMPY_VERSION}, found {np.__version__}",
+)
+
+CHAIN_CONFIG = "grid.spacing = 100\neval.n_trials = 100\n"
+
+# (output file, argv after the config); "{d}" is the work directory
+CHAIN = [
+    ("meas.csv", ["simulate", "--seed", "5", "--out", "{d}/meas.csv"]),
+    ("cal.csv", ["fit", "{d}/meas.csv", "--seed", "5", "--ratio", "0.9", "--out", "{d}/cal.csv"]),
+    ("db.csv", ["build-db", "{d}/cal.csv", "--out", "{d}/db.csv"]),
+    ("base.csv", ["evaluate", "--seed", "5", "--model", "none", "--ratio", "0.85",
+                  "--out", "{d}/base.csv"]),
+    ("knn.csv", ["evaluate", "--seed", "5", "--model", "four", "--classifier", "knn",
+                 "--out", "{d}/knn.csv"]),
+    ("vote.csv", ["evaluate", "--seed", "5", "--model", "two", "--classifier", "vote",
+                  "--weights", "2:1", "--out", "{d}/vote.csv"]),
+    ("cmp.csv", ["compare", "{d}/base.csv", "{d}/knn.csv", "{d}/vote.csv",
+                 "--out", "{d}/cmp.csv"]),
+]
+
+# every key set to a valid value that differs from its default
+ALL_KEYS_CONFIG = """\
+run.seed = 9
+grid.width = 1200
+grid.height = 2400
+grid.spacing = 50
+anchors.ax = 10
+anchors.ay = 20
+anchors.bx = 30
+anchors.by = 2300
+anchors.cx = 1100
+anchors.cy = 40
+noise.slope = 1.01
+noise.offset = 15
+noise.sigma = 25
+noise.inflation_threshold = 900
+noise.inflation_factor = 1.05
+noise.p_outlier = 0.01
+correction.threshold = 950
+correction.ratio = 0.85
+preprocess.mad_k = 2.5
+preprocess.mad_scale = 1.5
+calibration.kind = three
+calibration.n_select = 40
+calibration.obs_sets = 200
+calibration.reference_points = 100,100; 1100,100; 100,2300; 1100,2300
+classifier.kind = forest
+classifier.k = 3
+classifier.max_depth = 12
+classifier.min_leaf = 2
+classifier.trees = 7
+classifier.features_per_split = 2
+classifier.bootstrap = false
+classifier.weights = 2:1
+eval.n_trials = 50
+eval.test_points = 300,600; 900,1800
+campaign.reps = 120
+campaign.locations = 100,100; 600,1200
+fingerprint.augment = 2
+"""
+
+CHAIN_DIGESTS = {
+    "meas.csv": "fdce5feeaed3828e378479b0b0a7f376eba8668e293cc6783da874338525bff2",
+    "cal.csv": "4781297b371a576c020a98294c826e9bb26e859190ef035628a8ee865c9370ce",
+    "db.csv": "5e9250934a070c58d05af4c7b60b32c098569bcb7297c1b5df5b2bc5ad2a3ab0",
+    "base.csv": "cc946604f34e5372907668a0c9b99dec1fb0d7387f246f7e2c9ad18ed105119b",
+    "knn.csv": "3cb20be836e79ae7df90b811675b685aa867d4e47b8e8f480034a3f3f5e404aa",
+    "vote.csv": "c7854a7c498ed8a32dbda07603279b672d58489e21b120ba75454dadae4c4ce6",
+    "cmp.csv": "8fe1f9fa00330a52a6e40837137a65a59490f7d7cabda345332a0b0f31e509f1",
+}
+
+CONFIG_DIGESTS = {
+    "defaults": ("ae65fed1cb6dec75",
+                 "71ded34517f6f7153e764d6024ae17c24a87984cf666a4de4fc9fa4ba24c6fb3"),
+    "all-keys": ("88f9e6f4bd65b9a3",
+                 "725ebdbb25fe285c94536859d3051cf4bf5d0abc595895cb5e04847c5a685288"),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_chain(work: Path) -> dict[str, str]:
+    cfg = work / "chain.cfg"
+    cfg.write_text(CHAIN_CONFIG, encoding="utf-8")
+    digests = {}
+    for out, argv in CHAIN:
+        argv = [a.format(d=work) for a in argv]
+        if argv[0] != "compare":
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0, argv
+        digests[out] = _sha((work / out).read_bytes())
+    return digests
+
+
+def _config_digests(path: str | None) -> tuple[str, str]:
+    """``config_hash`` and a digest of the objects the config builds."""
+    cfg = load_config(path)
+    built = "\n".join(repr(o) for o in (cfg.pipeline(), cfg.campaign(), cfg.grid(), cfg.anchors()))
+    return cfg.config_hash(), _sha(built.encode("utf-8"))
+
+
+def _write_all_keys(work: Path) -> str:
+    path = work / "all.cfg"
+    path.write_text(ALL_KEYS_CONFIG, encoding="utf-8")
+    return str(path)
+
+
+def test_cli_chain_digests(tmp_path):
+    assert _run_chain(tmp_path) == CHAIN_DIGESTS
+
+
+def test_all_keys_config_sets_every_key(tmp_path):
+    from uwbloc.config import _SCHEMA
+
+    assert sorted(parse_config_text(ALL_KEYS_CONFIG)) == sorted(_SCHEMA)
+    cfg = load_config(_write_all_keys(tmp_path))
+    defaults = load_config(None)
+    differing = {a for a, b in zip(cfg.resolved_lines(), defaults.resolved_lines()) if a != b}
+    assert len(differing) == len(_SCHEMA)
+
+
+def test_config_digests(tmp_path):
+    assert _config_digests(None) == CONFIG_DIGESTS["defaults"]
+    assert _config_digests(_write_all_keys(tmp_path)) == CONFIG_DIGESTS["all-keys"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as d:
+        for name, digest in _run_chain(Path(d)).items():
+            print(f'    "{name}": "{digest}",')
+        print(f'    "defaults": {_config_digests(None)!r},')
+        print(f'    "all-keys": {_config_digests(_write_all_keys(Path(d)))!r},')
