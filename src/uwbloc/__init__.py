@@ -70,7 +70,6 @@ from .learners import (
     TrainingSet,
     TreeClassifier,
     VoteWeights,
-    localize,
     soft_vote,
 )
 from .preprocess import CorrectionPolicy, correct_range, correct_triple, mad_filter, mad_keep_mask

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, read_text
 from .geometry import AnchorLayout, PointMM, distance
 from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, mad_keep_mask
 from .simulator import MeasurementSet
@@ -362,5 +362,4 @@ def write_calibration(path: str, model: CalibrationModel) -> None:
 
 
 def read_calibration(path: str) -> CalibrationModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_calibration(fh.read(), origin=path)
+    return parse_calibration(read_text(path), origin=path)

@@ -29,6 +29,7 @@ from .calibration import (
 from .config import ConfigError, RunConfig, load_config
 from .errors import FileFormatError
 from .evaluation import (
+    CLASSIFIERS,
     compare,
     format_comparison,
     format_report,
@@ -54,10 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a flag whose dest is a config key overrides that key
     def add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
         p.add_argument("--config", metavar="FILE", help="key = value configuration file")
         if seed:
-            p.add_argument("--seed", type=int, metavar="N", help="override run.seed")
+            p.add_argument("--seed", dest="run.seed", type=int, metavar="N",
+                           help="override run.seed")
 
     p = sub.add_parser("simulate", help="generate a measurement campaign file")
     add_common(p)
@@ -66,8 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a ranging calibration from measurements")
     p.add_argument("measurements", metavar="MEASUREMENTS", help="measurement file to read")
     add_common(p)
-    p.add_argument("--model", choices=[k.value for k in _MODEL_KINDS], help="override calibration.kind")
-    p.add_argument("--ratio", type=float, choices=_RATIO_CHOICES, help="override correction.ratio")
+    p.add_argument("--model", dest="calibration.kind", choices=[k.value for k in _MODEL_KINDS],
+                   help="override calibration.kind")
+    p.add_argument("--ratio", dest="correction.ratio", type=float, choices=_RATIO_CHOICES,
+                   help="override correction.ratio")
     p.add_argument("--out", required=True, metavar="FILE", help="calibration file to write")
 
     p = sub.add_parser("build-db", help="predict the fingerprint database from a calibration")
@@ -79,14 +84,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument(
         "--model",
+        dest="calibration.kind",
         choices=[k.value for k in _MODEL_KINDS] + ["none"],
         help="override calibration.kind (none = trilateration baseline)",
     )
-    p.add_argument("--ratio", type=float, choices=_RATIO_CHOICES, help="override correction.ratio")
-    p.add_argument(
-        "--classifier", choices=["knn", "tree", "forest", "vote"], help="override classifier.kind"
-    )
-    p.add_argument("--weights", metavar="KNN:TREE", help="override classifier.weights")
+    p.add_argument("--ratio", dest="correction.ratio", type=float, choices=_RATIO_CHOICES,
+                   help="override correction.ratio")
+    p.add_argument("--classifier", dest="classifier.kind", choices=CLASSIFIERS,
+                   help="override classifier.kind")
+    p.add_argument("--weights", dest="classifier.weights", metavar="KNN:TREE",
+                   help="override classifier.weights")
     p.add_argument("--out", required=True, metavar="FILE", help="error report to write")
 
     p = sub.add_parser("compare", help="compare reports against the first (baseline)")
@@ -97,18 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, str]:
-    out: dict[str, str] = {}
-    if getattr(args, "seed", None) is not None:
-        out["run.seed"] = str(args.seed)
-    if getattr(args, "model", None) is not None:
-        out["calibration.kind"] = args.model
-    if getattr(args, "ratio", None) is not None:
-        out["correction.ratio"] = repr(args.ratio)
-    if getattr(args, "classifier", None) is not None:
-        out["classifier.kind"] = args.classifier
-    if getattr(args, "weights", None) is not None:
-        out["classifier.weights"] = args.weights
-    return out
+    return {k: str(v) for k, v in vars(args).items() if "." in k and v is not None}
 
 
 def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -119,21 +115,22 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace, cfg: RunConfig) -> int:
-    kind = cfg.model_kind()
+    pcfg = cfg.pipeline()
+    kind = pcfg.model_kind
     if kind is None:
         raise ConfigError("calibration.kind is none; nothing to fit")
     rows = read_measurements(args.measurements)
     obs = clean_observation_rows(
         rows,
-        cfg.get("calibration.reference_points"),
-        mad_k=cfg.get("preprocess.mad_k"),
-        mad_scale=cfg.get("preprocess.mad_scale"),
-        policy=cfg.correction(),
+        pcfg.reference_points,
+        mad_k=pcfg.mad_k,
+        mad_scale=pcfg.mad_scale,
+        policy=pcfg.correction,
     )
     model = fit_model(
         kind, obs, cfg.anchors(),
-        n_select=cfg.get("calibration.n_select"),
-        seed=derive_seed(cfg.seed(), STAGE_SELECTION),
+        n_select=pcfg.n_select,
+        seed=derive_seed(pcfg.seed, STAGE_SELECTION),
     )
     write_calibration(args.out, model)
     print(f"model {kind.value}: kept {obs.n_sets} clean sets")

@@ -14,15 +14,17 @@ and hashing), and builds the domain objects the pipeline consumes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Mapping
 
 from .calibration import REFERENCE_POINTS, ModelKind
-from .evaluation import TEST_POINTS, PipelineConfig
-from .fingerprint import GridSpec
-from .geometry import AnchorLayout, CollinearAnchorsError, PointMM
+from .errors import FileFormatError, read_text
+from .evaluation import CLASSIFIERS, TEST_POINTS, PipelineConfig
+from .fingerprint import DEFAULT_GRID, GridSpec
+from .geometry import DEFAULT_ANCHORS, AnchorLayout, PointMM
 from .learners import VoteWeights
-from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy
+from .preprocess import CorrectionPolicy
 from .simulator import Campaign, NoiseConfig, STAGE_OBSERVATION, derive_seed
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config_text", "resolve_config"]
@@ -104,8 +106,8 @@ def _to_model_kind(s: str) -> ModelKind | None:
 
 def _to_classifier(s: str) -> str:
     low = s.strip().lower()
-    if low not in ("knn", "tree", "forest", "vote"):
-        raise ValueError(f"expected one of knn/tree/forest/vote, got {s!r}")
+    if low not in CLASSIFIERS:
+        raise ValueError(f"expected one of {'/'.join(CLASSIFIERS)}, got {s!r}")
     return low
 
 
@@ -173,48 +175,70 @@ def _fmt_value(v: object) -> str:
     return str(v)
 
 
-_DEFAULT_LOCATIONS = REFERENCE_POINTS + TEST_POINTS
+# key -> (converter, destination). Converters check a single value; cross-key
+# constraints are checked in resolve_config. The destination is the field the
+# key sets: grid.* and anchors.* name fields of GridSpec and AnchorLayout,
+# campaign.* fields of Campaign, anything else a PipelineConfig field.
+_SCHEMA: dict[str, tuple[Callable[[str], object], str]] = {
+    "run.seed": (_int_min(0), "seed"),
+    "grid.width": (_float_min(0.0, inclusive=False), "grid.width"),
+    "grid.height": (_float_min(0.0, inclusive=False), "grid.height"),
+    "grid.spacing": (_float_min(0.0, inclusive=False), "grid.spacing"),
+    "anchors.ax": (_to_float, "anchors.a.x"),
+    "anchors.ay": (_to_float, "anchors.a.y"),
+    "anchors.bx": (_to_float, "anchors.b.x"),
+    "anchors.by": (_to_float, "anchors.b.y"),
+    "anchors.cx": (_to_float, "anchors.c.x"),
+    "anchors.cy": (_to_float, "anchors.c.y"),
+    "noise.slope": (_float_min(0.0, inclusive=False), "noise.slope"),
+    "noise.offset": (_to_float, "noise.offset"),
+    "noise.sigma": (_float_min(0.0), "noise.sigma"),
+    "noise.inflation_threshold": (_float_min(0.0, inclusive=False), "noise.inflation_threshold"),
+    "noise.inflation_factor": (_float_min(1.0), "noise.inflation_factor"),
+    "noise.p_outlier": (_to_probability, "noise.p_outlier"),
+    "correction.threshold": (_float_min(0.0, inclusive=False), "correction.threshold"),
+    "correction.ratio": (_to_ratio, "correction.ratio"),
+    "preprocess.mad_k": (_float_min(0.0, inclusive=False), "mad_k"),
+    "preprocess.mad_scale": (_float_min(0.0, inclusive=False), "mad_scale"),
+    "calibration.kind": (_to_model_kind, "model_kind"),
+    "calibration.n_select": (_int_min(1), "n_select"),
+    "calibration.obs_sets": (_int_min(1), "obs_sets"),
+    "calibration.reference_points": (_to_points, "reference_points"),
+    "classifier.kind": (_to_classifier, "classifier"),
+    "classifier.k": (_int_min(1), "knn_k"),
+    "classifier.max_depth": (_to_depth, "tree_max_depth"),
+    "classifier.min_leaf": (_int_min(1), "tree_min_leaf"),
+    "classifier.trees": (_int_min(1), "forest_trees"),
+    "classifier.features_per_split": (_int_range(1, 3), "forest_features"),
+    "classifier.bootstrap": (_to_bool, "forest_bootstrap"),
+    "classifier.weights": (_to_weights, "vote_weights"),
+    "eval.n_trials": (_int_min(1), "n_trials"),
+    "eval.test_points": (_to_points, "test_points"),
+    "campaign.reps": (_int_min(1), "campaign.reps"),
+    "campaign.locations": (_to_points, "campaign.locations"),
+    "fingerprint.augment": (_int_min(0), "augment"),
+}
 
-# key -> (converter, default). Converters validate a single value; cross-key
-# constraints are checked in resolve_config.
-_SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
-    "run.seed": (_int_min(0), 0),
-    "grid.width": (_float_min(0.0, inclusive=False), 1000.0),
-    "grid.height": (_float_min(0.0, inclusive=False), 2000.0),
-    "grid.spacing": (_float_min(0.0, inclusive=False), 25.0),
-    "anchors.ax": (_to_float, 0.0),
-    "anchors.ay": (_to_float, 0.0),
-    "anchors.bx": (_to_float, 0.0),
-    "anchors.by": (_to_float, 2000.0),
-    "anchors.cx": (_to_float, 1000.0),
-    "anchors.cy": (_to_float, 0.0),
-    "noise.slope": (_float_min(0.0, inclusive=False), 1.0),
-    "noise.offset": (_to_float, 20.0),
-    "noise.sigma": (_float_min(0.0), 30.0),
-    "noise.inflation_threshold": (_float_min(0.0, inclusive=False), 1000.0),
-    "noise.inflation_factor": (_float_min(1.0), 1.0 / 0.9),
-    "noise.p_outlier": (_to_probability, 0.0),
-    "correction.threshold": (_float_min(0.0, inclusive=False), 1000.0),
-    "correction.ratio": (_to_ratio, 1.0),
-    "preprocess.mad_k": (_float_min(0.0, inclusive=False), 3.0),
-    "preprocess.mad_scale": (_float_min(0.0, inclusive=False), MAD_SCALE_NORMAL),
-    "calibration.kind": (_to_model_kind, ModelKind.FOUR),
-    "calibration.n_select": (_int_min(1), 60),
-    "calibration.obs_sets": (_int_min(1), 300),
-    "calibration.reference_points": (_to_points, REFERENCE_POINTS),
-    "classifier.kind": (_to_classifier, "vote"),
-    "classifier.k": (_int_min(1), 1),
-    "classifier.max_depth": (_to_depth, None),
-    "classifier.min_leaf": (_int_min(1), 1),
-    "classifier.trees": (_int_min(1), 100),
-    "classifier.features_per_split": (_int_range(1, 3), 1),
-    "classifier.bootstrap": (_to_bool, True),
-    "classifier.weights": (_to_weights, VoteWeights(3.0, 1.0)),
-    "eval.n_trials": (_int_min(1), 400),
-    "eval.test_points": (_to_points, TEST_POINTS),
-    "campaign.reps": (_int_min(1), 500),
-    "campaign.locations": (_to_points, _DEFAULT_LOCATIONS),
-    "fingerprint.augment": (_int_min(0), 0),
+
+# The three keys whose field has no default to read: PipelineConfig's None
+# model kind selects the baseline, and Campaign has no defaults.
+_OWN_DEFAULTS = {
+    "calibration.kind": ModelKind.FOUR,
+    "campaign.reps": 500,
+    "campaign.locations": REFERENCE_POINTS + TEST_POINTS,
+}
+# what the first name of a destination refers to, with its defaults
+_DEFAULT_ROOTS = {"grid": DEFAULT_GRID, "anchors": DEFAULT_ANCHORS, **vars(PipelineConfig())}
+
+
+def _field_default(dest: str) -> object:
+    head, *rest = dest.split(".")
+    return reduce(getattr, rest, _DEFAULT_ROOTS[head])
+
+
+_DEFAULTS = {
+    key: _OWN_DEFAULTS[key] if key in _OWN_DEFAULTS else _field_default(dest)
+    for key, (_, dest) in _SCHEMA.items()
 }
 
 
@@ -244,75 +268,23 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """A fully resolved configuration plus the set of explicitly given keys."""
+    """A fully resolved configuration, the set of explicitly given keys, and
+    the domain objects built from it."""
 
     values: Mapping[str, object]
     explicit: frozenset[str]
-
-    def get(self, key: str) -> object:
-        return self.values[key]
-
-    # builders ---------------------------------------------------------
-
-    def seed(self) -> int:
-        return self.values["run.seed"]  # type: ignore[return-value]
+    _grid: GridSpec
+    _anchors: AnchorLayout
+    _pipeline: PipelineConfig
 
     def grid(self) -> GridSpec:
-        v = self.values
-        return GridSpec(v["grid.width"], v["grid.height"], v["grid.spacing"])
+        return self._grid
 
     def anchors(self) -> AnchorLayout:
-        v = self.values
-        return AnchorLayout(
-            (v["anchors.ax"], v["anchors.ay"]),
-            (v["anchors.bx"], v["anchors.by"]),
-            (v["anchors.cx"], v["anchors.cy"]),
-        )
-
-    def noise(self) -> NoiseConfig:
-        """Base noise model; pipeline stages re-seed it per stage."""
-        v = self.values
-        return NoiseConfig(
-            slope=v["noise.slope"],
-            offset=v["noise.offset"],
-            sigma=v["noise.sigma"],
-            inflation_threshold=v["noise.inflation_threshold"],
-            inflation_factor=v["noise.inflation_factor"],
-            p_outlier=v["noise.p_outlier"],
-            seed=0,
-        )
-
-    def correction(self) -> CorrectionPolicy:
-        v = self.values
-        return CorrectionPolicy(v["correction.threshold"], v["correction.ratio"])
-
-    def model_kind(self) -> ModelKind | None:
-        return self.values["calibration.kind"]  # type: ignore[return-value]
+        return self._anchors
 
     def pipeline(self) -> PipelineConfig:
-        v = self.values
-        return PipelineConfig(
-            model_kind=v["calibration.kind"],
-            noise=self.noise(),
-            correction=self.correction(),
-            classifier=v["classifier.kind"],
-            vote_weights=v["classifier.weights"],
-            n_trials=v["eval.n_trials"],
-            test_points=v["eval.test_points"],
-            reference_points=v["calibration.reference_points"],
-            seed=v["run.seed"],
-            knn_k=v["classifier.k"],
-            tree_max_depth=v["classifier.max_depth"],
-            tree_min_leaf=v["classifier.min_leaf"],
-            forest_trees=v["classifier.trees"],
-            forest_features=v["classifier.features_per_split"],
-            forest_bootstrap=v["classifier.bootstrap"],
-            obs_sets=v["calibration.obs_sets"],
-            n_select=v["calibration.n_select"],
-            mad_k=v["preprocess.mad_k"],
-            mad_scale=v["preprocess.mad_scale"],
-            augment=v["fingerprint.augment"],
-        )
+        return self._pipeline
 
     def campaign(self) -> Campaign:
         """Measurement campaign for the simulate command.
@@ -321,17 +293,9 @@ class RunConfig:
         the fit command reproduces the in-pipeline observation campaign
         when locations and reps line up.
         """
-        v = self.values
-        noise = NoiseConfig(
-            slope=v["noise.slope"],
-            offset=v["noise.offset"],
-            sigma=v["noise.sigma"],
-            inflation_threshold=v["noise.inflation_threshold"],
-            inflation_factor=v["noise.inflation_factor"],
-            p_outlier=v["noise.p_outlier"],
-            seed=derive_seed(v["run.seed"], STAGE_OBSERVATION),
-        )
-        return Campaign(v["campaign.locations"], v["campaign.reps"], self.anchors(), noise)
+        v, p = self.values, self._pipeline
+        noise = replace(p.noise, seed=derive_seed(p.seed, STAGE_OBSERVATION))
+        return Campaign(v["campaign.locations"], v["campaign.reps"], self._anchors, noise)
 
     # canonical form ---------------------------------------------------
 
@@ -347,30 +311,29 @@ class RunConfig:
 def resolve_config(
     raw: Mapping[str, str], origin: str = "<config>"
 ) -> RunConfig:
-    """Convert raw strings, fill defaults, and cross-validate."""
+    """Convert raw strings, fill defaults, cross-validate, and build the objects."""
     values: dict[str, object] = {}
-    for key, (conv, default) in _SCHEMA.items():
-        if key in raw:
-            try:
-                values[key] = conv(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"{origin}: {key}: {exc}") from None
-        else:
-            values[key] = default
+    args: dict[str, dict] = {}  # constructor arguments, nested by destination
+    for key, (conv, dest) in _SCHEMA.items():
+        try:
+            values[key] = conv(raw[key]) if key in raw else _DEFAULTS[key]
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: {key}: {exc}") from None
+        *path, name = dest.split(".")
+        node = args
+        for part in path:
+            node = node.setdefault(part, {})
+        node[name] = values[key]
     explicit = frozenset(raw)
 
     # cross-key constraints
     try:
-        grid = GridSpec(values["grid.width"], values["grid.height"], values["grid.spacing"])
+        grid = GridSpec(**args.pop("grid"))
     except ValueError as exc:
         raise ConfigError(f"{origin}: grid: {exc}") from None
     try:
-        AnchorLayout(
-            (values["anchors.ax"], values["anchors.ay"]),
-            (values["anchors.bx"], values["anchors.by"]),
-            (values["anchors.cx"], values["anchors.cy"]),
-        )
-    except (CollinearAnchorsError, ValueError) as exc:
+        anchors = AnchorLayout(**{n: PointMM(**p) for n, p in args.pop("anchors").items()})
+    except ValueError as exc:
         raise ConfigError(f"{origin}: anchors: {exc}") from None
 
     refs = values["calibration.reference_points"]
@@ -399,7 +362,13 @@ def resolve_config(
                 f"classifier settings have no effect: {', '.join(clashing)}"
             )
 
-    return RunConfig(values, explicit)
+    del args["campaign"]  # built per call by RunConfig.campaign
+    pipeline = PipelineConfig(
+        noise=NoiseConfig(**args.pop("noise")),
+        correction=CorrectionPolicy(**args.pop("correction")),
+        **args,
+    )
+    return RunConfig(values, explicit, grid, anchors, pipeline)
 
 
 def load_config(
@@ -414,9 +383,8 @@ def load_config(
     origin = path if path is not None else "<defaults>"
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
+            text = read_text(path)
+        except (OSError, FileFormatError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         raw = parse_config_text(text, origin=path)
     if overrides:

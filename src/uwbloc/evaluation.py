@@ -30,7 +30,7 @@ from .calibration import (
     clean_observation_rows,
     fit_model,
 )
-from .errors import FileFormatError
+from .errors import FileFormatError, read_text
 from .fingerprint import FingerprintDB, GridSpec, OutOfAreaError, build_db, cell_vertex
 from .geometry import AnchorLayout, PointMM, RangeTriple, distance, trilaterate
 from .learners import (
@@ -59,6 +59,7 @@ from .simulator import (
 __all__ = [
     "MismatchedTestPointsError",
     "TEST_POINTS",
+    "CLASSIFIERS",
     "PipelineConfig",
     "PointErrors",
     "ErrorReport",
@@ -87,7 +88,8 @@ TEST_POINTS = (
     PointMM(750.0, 500.0),
 )
 
-_CLASSIFIERS = ("knn", "tree", "forest", "vote")
+#: The classifier kinds a fingerprint run can use, by config name.
+CLASSIFIERS = ("knn", "tree", "forest", "vote")
 
 
 class MismatchedTestPointsError(ValueError):
@@ -124,8 +126,8 @@ class PipelineConfig:
     augment: int = 0
 
     def __post_init__(self) -> None:
-        if self.classifier not in _CLASSIFIERS:
-            raise ValueError(f"classifier must be one of {_CLASSIFIERS}, got {self.classifier!r}")
+        if self.classifier not in CLASSIFIERS:
+            raise ValueError(f"classifier must be one of {CLASSIFIERS}, got {self.classifier!r}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if len(self.test_points) == 0:
@@ -473,8 +475,7 @@ def write_report(path: str, report: ErrorReport) -> None:
 
 
 def read_report(path: str) -> ErrorReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_report(fh.read(), origin=path)
+    return parse_report(read_text(path), origin=path)
 
 
 def format_comparison(table: ComparisonTable, fmt: str = "delimited") -> str:

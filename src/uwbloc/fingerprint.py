@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import ANCHOR_NAMES, CalibrationModel, predict_measured
-from .errors import FileFormatError
+from .errors import FileFormatError, read_text
 from .geometry import AnchorLayout, PointMM, RangeTriple, distance
 
 __all__ = [
@@ -60,6 +60,8 @@ class GridSpec:
                 raise ValueError(f"grid dimensions must be positive, got {v}")
         for name, v in (("width", self.width), ("height", self.height)):
             ratio = v / self.spacing
+            if not math.isfinite(ratio):
+                raise ValueError(f"{name} {v} over spacing {self.spacing} overflows")
             if abs(ratio - round(ratio)) > _DIVISIBILITY_TOL * max(1.0, ratio):
                 raise ValueError(f"{name} {v} is not a whole multiple of spacing {self.spacing}")
 
@@ -157,8 +159,7 @@ def write_db(path: str, db: FingerprintDB) -> None:
 
 def read_db(path: str) -> FingerprintDB:
     """Parse a DB file, checking labels arrive complete and in order."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise FileFormatError(f"{path}: empty DB file")
     head = lines[0].split(",")

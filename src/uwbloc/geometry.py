@@ -79,7 +79,8 @@ class AnchorLayout:
             v = getattr(self, name)
             if not isinstance(v, PointMM):
                 object.__setattr__(self, name, PointMM(*v))
-        if triangle_area(self.a, self.b, self.c) <= MIN_ANCHOR_TRIANGLE_AREA:
+        # written so that a NaN area (overflow) counts as collinear
+        if not triangle_area(self.a, self.b, self.c) > MIN_ANCHOR_TRIANGLE_AREA:
             raise CollinearAnchorsError(
                 f"anchors {self.a.as_tuple()}, {self.b.as_tuple()}, "
                 f"{self.c.as_tuple()} are (nearly) collinear"

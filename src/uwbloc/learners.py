@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fingerprint import FingerprintDB, GridSpec, LabelOutOfRangeError, cell_vertex
-from .geometry import PointMM, RangeTriple
+from .fingerprint import FingerprintDB, GridSpec, LabelOutOfRangeError
+from .geometry import RangeTriple
 
 __all__ = [
     "EmptyTrainingSetError",
@@ -28,7 +28,6 @@ __all__ = [
     "SoftVoteClassifier",
     "argmax_label",
     "soft_vote",
-    "localize",
 ]
 
 ClassProbabilities = dict[int, float]
@@ -516,8 +515,3 @@ class SoftVoteClassifier:
         return np.array(
             [soft_vote(a, b, self.weights) for a, b in zip(pk, pt)], dtype=np.int64
         )
-
-
-def localize(label: int, spec: GridSpec) -> PointMM:
-    """Map a predicted cell label back to its position (the cell vertex)."""
-    return cell_vertex(spec, label)

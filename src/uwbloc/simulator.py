@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, read_text
 from .geometry import AnchorLayout, PointMM, RangeTriple, distance
 
 __all__ = [
@@ -178,8 +178,7 @@ def write_measurements(path: str, rows: list[MeasurementSet]) -> None:
 
 def read_measurements(path: str) -> list[MeasurementSet]:
     """Parse a measurement file back into campaign rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != MEASUREMENT_HEADER:
         raise FileFormatError(f"{path}: expected header '{MEASUREMENT_HEADER}'")
     rows: list[MeasurementSet] = []

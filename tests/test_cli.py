@@ -205,6 +205,35 @@ def test_measurements_missing_reference_point_is_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("setting", [
+    "anchors.by = 1e300\nanchors.bx = 1e300\nanchors.cx = 2e300\nanchors.cy = 2e300",
+    "grid.spacing = 5e-324",
+], ids=["anchors-area-overflows", "grid-count-overflows"])
+def test_overflowing_geometry_is_exit_2(tmp_path, capsys, setting):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(setting + "\n")
+    assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err.startswith("uwbloc: config error")
+
+
+# a command reading each kind of file, and the exit code for a file that is not UTF-8
+_READERS = {
+    "config": (["evaluate", "--config", "{f}", "--out", "{d}/r.csv"], 2),
+    "measurements": (["fit", "{f}", "--out", "{d}/cal.csv"], 3),
+    "calibration": (["build-db", "{f}", "--out", "{d}/db.csv"], 3),
+    "report": (["compare", "{f}", "{f}", "--out", "{d}/cmp.csv"], 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+def test_file_that_is_not_utf8_names_the_byte(tmp_path, capsys, kind):
+    argv, code = _READERS[kind]
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("# caf\u00e9\n".encode("latin-1"))
+    assert main([a.format(f=bad, d=tmp_path) for a in argv]) == code
+    assert f"{bad}: not UTF-8 text at byte offset 5" in capsys.readouterr().err
+
+
 def test_unwritable_output_is_exit_4(tmp_path, coarse_cfg, capsys):
     out = tmp_path / "no" / "such" / "dir" / "r.csv"
     rc = main(["evaluate", "--config", str(coarse_cfg), "--model", "none",

@@ -1,0 +1,96 @@
+"""Config parsing and resolution: every bad input is a ConfigError naming its key."""
+
+import random
+
+import pytest
+
+from uwbloc.config import _SCHEMA, ConfigError, load_config, parse_config_text, resolve_config
+
+EDGE_VALUES = ("0", "-1", "5e-324", "1e308", "1e309", "nan", "", "1_0", "none", "0:0")
+
+# one value per key that fails that key's own check
+BAD_VALUES = {
+    "run.seed": "-1",
+    "grid.width": "0",
+    "grid.height": "-5",
+    "grid.spacing": "inf",
+    "anchors.ax": "nan",
+    "anchors.ay": "1e309",
+    "anchors.bx": "x",
+    "anchors.by": "",
+    "anchors.cx": "-inf",
+    "anchors.cy": "1,2",
+    "noise.slope": "0",
+    "noise.offset": "nan",
+    "noise.sigma": "-0.5",
+    "noise.inflation_threshold": "0",
+    "noise.inflation_factor": "0.9",
+    "noise.p_outlier": "1.5",
+    "correction.threshold": "-1",
+    "correction.ratio": "0",
+    "preprocess.mad_k": "0",
+    "preprocess.mad_scale": "-1",
+    "calibration.kind": "five",
+    "calibration.n_select": "0",
+    "calibration.obs_sets": "1.5",
+    "calibration.reference_points": "1,2,3",
+    "classifier.kind": "svm",
+    "classifier.k": "0",
+    "classifier.max_depth": "0",
+    "classifier.min_leaf": "-1",
+    "classifier.trees": "none",
+    "classifier.features_per_split": "4",
+    "classifier.bootstrap": "yes",
+    "classifier.weights": "0:0",
+    "eval.n_trials": "0",
+    "eval.test_points": "1;2",
+    "campaign.reps": "0",
+    "campaign.locations": "",
+    "fingerprint.augment": "-1",
+}
+
+
+def _resolve(text: str) -> None:
+    resolve_config(parse_config_text(text))
+
+
+def test_every_key_has_a_bad_value():
+    assert sorted(BAD_VALUES) == sorted(_SCHEMA)
+
+
+@pytest.mark.parametrize("key", sorted(BAD_VALUES))
+def test_bad_value_error_names_the_key(key):
+    with pytest.raises(ConfigError, match=f": {key}: "):
+        _resolve(f"{key} = {BAD_VALUES[key]}\n")
+
+
+def test_fuzzed_configs_raise_only_config_error():
+    keys = sorted(_SCHEMA)
+    texts = [f"{k} = {v}\n" for k in keys for v in EDGE_VALUES]
+    rng = random.Random(20240)
+    for _ in range(400):
+        lines = [f"{k} = {rng.choice(EDGE_VALUES)}" for k in rng.sample(keys, rng.randint(2, 6))]
+        extra = rng.random()
+        if extra < 0.1:
+            lines.append(lines[0])  # duplicate key
+        elif extra < 0.2:
+            lines.append(f"grid.{rng.choice(EDGE_VALUES)} = 1")  # unknown key
+        elif extra < 0.3:
+            lines.append(f"= {rng.choice(EDGE_VALUES)}")  # no key
+        rng.shuffle(lines)
+        texts.append("\n".join(lines) + "\n")
+    for text in texts:
+        try:
+            _resolve(text)
+        except ConfigError:
+            pass
+
+
+def test_overrides_count_as_explicitly_set(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("grid.spacing = 50\n", encoding="utf-8")
+    cfg = load_config(str(path), {"classifier.k": "1"})
+    assert cfg.explicit == {"grid.spacing", "classifier.k"}
+    # an override equal to the default still clashes with the baseline
+    with pytest.raises(ConfigError, match="classifier.k"):
+        load_config(None, {"calibration.kind": "none", "classifier.k": "1"})

@@ -36,6 +36,8 @@ def test_grid_spec_rejects_non_divisible_area():
         GridSpec(width=1010.0, height=2000.0, spacing=25.0)
     with pytest.raises(ValueError):
         GridSpec(width=1000.0, height=2000.0, spacing=-5.0)
+    with pytest.raises(ValueError):  # width / spacing overflows to inf
+        GridSpec(width=1000.0, height=2000.0, spacing=5e-324)
 
 
 def test_cell_vertex_known_labels():
@@ -128,6 +130,10 @@ def test_read_db_rejects_malformed_files(tmp_path):
 
     path.write_text("25.0,1000.0\n")
     with pytest.raises(FileFormatError, match="spacing,width,height"):
+        read_db(str(path))
+
+    path.write_bytes(b"25.0,50.0,\xff50.0\n")
+    with pytest.raises(FileFormatError, match="not UTF-8 text at byte offset 10"):
         read_db(str(path))
 
     # labels out of order

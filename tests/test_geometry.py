@@ -52,6 +52,8 @@ def test_default_anchors_are_the_corner_deployment():
 def test_anchor_layout_rejects_collinear():
     with pytest.raises(CollinearAnchorsError):
         AnchorLayout(PointMM(0.0, 0.0), PointMM(500.0, 500.0), PointMM(1000.0, 1000.0))
+    with pytest.raises(CollinearAnchorsError):  # the area overflows to NaN
+        AnchorLayout(PointMM(0.0, 0.0), PointMM(1e300, 1e300), PointMM(2e300, 2e300))
 
 
 def test_anchor_layout_coerces_tuples():

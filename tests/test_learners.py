@@ -5,7 +5,7 @@ import pytest
 
 from uwbloc import learners
 from uwbloc.calibration import CalibrationModel, LinearRangingEq, ModelKind
-from uwbloc.fingerprint import DEFAULT_GRID, GridSpec, build_db, cell_vertex
+from uwbloc.fingerprint import GridSpec, build_db
 from uwbloc.geometry import DEFAULT_ANCHORS, RangeTriple
 from uwbloc.learners import (
     EmptyTrainingSetError,
@@ -17,7 +17,6 @@ from uwbloc.learners import (
     TreeClassifier,
     VoteWeights,
     argmax_label,
-    localize,
     soft_vote,
 )
 from uwbloc.fingerprint import LabelOutOfRangeError
@@ -378,8 +377,3 @@ def test_soft_vote_classifier_matches_member_probabilities():
     for qi in range(15):
         assert got[qi] == soft_vote(pk[qi], pt[qi], weights)
         assert clf.predict(RangeTriple(*Q[qi])) == got[qi]
-
-
-def test_localize_returns_the_cell_vertex():
-    assert localize(1180, DEFAULT_GRID) == cell_vertex(DEFAULT_GRID, 1180)
-    assert localize(0, DEFAULT_GRID).as_tuple() == (0.0, 0.0)
