@@ -21,6 +21,7 @@ from uwbloc.evaluation import PipelineConfig, format_report, run_baseline, run_m
 from uwbloc.fingerprint import GridSpec
 from uwbloc.geometry import DEFAULT_ANCHORS
 from uwbloc.preprocess import CorrectionPolicy
+from uwbloc.simulator import NoiseConfig
 
 NUMPY_VERSION = "2.4.6"
 
@@ -46,6 +47,18 @@ for _model in ModelKind:
             CASES.append((f"{_model.value}-{_name}-aug{_augment}",
                           dict(model_kind=_model, augment=_augment, **_clf), COARSE))
 CASES.append(("four-knn1-dense", dict(model_kind=ModelKind.FOUR, classifier="knn"), DENSE))
+# the outlier branch draws a coin and a magnitude after the normal on each stream;
+# at 0.05 about half the 40 observation sets pass the 12-value MAD rule
+FEW_OUTLIERS = NoiseConfig(p_outlier=0.05)
+CASES += [
+    ("baseline-outlier0.3-r0.9",
+     dict(noise=NoiseConfig(p_outlier=0.3), correction=CorrectionPolicy(ratio=0.9)), None),
+    ("baseline-outlier1.0", dict(noise=NoiseConfig(p_outlier=1.0)), None),
+    ("four-knn1-aug2-outlier0.05",
+     dict(model_kind=ModelKind.FOUR, classifier="knn", augment=2, noise=FEW_OUTLIERS), COARSE),
+    ("two-vote-aug2-outlier0.05",
+     dict(model_kind=ModelKind.TWO, classifier="vote", augment=2, noise=FEW_OUTLIERS), COARSE),
+]
 
 DIGESTS = {
     "baseline-r1.0": "2485a2ceac271bf0dae5a383cc7f823770d48c196524d4d9fca96cbc1c031614",
@@ -75,6 +88,10 @@ DIGESTS = {
     "four-vote-aug0": "0e94d0d670e06474465f0b1b999daa3f0800e0c4caa50dc8b6749a9fc98dea14",
     "four-vote-aug2": "5a82f15d74294d38e63c1e2adba3941f22199a6b4f5d1e24969b065548c5b5d3",
     "four-knn1-dense": "1d835ab2f91ee3307833bd4f2a32b059dab44e731172b090c74806ab7e262f76",
+    "baseline-outlier0.3-r0.9": "000f12589bf55905c55bc8020d32aa5c36db05e1cfe6ddd4e03c2e93cc3f7e0c",
+    "baseline-outlier1.0": "e90fc4cdc6b30c33693a37472ac3f0e7b3c961468c9ab8aed1bbfd6d83693927",
+    "four-knn1-aug2-outlier0.05": "bb568c03d696eb7e91eccf060b0c124552af5cb122bd3abb4463631f6e605c6b",
+    "two-vote-aug2-outlier0.05": "8d7e8d0e44d6003a79e513cce220a368afa8660e653d3185ca40f7921cbe0f65",
 }
 
 
