@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FileFormatError, read_text
 from .geometry import AnchorLayout, PointMM, distance
-from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, mad_keep_mask
+from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, correct_range_batch, mad_keep_mask
 from .simulator import MeasurementSet
 
 __all__ = [
@@ -222,7 +222,7 @@ def clean_observation_rows(
         raise InsufficientDataError("outlier filtering removed every measurement set")
 
     if policy is not None:
-        cleaned = np.where(cleaned > policy.threshold, cleaned * policy.ratio, cleaned)
+        cleaned = correct_range_batch(cleaned, policy)
     return ObservationData(tuple(points), cleaned)
 
 

@@ -37,8 +37,12 @@ class ConfigError(ValueError):
 # -- per-key value conversion ------------------------------------------------
 
 
+# int() and float() also accept Python's digit separator "_", which the config
+# format does not have ("1_0" would read as 10), so both converters reject it
 def _to_int(s: str) -> int:
     try:
+        if "_" in s:
+            raise ValueError
         return int(s, 10)
     except ValueError:
         raise ValueError(f"not an integer: {s!r}") from None
@@ -46,6 +50,8 @@ def _to_int(s: str) -> int:
 
 def _to_float(s: str) -> float:
     try:
+        if "_" in s:
+            raise ValueError
         v = float(s)
     except ValueError:
         raise ValueError(f"not a number: {s!r}") from None

@@ -32,7 +32,7 @@ from .calibration import (
 )
 from .errors import FileFormatError, read_text
 from .fingerprint import FingerprintDB, GridSpec, OutOfAreaError, build_db, cell_vertex
-from .geometry import AnchorLayout, PointMM, RangeTriple, distance, trilaterate
+from .geometry import AnchorLayout, PointMM, check_ranges, distance, trilaterate_batch
 from .learners import (
     ForestClassifier,
     KnnClassifier,
@@ -41,7 +41,7 @@ from .learners import (
     TreeClassifier,
     VoteWeights,
 )
-from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, correct_triple
+from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, correct_range_batch
 from .simulator import (
     Campaign,
     NoiseConfig,
@@ -51,10 +51,14 @@ from .simulator import (
     STAGE_SELECTION,
     STAGE_TRIALS,
     derive_seed,
-    measurement_stream,
     simulate_campaign,
-    simulate_range,
+    simulate_visits,
 )
+
+# Not called here: bench/tracing.py instruments these names on this module.
+from .geometry import trilaterate
+from .preprocess import correct_triple
+from .simulator import measurement_stream, simulate_range
 
 __all__ = [
     "MismatchedTestPointsError",
@@ -214,37 +218,32 @@ def _aggregate(
     return ErrorReport(tuple(entries), metadata)
 
 
-def _simulate_trial(
-    noise: NoiseConfig, trial_seed: int, point_index: int, trial: int,
-    true_d: Sequence[float], correction: CorrectionPolicy,
-) -> RangeTriple:
-    vals = [
-        simulate_range(true_d[ai], noise, measurement_stream(trial_seed, point_index, trial, ai))
-        for ai in range(3)
-    ]
-    return correct_triple(RangeTriple(*vals), correction)
+def _measured_triples(
+    cfg: PipelineConfig, stage: int, points: Sequence[PointMM], reps: int, anchors: AnchorLayout,
+) -> np.ndarray:
+    """Corrected range triples of ``reps`` visits to each point, shape (m, reps, 3)."""
+    ranges = simulate_visits(points, anchors, reps, cfg.noise, derive_seed(cfg.seed, stage))
+    check_ranges(ranges)
+    return correct_range_batch(ranges, cfg.correction)
 
 
 def run_baseline(cfg: PipelineConfig, anchors: AnchorLayout) -> ErrorReport:
     """Trilateration-only evaluation; the reference everything else beats."""
     if cfg.model_kind is not None:
         raise ValueError("baseline run must have model_kind None")
-    trial_seed = derive_seed(cfg.seed, STAGE_TRIALS)
-    anchor_points = anchors.as_tuple()
-    per_point: list[list[float]] = []
-    for pi, p in enumerate(cfg.test_points):
-        true_d = [distance(p, a) for a in anchor_points]
-        errs: list[float] = []
-        for t in range(cfg.n_trials):
-            corrected = _simulate_trial(cfg.noise, trial_seed, pi, t, true_d, cfg.correction)
-            errs.append(distance(trilaterate(anchors, corrected), p))
-        per_point.append(errs)
+    ranges = _measured_triples(cfg, STAGE_TRIALS, cfg.test_points, cfg.n_trials, anchors)
+    positions = trilaterate_batch(anchors, ranges.reshape(-1, 3)).reshape(ranges.shape[:2] + (2,))
+    # math.hypot, as in distance(), so that each error is the scalar path's float
+    per_point = [
+        list(map(math.hypot, (xy[:, 0] - p.x).tolist(), (xy[:, 1] - p.y).tolist()))
+        for p, xy in zip(cfg.test_points, positions)
+    ]
     metadata = {
         "pipeline": "baseline",
         "seed": str(cfg.seed),
         "n_trials": str(cfg.n_trials),
-        # trilaterate never raises CollinearAnchorsError here: its |det| is
-        # exactly 8x the anchor triangle area, which AnchorLayout keeps > 1e-6
+        # trilaterate_batch never raises CollinearAnchorsError here: its |det|
+        # is exactly 8x the anchor triangle area, which AnchorLayout keeps > 1e-6
         "failed_trials": "0",
         "correction_ratio": repr(cfg.correction.ratio),
         "params_hash": cfg.params_hash(),
@@ -257,19 +256,10 @@ def _training_set(cfg: PipelineConfig, db: FingerprintDB, anchors: AnchorLayout)
     if cfg.augment == 0:
         return base
     # noisy copies of each cell, drawn like query-time measurements
-    aug_seed = derive_seed(cfg.seed, STAGE_AUGMENT)
-    anchor_points = anchors.as_tuple()
-    extra_X = []
-    extra_y = []
-    for label in range(len(db)):
-        v = cell_vertex(db.spec, label)
-        true_d = [distance(v, a) for a in anchor_points]
-        for j in range(cfg.augment):
-            triple = _simulate_trial(cfg.noise, aug_seed, label, j, true_d, cfg.correction)
-            extra_X.append(triple.as_tuple())
-            extra_y.append(label)
-    X = np.vstack([base.X, np.asarray(extra_X, dtype=float)])
-    y = np.concatenate([base.y, np.asarray(extra_y, dtype=np.int64)])
+    vertices = [cell_vertex(db.spec, label) for label in range(len(db))]
+    extra = _measured_triples(cfg, STAGE_AUGMENT, vertices, cfg.augment, anchors)
+    X = np.vstack([base.X, extra.reshape(-1, 3)])
+    y = np.concatenate([base.y, np.repeat(np.arange(len(db), dtype=np.int64), cfg.augment)])
     return TrainingSet(X, y, db.spec)
 
 
@@ -320,18 +310,14 @@ def run_ml(cfg: PipelineConfig, anchors: AnchorLayout, spec: GridSpec) -> ErrorR
         seed=derive_seed(cfg.seed, STAGE_SELECTION),
     )
     db = build_db(model, spec, anchors)
+    # drawn before training, so that the draws' scratch memory and the
+    # classifier are never held at the same time
+    queries = _measured_triples(cfg, STAGE_TRIALS, cfg.test_points, cfg.n_trials, anchors)
     clf = _build_classifier(cfg, _training_set(cfg, db, anchors))
-
-    trial_seed = derive_seed(cfg.seed, STAGE_TRIALS)
-    anchor_points = anchors.as_tuple()
-    per_point: list[list[float]] = []
-    for pi, p in enumerate(cfg.test_points):
-        true_d = [distance(p, a) for a in anchor_points]
-        queries = np.empty((cfg.n_trials, 3), dtype=float)
-        for t in range(cfg.n_trials):
-            queries[t] = _simulate_trial(cfg.noise, trial_seed, pi, t, true_d, cfg.correction).as_tuple()
-        labels = clf.predict_batch(queries)
-        per_point.append([distance(cell_vertex(spec, int(lb)), p) for lb in labels])
+    per_point = [
+        [distance(cell_vertex(spec, int(lb)), p) for lb in clf.predict_batch(point_queries)]
+        for p, point_queries in zip(cfg.test_points, queries)
+    ]
 
     metadata = {
         "pipeline": "fingerprint",

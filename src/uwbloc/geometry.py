@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "CollinearAnchorsError",
     "NonFiniteRangeError",
@@ -18,7 +20,9 @@ __all__ = [
     "DEFAULT_ANCHORS",
     "distance",
     "triangle_area",
+    "check_ranges",
     "trilaterate",
+    "trilaterate_batch",
 ]
 
 # Anchor triangles flatter than this (mm^2) are rejected as collinear.
@@ -62,6 +66,21 @@ def triangle_area(a: PointMM, b: PointMM, c: PointMM) -> float:
     return abs((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)) / 2.0
 
 
+def _solver_terms(a: PointMM, b: PointMM, c: PointMM) -> tuple[float, ...]:
+    """The anchor-only terms of the trilateration system for anchors A, B, C.
+
+    Returns the matrix entries m11, m12, m21, m22, its determinant, and
+    the squared norms of the three anchors.
+    """
+    (ax, ay), (bx, by), (cx, cy) = a.as_tuple(), b.as_tuple(), c.as_tuple()
+    m11 = 2.0 * (ax - bx)
+    m12 = 2.0 * (ay - by)
+    m21 = 2.0 * (ax - cx)
+    m22 = 2.0 * (ay - cy)
+    det = m11 * m22 - m12 * m21
+    return m11, m12, m21, m22, det, ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+
+
 @dataclass(frozen=True)
 class AnchorLayout:
     """Fixed positions of the three ranging anchors A, B and C.
@@ -79,12 +98,13 @@ class AnchorLayout:
             v = getattr(self, name)
             if not isinstance(v, PointMM):
                 object.__setattr__(self, name, PointMM(*v))
+        corners = f"{self.a.as_tuple()}, {self.b.as_tuple()}, {self.c.as_tuple()}"
+        area = triangle_area(self.a, self.b, self.c)
         # written so that a NaN area (overflow) counts as collinear
-        if not triangle_area(self.a, self.b, self.c) > MIN_ANCHOR_TRIANGLE_AREA:
-            raise CollinearAnchorsError(
-                f"anchors {self.a.as_tuple()}, {self.b.as_tuple()}, "
-                f"{self.c.as_tuple()} are (nearly) collinear"
-            )
+        if not area > MIN_ANCHOR_TRIANGLE_AREA:
+            raise CollinearAnchorsError(f"anchors {corners} are (nearly) collinear")
+        if not all(math.isfinite(v) for v in (area, *_solver_terms(self.a, self.b, self.c))):
+            raise ValueError(f"anchors {corners} overflow the trilateration system")
 
     def as_tuple(self) -> tuple[PointMM, PointMM, PointMM]:
         return (self.a, self.b, self.c)
@@ -105,45 +125,69 @@ class RangeTriple:
 
     def __post_init__(self) -> None:
         for v in (self.d_a, self.d_b, self.d_c):
-            if not math.isfinite(v):
-                raise NonFiniteRangeError(f"range must be finite, got {v}")
-            if v <= 0.0:
-                raise ValueError(f"range must be positive, got {v}")
+            _check_range(v)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.d_a, self.d_b, self.d_c)
 
 
-def trilaterate(anchors: AnchorLayout, ranges: RangeTriple) -> PointMM:
-    """Solve for the position implied by three anchor distances.
+def _check_range(v: float) -> None:
+    if not math.isfinite(v):
+        raise NonFiniteRangeError(f"range must be finite, got {v}")
+    if v <= 0.0:
+        raise ValueError(f"range must be positive, got {v}")
 
-    Subtracting anchor A's circle equation from B's and C's removes the
-    quadratic terms and leaves a 2x2 linear system, solved exactly by
-    Cramer's rule. The result is not clamped to the test area; callers
-    that care about the area check it themselves.
+
+def check_ranges(ranges: np.ndarray) -> None:
+    """Reject an array of ranges the way RangeTriple rejects one value.
+
+    The first offending entry in row-major order decides the error.
+    """
+    flat = np.asarray(ranges, dtype=float).ravel()
+    bad = ~(np.isfinite(flat) & (flat > 0.0))
+    if bad.any():
+        _check_range(float(flat[np.argmax(bad)]))
+
+
+def trilaterate_batch(anchors: AnchorLayout, ranges: np.ndarray) -> np.ndarray:
+    """Solve for the positions implied by rows of anchor distances.
+
+    ``ranges`` is (n, 3), columns A, B and C; the result is (n, 2), columns
+    x and y. Subtracting anchor A's circle equation from B's and C's
+    removes the quadratic terms and leaves a 2x2 linear system per row,
+    solved exactly by Cramer's rule. Positions are not clamped to the test
+    area; callers that care about the area check it themselves.
 
     Raises:
-        CollinearAnchorsError: the linear system is singular.
         NonFiniteRangeError: a range is NaN or infinite.
+        CollinearAnchorsError: the linear system is singular.
+        ValueError: a solved position is not finite.
     """
-    for v in ranges.as_tuple():
-        if not math.isfinite(v):
-            raise NonFiniteRangeError(f"range must be finite, got {v}")
+    r = np.asarray(ranges, dtype=float)
+    if r.ndim != 2 or r.shape[1] != 3:
+        raise ValueError(f"expected (n, 3) ranges, got shape {r.shape}")
+    nonfinite = ~np.isfinite(r).ravel()
+    if nonfinite.any():
+        _check_range(float(r.ravel()[np.argmax(nonfinite)]))
 
-    (ax, ay), (bx, by), (cx, cy) = (p.as_tuple() for p in anchors.as_tuple())
-    da, db, dc = ranges.as_tuple()
-
-    m11 = 2.0 * (ax - bx)
-    m12 = 2.0 * (ay - by)
-    m21 = 2.0 * (ax - cx)
-    m22 = 2.0 * (ay - cy)
-    r1 = (db * db - da * da) + (ax * ax + ay * ay) - (bx * bx + by * by)
-    r2 = (dc * dc - da * da) + (ax * ax + ay * ay) - (cx * cx + cy * cy)
-
-    det = m11 * m22 - m12 * m21
+    m11, m12, m21, m22, det, norm_a, norm_b, norm_c = _solver_terms(*anchors.as_tuple())
     if abs(det) < 1e-9:
         raise CollinearAnchorsError("anchor geometry yields a singular system")
 
-    x = (r1 * m22 - m12 * r2) / det
-    y = (m11 * r2 - r1 * m21) / det
+    da, db, dc = r.T
+    # overflow ends in a non-finite position, reported below, as Python floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1 = (db * db - da * da) + norm_a - norm_b
+        r2 = (dc * dc - da * da) + norm_a - norm_c
+        xy = np.column_stack(((r1 * m22 - m12 * r2) / det, (m11 * r2 - r1 * m21) / det))
+    nonfinite = ~np.isfinite(xy).all(axis=1)
+    if nonfinite.any():
+        x, y = xy[np.argmax(nonfinite)].tolist()
+        raise ValueError(f"coordinates must be finite, got ({x}, {y})")
+    return xy
+
+
+def trilaterate(anchors: AnchorLayout, ranges: RangeTriple) -> PointMM:
+    """Solve for the position implied by one range triple (see trilaterate_batch)."""
+    x, y = trilaterate_batch(anchors, np.array([ranges.as_tuple()])).tolist()[0]
     return PointMM(x, y)

@@ -17,6 +17,7 @@ __all__ = [
     "mad_keep_mask",
     "mad_filter",
     "correct_range",
+    "correct_range_batch",
     "correct_triple",
 ]
 
@@ -84,19 +85,25 @@ class CorrectionPolicy:
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
 
 
+def correct_range_batch(measured: np.ndarray, policy: CorrectionPolicy) -> np.ndarray:
+    """Apply the long-range correction to every measured distance in an array.
+
+    The first entry (in row-major order) that is not finite and positive
+    raises ValueError.
+    """
+    arr = np.asarray(measured, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr > 0.0))
+    if bad.any():
+        v = float(arr.ravel()[np.argmax(bad.ravel())])
+        raise ValueError(f"measured distance must be finite and positive, got {v}")
+    return np.where(arr > policy.threshold, arr * policy.ratio, arr)
+
+
 def correct_range(measured: float, policy: CorrectionPolicy) -> float:
     """Apply the long-range correction to a single measured distance."""
-    if not math.isfinite(measured) or measured <= 0.0:
-        raise ValueError(f"measured distance must be finite and positive, got {measured}")
-    if measured > policy.threshold:
-        return measured * policy.ratio
-    return measured
+    return float(correct_range_batch(np.array([measured], dtype=float), policy)[0])
 
 
 def correct_triple(ranges: RangeTriple, policy: CorrectionPolicy) -> RangeTriple:
     """Apply the long-range correction to each component of a triple."""
-    return RangeTriple(
-        correct_range(ranges.d_a, policy),
-        correct_range(ranges.d_b, policy),
-        correct_range(ranges.d_c, policy),
-    )
+    return RangeTriple(*correct_range_batch(ranges.as_tuple(), policy).tolist())

@@ -50,6 +50,10 @@ BAD_VALUES = {
 }
 
 
+# further bad values of one key each: Python's digit separators
+MORE_BAD_VALUES = [("classifier.k", "1_0"), ("noise.sigma", "1_000.5")]
+
+
 def _resolve(text: str) -> None:
     resolve_config(parse_config_text(text))
 
@@ -58,10 +62,13 @@ def test_every_key_has_a_bad_value():
     assert sorted(BAD_VALUES) == sorted(_SCHEMA)
 
 
-@pytest.mark.parametrize("key", sorted(BAD_VALUES))
-def test_bad_value_error_names_the_key(key):
+@pytest.mark.parametrize(
+    "key, value", sorted(BAD_VALUES.items()) + MORE_BAD_VALUES,
+    ids=sorted(BAD_VALUES) + [f"{k}-{v}" for k, v in MORE_BAD_VALUES],
+)
+def test_bad_value_error_names_the_key(key, value):
     with pytest.raises(ConfigError, match=f": {key}: "):
-        _resolve(f"{key} = {BAD_VALUES[key]}\n")
+        _resolve(f"{key} = {value}\n")
 
 
 def test_fuzzed_configs_raise_only_config_error():

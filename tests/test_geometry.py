@@ -11,8 +11,10 @@ from uwbloc.geometry import (
     PointMM,
     RangeTriple,
     distance,
+    check_ranges,
     triangle_area,
     trilaterate,
+    trilaterate_batch,
 )
 
 
@@ -54,6 +56,16 @@ def test_anchor_layout_rejects_collinear():
         AnchorLayout(PointMM(0.0, 0.0), PointMM(500.0, 500.0), PointMM(1000.0, 1000.0))
     with pytest.raises(CollinearAnchorsError):  # the area overflows to NaN
         AnchorLayout(PointMM(0.0, 0.0), PointMM(1e300, 1e300), PointMM(2e300, 2e300))
+
+
+@pytest.mark.parametrize("b, c", [
+    ((0.0, 1e308), (1e308, 0.0)),  # the area overflows to inf
+    ((0.0, 2e154), (1e150, 0.0)),  # the area is finite, the squared norm of B is not
+    ((0.0, 1e154), (1.3e154, 0.0)),  # the area and norms are finite, the determinant is not
+])
+def test_anchor_layout_rejects_overflowing_coordinates(b, c):
+    with pytest.raises(ValueError, match="overflow"):
+        AnchorLayout(PointMM(0.0, 0.0), PointMM(*b), PointMM(*c))
 
 
 def test_anchor_layout_coerces_tuples():
@@ -104,3 +116,40 @@ def test_trilaterate_result_is_not_clamped():
 def test_trilaterate_rejects_non_finite_ranges():
     with pytest.raises(NonFiniteRangeError):
         RangeTriple(math.inf, 100.0, 100.0)
+
+
+def _reference_trilaterate(anchors, da, db, dc):
+    """The per-triple solver in Python floats, as it stood before the array path."""
+    (ax, ay), (bx, by), (cx, cy) = (p.as_tuple() for p in anchors.as_tuple())
+    m11, m12, m21, m22 = 2.0 * (ax - bx), 2.0 * (ay - by), 2.0 * (ax - cx), 2.0 * (ay - cy)
+    r1 = (db * db - da * da) + (ax * ax + ay * ay) - (bx * bx + by * by)
+    r2 = (dc * dc - da * da) + (ax * ax + ay * ay) - (cx * cx + cy * cy)
+    det = m11 * m22 - m12 * m21
+    return (r1 * m22 - m12 * r2) / det, (m11 * r2 - r1 * m21) / det
+
+
+def test_trilaterate_batch_matches_the_per_triple_solver_bit_for_bit():
+    rng = np.random.default_rng(3)
+    layout = AnchorLayout(PointMM(-3.5, 7.25), PointMM(40.0, 2300.0), PointMM(1100.0, -15.0))
+    ranges = rng.uniform(1.0, 3000.0, size=(500, 3))
+    got = trilaterate_batch(layout, ranges)
+    want = np.array([_reference_trilaterate(layout, *row) for row in ranges.tolist()])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert trilaterate_batch(layout, np.empty((0, 3))).shape == (0, 2)
+
+
+def test_trilaterate_batch_rejects_bad_rows():
+    with pytest.raises(NonFiniteRangeError, match="got nan"):
+        trilaterate_batch(DEFAULT_ANCHORS, [[1.0, 2.0, 3.0], [4.0, np.nan, np.inf]])
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        trilaterate_batch(DEFAULT_ANCHORS, [[1.0, 2.0, 3.0], [1e200, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="shape"):
+        trilaterate_batch(DEFAULT_ANCHORS, [1.0, 2.0, 3.0])
+
+
+def test_check_ranges_raises_what_range_triple_raises_for_the_first_bad_entry():
+    check_ranges(np.array([[1.0, 2.0, 3.0]]))
+    with pytest.raises(NonFiniteRangeError, match="got inf"):
+        check_ranges(np.array([[1.0, 2.0, 3.0], [np.inf, -1.0, 2.0]]))
+    with pytest.raises(ValueError, match="positive, got -1.0"):
+        check_ranges(np.array([[1.0, 2.0, 3.0], [1.0, -1.0, np.inf]]))

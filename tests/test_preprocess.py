@@ -6,6 +6,7 @@ from uwbloc.preprocess import (
     EmptySeriesError,
     MAD_SCALE_NORMAL,
     correct_range,
+    correct_range_batch,
     correct_triple,
     mad_filter,
     mad_keep_mask,
@@ -100,3 +101,18 @@ def test_correct_triple_componentwise():
     policy = CorrectionPolicy(ratio=0.8)
     out = correct_triple(RangeTriple(500.0, 1500.0, 1000.0), policy)
     assert out.as_tuple() == (500.0, 1500.0 * 0.8, 1000.0)
+
+
+def test_correct_range_batch_matches_the_scalar_rule_and_keeps_the_shape():
+    policy = CorrectionPolicy(threshold=1000.0, ratio=0.85)
+    measured = np.array([[999.0, 1000.0, np.nextafter(1000.0, 2000.0)], [1.0, 2500.0, 1e300]])
+    want = [[m * 0.85 if m > 1000.0 else m for m in row] for row in measured.tolist()]
+    assert correct_range_batch(measured, policy).tolist() == want
+
+
+def test_correct_range_batch_names_the_first_bad_entry():
+    policy = CorrectionPolicy()
+    with pytest.raises(ValueError, match="got 0.0"):
+        correct_range_batch(np.array([[5.0, 0.0], [np.nan, 2.0]]), policy)
+    with pytest.raises(ValueError, match="got nan"):
+        correct_range_batch(np.array([[5.0, 6.0], [np.nan, -2.0]]), policy)

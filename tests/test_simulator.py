@@ -6,6 +6,7 @@ import pytest
 from uwbloc.errors import FileFormatError
 from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, distance
 from uwbloc.simulator import (
+    DRAW_CHUNK,
     Campaign,
     IDENTITY_NOISE,
     NoiseConfig,
@@ -19,6 +20,7 @@ from uwbloc.simulator import (
     read_measurements,
     simulate_campaign,
     simulate_range,
+    simulate_range_batch,
     write_measurements,
 )
 
@@ -164,3 +166,84 @@ def test_simulation_is_reproducible():
     first = simulate_campaign(campaign)
     second = simulate_campaign(campaign)
     assert [r.ranges.as_tuple() for r in first] == [r.ranges.as_tuple() for r in second]
+
+
+# -- the batched kernel against the single-draw oracle ------------------------
+# These compare with numpy's own SeedSequence and PCG64, so unlike the golden
+# digests they hold on every numpy version: a change to numpy's seeding fails
+# here instead of silently changing every stream.
+
+KERNEL_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)  # one- and two-word entropy
+KERNEL_NOISES = {
+    "default": NoiseConfig(),
+    "outlier0.3": NoiseConfig(p_outlier=0.3),
+    "outlier1.0": NoiseConfig(p_outlier=1.0),
+    "sigma0-outlier0.5": NoiseConfig(sigma=0.0, p_outlier=0.5),  # normal(0, 0) still draws
+    "identity": IDENTITY_NOISE,
+}
+# 0 is clamped to 1 mm; with sigma 0 and offset 20 the reading of 980 sits on
+# the 1000 mm inflation threshold, and its float neighbours fall either side
+EDGE_DISTANCES = (0.0, 980.0, np.nextafter(980.0, 0.0), np.nextafter(980.0, 2000.0),
+                  1000.0, np.nextafter(1000.0, 0.0), np.nextafter(1000.0, 2000.0))
+
+
+def _oracle(d, keys, noise, seed):
+    return np.array([
+        simulate_range(float(di), noise, measurement_stream(seed, *(int(k) for k in key)))
+        for di, key in zip(d, keys)
+    ])
+
+
+def _random_case(n, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    keys = np.column_stack(
+        [rng.integers(0, 2**32, n), rng.integers(0, 600, n), rng.integers(0, 3, n)]
+    )
+    d = np.concatenate([EDGE_DISTANCES, rng.uniform(0.0, 3000.0, n - len(EDGE_DISTANCES))])
+    return d, keys
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("noise", KERNEL_NOISES.values(), ids=KERNEL_NOISES.keys())
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_batch_kernel_matches_single_draw_oracle(seed, noise):
+    d, keys = _random_case(40, seed % 1000)
+    keys[:4] = [(0, 0, 0), (2**32 - 1, 0, 2), (0, 2**32 - 1, 1), (2**32 - 1,) * 3]
+    assert _same_bits(simulate_range_batch(d, keys, noise, seed), _oracle(d, keys, noise, seed))
+
+
+def test_batch_kernel_spans_chunks():
+    d, keys = _random_case(2 * DRAW_CHUNK + 3, 5)
+    noise = NoiseConfig(p_outlier=0.3, seed=9)
+    assert _same_bits(simulate_range_batch(d, keys, noise, 9), _oracle(d, keys, noise, 9))
+
+
+def test_batch_kernel_empty_batch():
+    out = simulate_range_batch(np.empty(0), np.empty((0, 3), dtype=np.int64), NoiseConfig(), 0)
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
+def test_batch_kernel_rejects_what_the_single_draw_path_rejects():
+    keys = np.zeros((2, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match="finite and >= 0, got -1.0"):
+        simulate_range_batch([5.0, -1.0], keys, NoiseConfig(), 0)
+    with pytest.raises(ValueError, match="got nan"):
+        simulate_range_batch([np.nan, np.inf], keys, NoiseConfig(), 0)
+    # a negative key or seed: ValueError, as numpy's SeedSequence raises
+    for key in ((-1, 0, 0), (0, 0, -1)):
+        with pytest.raises(ValueError):
+            measurement_stream(0, *key)
+        with pytest.raises(ValueError):
+            simulate_range_batch([5.0], np.array([key]), NoiseConfig(), 0)
+    with pytest.raises(ValueError):
+        simulate_range_batch([5.0], keys[:1], NoiseConfig(), -1)
+    # a key of 2**32 or more is two entropy words to numpy; the kernel refuses it
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        simulate_range_batch([5.0], np.array([(0, 2**32, 0)]), NoiseConfig(), 0)
+    with pytest.raises(TypeError):
+        simulate_range_batch([5.0], np.array([(0.0, 1.0, 2.0)]), NoiseConfig(), 0)
+    with pytest.raises(ValueError, match="shape|expected"):
+        simulate_range_batch([5.0, 6.0], keys[:1], NoiseConfig(), 0)
