@@ -20,6 +20,7 @@ from uwbloc.calibration import ModelKind
 from uwbloc.evaluation import PipelineConfig, format_report, run_baseline, run_ml
 from uwbloc.fingerprint import GridSpec
 from uwbloc.geometry import DEFAULT_ANCHORS
+from uwbloc.learners import VoteWeights
 from uwbloc.preprocess import CorrectionPolicy
 from uwbloc.simulator import NoiseConfig
 
@@ -59,6 +60,22 @@ CASES += [
     ("two-vote-aug2-outlier0.05",
      dict(model_kind=ModelKind.TWO, classifier="vote", augment=2, noise=FEW_OUTLIERS), COARSE),
 ]
+# depth 3 leaves hold several labels, often at equal frequency, so these cases pin
+# the leaf probabilities, their member-order sums and the lower-label tie rule
+FOUR = dict(model_kind=ModelKind.FOUR)
+CASES += [
+    ("four-tree", dict(FOUR, classifier="tree"), COARSE),
+    ("four-tree-depth3", dict(FOUR, classifier="tree", tree_max_depth=3), COARSE),
+    ("four-forest5", dict(FOUR, classifier="forest", forest_trees=5), COARSE),
+    ("four-forest5-nobootstrap-f2",
+     dict(FOUR, classifier="forest", forest_trees=5, forest_bootstrap=False, forest_features=2),
+     COARSE),
+    ("four-forest5-aug2", dict(FOUR, classifier="forest", forest_trees=5, augment=2), COARSE),
+]
+for _w in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0)):
+    CASES.append((f"four-vote-knn3-depth3-w{_w[0]:g}:{_w[1]:g}",
+                  dict(FOUR, classifier="vote", knn_k=3, tree_max_depth=3,
+                       vote_weights=VoteWeights(*_w)), COARSE))
 
 DIGESTS = {
     "baseline-r1.0": "2485a2ceac271bf0dae5a383cc7f823770d48c196524d4d9fca96cbc1c031614",
@@ -92,6 +109,14 @@ DIGESTS = {
     "baseline-outlier1.0": "e90fc4cdc6b30c33693a37472ac3f0e7b3c961468c9ab8aed1bbfd6d83693927",
     "four-knn1-aug2-outlier0.05": "bb568c03d696eb7e91eccf060b0c124552af5cb122bd3abb4463631f6e605c6b",
     "two-vote-aug2-outlier0.05": "8d7e8d0e44d6003a79e513cce220a368afa8660e653d3185ca40f7921cbe0f65",
+    "four-tree": "7a5f70b9d902c20277deafbdfb908315af00d2e6484accb37de1c074adad53c6",
+    "four-tree-depth3": "36dbaf52ec5044c8caaacdcc89c7aa3d50b9c9b05727dc630f8618cb9dfddd8b",
+    "four-forest5": "0b7a7dd9905f353b9bc11cc841d4924431a5b45c56ea79024233d871470dbe50",
+    "four-forest5-nobootstrap-f2": "1434f9a79c3876ccfa111169bb405b57c84da510315dc9b5d79e7fc293d47015",
+    "four-forest5-aug2": "9596a59013713fd7cd376acad08069ebe01b4850e41a06010f5d2329a87cc50c",
+    "four-vote-knn3-depth3-w1:1": "e7dace6fc80816d8648be8c5a224da7dc62f583c37d58f5fd4ed88c05844342e",
+    "four-vote-knn3-depth3-w0:1": "81dc19d5d2f74af8c2061356824925bab6fad93e6f1a63141744ecec5b2abd16",
+    "four-vote-knn3-depth3-w1:0": "a6bf5284b3c50c621c1c28e1896a8e81a206a1bb4c039ade328cefd7e613ef7e",
 }
 
 
