@@ -313,9 +313,10 @@ def fit_model(
     return CalibrationModel(kind, *eqs)
 
 
-def predict_measured(model: CalibrationModel, anchor: str, true_distance: float) -> float:
-    """What the tag would report for a given true distance to one anchor."""
-    if not (math.isfinite(true_distance) and true_distance >= 0.0):
+def predict_measured(model: CalibrationModel, anchor: str, true_distance: float | np.ndarray):
+    """What the tag would report for a true distance (or an array of them) to one anchor."""
+    d = np.asarray(true_distance)
+    if not np.all(np.isfinite(d) & (d >= 0.0)):
         raise ValueError(f"true distance must be finite and >= 0, got {true_distance}")
     eq = model.equation(anchor)
     return eq.a * true_distance + eq.b

@@ -31,8 +31,8 @@ from .calibration import (
     fit_model,
 )
 from .errors import FileFormatError, read_text
-from .fingerprint import FingerprintDB, GridSpec, OutOfAreaError, build_db, cell_vertex
-from .geometry import AnchorLayout, PointMM, check_ranges, distance, trilaterate_batch
+from .fingerprint import FingerprintDB, GridSpec, OutOfAreaError, build_db, cell_vertex, cell_vertices
+from .geometry import AnchorLayout, PointMM, check_ranges, distances, trilaterate_batch
 from .learners import (
     ForestClassifier,
     KnnClassifier,
@@ -56,7 +56,7 @@ from .simulator import (
 )
 
 # Not called here: bench/tracing.py instruments these names on this module.
-from .geometry import trilaterate
+from .geometry import distance, trilaterate
 from .preprocess import correct_triple
 from .simulator import measurement_stream, simulate_range
 
@@ -233,11 +233,7 @@ def run_baseline(cfg: PipelineConfig, anchors: AnchorLayout) -> ErrorReport:
         raise ValueError("baseline run must have model_kind None")
     ranges = _measured_triples(cfg, STAGE_TRIALS, cfg.test_points, cfg.n_trials, anchors)
     positions = trilaterate_batch(anchors, ranges.reshape(-1, 3)).reshape(ranges.shape[:2] + (2,))
-    # math.hypot, as in distance(), so that each error is the scalar path's float
-    per_point = [
-        list(map(math.hypot, (xy[:, 0] - p.x).tolist(), (xy[:, 1] - p.y).tolist()))
-        for p, xy in zip(cfg.test_points, positions)
-    ]
+    per_point = [distances(xy, p) for p, xy in zip(cfg.test_points, positions)]
     metadata = {
         "pipeline": "baseline",
         "seed": str(cfg.seed),
@@ -314,10 +310,8 @@ def run_ml(cfg: PipelineConfig, anchors: AnchorLayout, spec: GridSpec) -> ErrorR
     # classifier are never held at the same time
     queries = _measured_triples(cfg, STAGE_TRIALS, cfg.test_points, cfg.n_trials, anchors)
     clf = _build_classifier(cfg, _training_set(cfg, db, anchors))
-    per_point = [
-        [distance(cell_vertex(spec, int(lb)), p) for lb in clf.predict_batch(point_queries)]
-        for p, point_queries in zip(cfg.test_points, queries)
-    ]
+    labels = clf.predict_batch(queries.reshape(-1, 3)).reshape(queries.shape[:2])
+    per_point = [distances(xy, p) for p, xy in zip(cfg.test_points, cell_vertices(spec)[labels])]
 
     metadata = {
         "pipeline": "fingerprint",

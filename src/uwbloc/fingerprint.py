@@ -15,15 +15,17 @@ import numpy as np
 
 from .calibration import ANCHOR_NAMES, CalibrationModel, predict_measured
 from .errors import FileFormatError, read_text
-from .geometry import AnchorLayout, PointMM, RangeTriple, distance
+from .geometry import AnchorLayout, PointMM, RangeTriple, distances
 
 __all__ = [
     "LabelOutOfRangeError",
     "OutOfAreaError",
     "GridSpec",
     "DEFAULT_GRID",
+    "MAX_GRID_CELLS",
     "FingerprintDB",
     "cell_vertex",
+    "cell_vertices",
     "vertex_to_label",
     "build_db",
     "write_db",
@@ -36,6 +38,9 @@ _DIVISIBILITY_TOL = 1e-9
 # Predicted fingerprints are floored here (mm), mirroring the simulator's
 # clamp; a vertex sitting exactly on an anchor would otherwise predict 0.
 DB_PREDICTION_FLOOR = 1.0
+
+#: Most cells a grid may have (~100 MB of fingerprints; fits the default area at 1 mm).
+MAX_GRID_CELLS = 1 << 22
 
 
 class LabelOutOfRangeError(ValueError):
@@ -64,6 +69,8 @@ class GridSpec:
                 raise ValueError(f"{name} {v} over spacing {self.spacing} overflows")
             if abs(ratio - round(ratio)) > _DIVISIBILITY_TOL * max(1.0, ratio):
                 raise ValueError(f"{name} {v} is not a whole multiple of spacing {self.spacing}")
+        if self.cell_count > MAX_GRID_CELLS:
+            raise ValueError(f"grid has {self.cell_count} cells, more than {MAX_GRID_CELLS}")
 
     @property
     def cols(self) -> int:
@@ -89,6 +96,14 @@ def cell_vertex(spec: GridSpec, label: int) -> PointMM:
     col = label % spec.cols
     row = label // spec.cols
     return PointMM(col * spec.spacing, row * spec.spacing)
+
+
+def cell_vertices(spec: GridSpec) -> np.ndarray:
+    """``cell_vertex`` of every label at once: row ``label`` of a (cell_count, 2) array."""
+    v = np.empty((spec.rows, spec.cols, 2))  # filled in place, to keep peak memory down
+    v[..., 0] = np.arange(spec.cols) * spec.spacing
+    v[..., 1] = np.arange(spec.rows)[:, None] * spec.spacing
+    return v.reshape(-1, 2)
 
 
 def vertex_to_label(spec: GridSpec, p: PointMM) -> int:
@@ -135,24 +150,20 @@ def build_db(model: CalibrationModel, spec: GridSpec, anchors: AnchorLayout) -> 
     is applied to live measurements, not to the DB), floored at
     ``DB_PREDICTION_FLOOR`` so every entry stays a valid range.
     """
-    vectors = np.empty((spec.cell_count, 3), dtype=float)
-    anchor_points = anchors.as_tuple()
-    for label in range(spec.cell_count):
-        v = cell_vertex(spec, label)
-        for ai, name in enumerate(ANCHOR_NAMES):
-            pred = predict_measured(model, name, distance(v, anchor_points[ai]))
-            vectors[label, ai] = max(pred, DB_PREDICTION_FLOOR)
-    return FingerprintDB(spec, vectors)
+    vertices = cell_vertices(spec)
+    vectors = np.empty((spec.cell_count, 3))  # filled in place, to keep peak memory down
+    for ai, (name, a) in enumerate(zip(ANCHOR_NAMES, anchors.as_tuple())):
+        vectors[:, ai] = predict_measured(model, name, np.array(distances(vertices, a)))
+    return FingerprintDB(spec, np.maximum(vectors, DB_PREDICTION_FLOOR, out=vectors))
 
 
 def write_db(path: str, db: FingerprintDB) -> None:
     """Write a DB file: grid header, then `label,x,y,fa,fb,fc` per cell."""
     s = db.spec
     lines = [f"{s.spacing!r},{s.width!r},{s.height!r}"]
-    for label in range(len(db)):
-        v = cell_vertex(s, label)
-        fa, fb, fc = (float(x) for x in db.vectors[label])
-        lines.append(f"{label},{v.x!r},{v.y!r},{fa!r},{fb!r},{fc!r}")
+    # row by row: converting the whole DB to Python floats at once raises peak memory
+    for label, (vertex, vector) in enumerate(zip(cell_vertices(s), db.vectors)):
+        lines.append(",".join(map(repr, [label, *vertex.tolist(), *vector.tolist()])))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -171,6 +182,7 @@ def read_db(path: str) -> FingerprintDB:
     except ValueError as exc:
         raise FileFormatError(f"{path}:1: {exc}") from exc
 
+    vertices = cell_vertices(spec)
     vectors = np.empty((spec.cell_count, 3), dtype=float)
     seen = 0
     for ln, line in enumerate(lines[1:], start=2):
@@ -188,11 +200,13 @@ def read_db(path: str) -> FingerprintDB:
             raise FileFormatError(f"{path}:{ln}: expected label {seen}, got {label}")
         if label >= spec.cell_count:
             raise FileFormatError(f"{path}:{ln}: grid only has {spec.cell_count} cells")
-        v = cell_vertex(spec, label)
-        if (x, y) != v.as_tuple():
+        if [x, y] != vertices[label].tolist():
             raise FileFormatError(f"{path}:{ln}: vertex ({x}, {y}) does not match label {label}")
         vectors[label] = (fa, fb, fc)
         seen += 1
     if seen != spec.cell_count:
         raise FileFormatError(f"{path}: {seen} cells found, grid needs {spec.cell_count}")
-    return FingerprintDB(spec, vectors)
+    try:
+        return FingerprintDB(spec, vectors)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc

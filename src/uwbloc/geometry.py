@@ -19,6 +19,7 @@ __all__ = [
     "RangeTriple",
     "DEFAULT_ANCHORS",
     "distance",
+    "distances",
     "triangle_area",
     "check_ranges",
     "trilaterate",
@@ -59,6 +60,12 @@ class PointMM:
 def distance(p: PointMM, q: PointMM) -> float:
     """Euclidean distance between two points, in mm."""
     return math.hypot(p.x - q.x, p.y - q.y)
+
+
+def distances(xy: np.ndarray, p: PointMM) -> list[float]:
+    """``distance`` from each row of an (n, 2) array to ``p``, bit for bit."""
+    # math.hypot, not np.hypot: the two differ in the last bit on some inputs
+    return list(map(math.hypot, (xy[:, 0] - p.x).tolist(), (xy[:, 1] - p.y).tolist()))
 
 
 def triangle_area(a: PointMM, b: PointMM, c: PointMM) -> float:

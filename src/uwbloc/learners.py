@@ -1,9 +1,9 @@
 """Native classifiers over fingerprint vectors: KNN, CART tree, forest, voting.
 
 All classifiers consume (range triple, cell label) training rows and emit
-probability mass per label. Determinism rules shared by everything here:
-every tie (neighbor distance, split quality, argmax) breaks toward the
-lower label, lower feature index, or lower threshold.
+(query, label, mass) arrays, summed and read by one shared path. Every tie
+(neighbor distance, split quality, argmax) breaks toward the lower label,
+lower feature index, or lower threshold.
 """
 
 from __future__ import annotations
@@ -111,7 +111,52 @@ def _query_batch(X: np.ndarray) -> np.ndarray:
     return X
 
 
-class KnnClassifier:
+def _accumulate(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate ``(query, label, mass)`` parts and sum the mass per (query, label).
+
+    One entry per pair, sorted by query, then label. A pair's masses are
+    added in input order from 0.0, as a loop of ``+=`` over the parts would.
+    """
+    query, label, mass = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((label, query))  # stable: equal pairs keep their input order
+    query, label = query[order], label[order]
+    new = (np.diff(query, prepend=-1) != 0) | (np.diff(label, prepend=-1) != 0)
+    return query[new], label[new], np.bincount(np.cumsum(new) - 1, weights=mass[order])
+
+
+class _Classifier:
+    """Label prediction from ``_masses(X) -> (query, label, mass)``.
+
+    ``_masses`` gives every query at least one entry, one per (query,
+    label), sorted by query, then label.
+    """
+
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """Each query's label of largest mass; equal masses go to the lower label."""
+        X = _query_batch(X)
+        query, label, mass = self._masses(X)
+        order = np.lexsort((label, -mass, query))
+        return label[order[np.searchsorted(query[order], np.arange(X.shape[0]))]]
+
+    def predict(self, ranges: RangeTriple) -> int:
+        return int(self.predict_batch(np.asarray([ranges.as_tuple()], dtype=float))[0])
+
+
+class _ProbabilisticClassifier(_Classifier):
+    """A classifier whose masses are probabilities, also given as label dicts."""
+
+    def predict_proba_batch(self, X: np.ndarray) -> list[ClassProbabilities]:
+        X = _query_batch(X)
+        out: list[ClassProbabilities] = [{} for _ in range(X.shape[0])]
+        for qi, label, mass in zip(*(a.tolist() for a in self._masses(X))):
+            out[qi][label] = mass
+        return out
+
+    def predict_proba(self, ranges: RangeTriple) -> ClassProbabilities:
+        return self.predict_proba_batch(np.asarray([ranges.as_tuple()], dtype=float))[0]
+
+
+class KnnClassifier(_ProbabilisticClassifier):
     """Exact k-nearest-neighbor over fingerprint vectors.
 
     Neighbors are ranked by squared Euclidean distance
@@ -178,26 +223,10 @@ class KnnClassifier:
             out[start : start + q.shape[0]] = ranked[first[:, None] + np.arange(k)]
         return out
 
-    def predict_proba(self, ranges: RangeTriple) -> ClassProbabilities:
-        return self.predict_proba_batch(np.asarray([ranges.as_tuple()], dtype=float))[0]
-
-    def predict(self, ranges: RangeTriple) -> int:
-        return argmax_label(self.predict_proba(ranges))
-
-    def predict_proba_batch(self, X: np.ndarray) -> list[ClassProbabilities]:
-        out: list[ClassProbabilities] = []
-        w = 1.0 / self.k
-        for labels in self._y[self._neighbors_batch(_query_batch(X))].tolist():
-            probs: ClassProbabilities = {}
-            for label in labels:
-                probs[label] = probs.get(label, 0.0) + w
-            out.append(probs)
-        return out
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        if self.k == 1:
-            return self._y[self._neighbors_batch(_query_batch(X))[:, 0]]
-        return np.array([argmax_label(p) for p in self.predict_proba_batch(X)], dtype=np.int64)
+    def _masses(self, X: np.ndarray):
+        labels = self._y[self._neighbors_batch(X)]
+        query = np.repeat(np.arange(labels.shape[0]), self.k)
+        return _accumulate([(query, labels.ravel(), np.full(labels.size, 1.0 / self.k))])
 
 
 def _occurrence_index(codes: np.ndarray) -> np.ndarray:
@@ -213,7 +242,7 @@ def _occurrence_index(codes: np.ndarray) -> np.ndarray:
     return occ
 
 
-class TreeClassifier:
+class TreeClassifier(_ProbabilisticClassifier):
     """CART decision tree with Gini impurity over the three range features.
 
     Split thresholds are midpoints of consecutive sorted distinct values;
@@ -256,11 +285,12 @@ class TreeClassifier:
         self._leaf_labels: list[np.ndarray | None] = []
         self._leaf_probs: list[np.ndarray | None] = []
         self._build()
-        # majority label per node (leaves only), argmax ties to lower label
-        self._top = np.full(len(self._feature), -1, dtype=np.int64)
-        for nid, labels in enumerate(self._leaf_labels):
-            if labels is not None:
-                self._top[nid] = labels[int(np.argmax(self._leaf_probs[nid]))]
+        # node i's leaf entries are _labels/_probs[_first[i] : _first[i] + _size[i]]
+        self._size = np.array([0 if p is None else p.shape[0] for p in self._leaf_probs])
+        self._first = np.cumsum(self._size) - self._size
+        self._labels = np.concatenate([a for a in self._leaf_labels if a is not None])
+        self._probs = np.concatenate([a for a in self._leaf_probs if a is not None])
+        del self._leaf_labels, self._leaf_probs  # the build's per-node scratch
 
     # -- construction ------------------------------------------------------
 
@@ -375,45 +405,32 @@ class TreeClassifier:
         stack: list[tuple[int, np.ndarray]] = [(0, np.arange(X.shape[0]))]
         while stack:
             nid, idxs = stack.pop()
-            if idxs.shape[0] == 0:
-                continue
             if self._feature[nid] < 0:
                 out[idxs] = nid
-                continue
-            mask = X[idxs, self._feature[nid]] <= self._threshold[nid]
-            stack.append((self._left[nid], idxs[mask]))
-            stack.append((self._right[nid], idxs[~mask]))
+            elif idxs.shape[0] > 0:
+                mask = X[idxs, self._feature[nid]] <= self._threshold[nid]
+                stack += [(self._left[nid], idxs[mask]), (self._right[nid], idxs[~mask])]
         return out
 
-    def predict_proba_batch(self, X: np.ndarray) -> list[ClassProbabilities]:
-        out = []
-        for nid in self.apply_batch(X):
-            labels = self._leaf_labels[nid]
-            probs = self._leaf_probs[nid]
-            out.append({int(l): float(p) for l, p in zip(labels, probs)})
-        return out
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return self._top[self.apply_batch(X)]
-
-    def predict_proba(self, ranges: RangeTriple) -> ClassProbabilities:
-        return self.predict_proba_batch(np.asarray([ranges.as_tuple()], dtype=float))[0]
-
-    def predict(self, ranges: RangeTriple) -> int:
-        return int(self.predict_batch(np.asarray([ranges.as_tuple()], dtype=float))[0])
+    def _masses(self, X: np.ndarray):
+        leaf = self.apply_batch(X)
+        size = self._size[leaf]
+        query = np.repeat(np.arange(leaf.shape[0]), size)
+        entry = np.arange(query.shape[0]) + np.repeat(self._first[leaf] - np.cumsum(size) + size, size)
+        return query, self._labels[entry], self._probs[entry]
 
     @property
     def node_count(self) -> int:
         return len(self._feature)
 
 
-class ForestClassifier:
+class ForestClassifier(_ProbabilisticClassifier):
     """Bagged ensemble of CART trees with per-split feature sampling.
 
     Member i trains on a same-size bootstrap resample (unless ``bootstrap``
     is off) drawn from a generator seeded with ``seed + i``; the same
     generator then feeds that member's per-split feature subsets. The
-    ensemble probability is the plain mean of the member probabilities.
+    ensemble probability is the member-order sum over ``n_trees``.
     """
 
     def __init__(
@@ -426,10 +443,8 @@ class ForestClassifier:
         seed: int = 0,
         bootstrap: bool = True,
     ):
-        if n_trees < 1:
+        if n_trees < 1:  # features_per_split is checked by each member tree
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-        if not (1 <= features_per_split <= 3):
-            raise ValueError(f"features_per_split must be in 1..3, got {features_per_split}")
         self.n_trees = n_trees
         self._trees: list[TreeClassifier] = []
         n = len(train)
@@ -440,37 +455,13 @@ class ForestClassifier:
                 member_train = TrainingSet(train.X[idx], train.y[idx], train.spec)
             else:
                 member_train = train
-            self._trees.append(
-                TreeClassifier(
-                    member_train,
-                    max_depth,
-                    min_leaf,
-                    feature_rng=rng,
-                    features_per_split=features_per_split,
-                )
-            )
+            self._trees.append(TreeClassifier(
+                member_train, max_depth, min_leaf, feature_rng=rng, features_per_split=features_per_split
+            ))
 
-    def predict_proba_batch(self, X: np.ndarray) -> list[ClassProbabilities]:
-        X = _query_batch(X)
-        acc: list[ClassProbabilities] = [dict() for _ in range(X.shape[0])]
-        for tree in self._trees:
-            for qi, probs in enumerate(tree.predict_proba_batch(X)):
-                bucket = acc[qi]
-                for label, p in probs.items():
-                    bucket[label] = bucket.get(label, 0.0) + p
-        for bucket in acc:
-            for label in bucket:
-                bucket[label] /= self.n_trees
-        return acc
-
-    def predict_proba(self, ranges: RangeTriple) -> ClassProbabilities:
-        return self.predict_proba_batch(np.asarray([ranges.as_tuple()], dtype=float))[0]
-
-    def predict(self, ranges: RangeTriple) -> int:
-        return argmax_label(self.predict_proba(ranges))
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([argmax_label(p) for p in self.predict_proba_batch(X)], dtype=np.int64)
+    def _masses(self, X: np.ndarray):
+        query, label, mass = _accumulate([tree._masses(X) for tree in self._trees])
+        return query, label, mass / self.n_trees
 
 
 @dataclass(frozen=True)
@@ -497,21 +488,14 @@ def soft_vote(p_knn: ClassProbabilities, p_tree: ClassProbabilities, weights: Vo
     return argmax_label(combined)
 
 
-class SoftVoteClassifier:
-    """Weighted probability vote between a KNN and a tree classifier."""
+class SoftVoteClassifier(_Classifier):
+    """Weighted probability vote between a KNN and a tree classifier, as in ``soft_vote``."""
 
     def __init__(self, knn: KnnClassifier, tree: TreeClassifier, weights: VoteWeights):
         self.knn = knn
         self.tree = tree
         self.weights = weights
 
-    def predict(self, ranges: RangeTriple) -> int:
-        return soft_vote(self.knn.predict_proba(ranges), self.tree.predict_proba(ranges), self.weights)
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = _query_batch(X)
-        pk = self.knn.predict_proba_batch(X)
-        pt = self.tree.predict_proba_batch(X)
-        return np.array(
-            [soft_vote(a, b, self.weights) for a, b in zip(pk, pt)], dtype=np.int64
-        )
+    def _masses(self, X: np.ndarray):
+        (qk, lk, pk), (qt, lt, pt) = self.knn._masses(X), self.tree._masses(X)
+        return _accumulate([(qk, lk, pk * self.weights.w_knn), (qt, lt, pt * self.weights.w_tree)])

@@ -209,7 +209,9 @@ def test_measurements_missing_reference_point_is_exit_3(tmp_path, capsys):
     "anchors.by = 1e300\nanchors.bx = 1e300\nanchors.cx = 2e300\nanchors.cy = 2e300",
     "grid.spacing = 5e-324",
     "anchors.by = 1e308\nanchors.cx = 1e308",
-], ids=["anchors-area-overflows", "grid-count-overflows", "anchors-area-infinite"])
+    "grid.spacing = 0.001",
+], ids=["anchors-area-overflows", "grid-count-overflows", "anchors-area-infinite",
+        "grid-over-max-cells"])
 def test_overflowing_geometry_is_exit_2(tmp_path, capsys, setting):
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(setting + "\n")

@@ -9,9 +9,11 @@ from uwbloc.fingerprint import (
     FingerprintDB,
     GridSpec,
     LabelOutOfRangeError,
+    MAX_GRID_CELLS,
     OutOfAreaError,
     build_db,
     cell_vertex,
+    cell_vertices,
     read_db,
     vertex_to_label,
     write_db,
@@ -38,6 +40,9 @@ def test_grid_spec_rejects_non_divisible_area():
         GridSpec(width=1000.0, height=2000.0, spacing=-5.0)
     with pytest.raises(ValueError):  # width / spacing overflows to inf
         GridSpec(width=1000.0, height=2000.0, spacing=5e-324)
+    with pytest.raises(ValueError, match="more than"):  # 2e9 cells, past MAX_GRID_CELLS
+        GridSpec(width=1000.0, height=2000.0, spacing=0.001)
+    assert GridSpec(width=1000.0, height=2000.0, spacing=1.0).cell_count <= MAX_GRID_CELLS
 
 
 def test_cell_vertex_known_labels():
@@ -73,6 +78,12 @@ def test_vertex_to_label_rejects_outside_points():
         vertex_to_label(DEFAULT_GRID, PointMM(-1.0, 0.0))
     with pytest.raises(OutOfAreaError):
         vertex_to_label(DEFAULT_GRID, PointMM(0.0, 2000.5))
+
+
+def test_cell_vertices_match_cell_vertex():
+    for spec in (DEFAULT_GRID, GridSpec(100.0, 150.0, 50.0), GridSpec(0.3, 0.7, 0.1)):
+        want = [cell_vertex(spec, label).as_tuple() for label in range(spec.cell_count)]
+        assert [tuple(v) for v in cell_vertices(spec).tolist()] == want
 
 
 def test_label_vertex_round_trip():
@@ -132,6 +143,10 @@ def test_read_db_rejects_malformed_files(tmp_path):
     with pytest.raises(FileFormatError, match="spacing,width,height"):
         read_db(str(path))
 
+    path.write_text("1e-300,1000.0,2000.0\n")
+    with pytest.raises(FileFormatError, match="more than"):
+        read_db(str(path))
+
     path.write_bytes(b"25.0,50.0,\xff50.0\n")
     with pytest.raises(FileFormatError, match="not UTF-8 text at byte offset 10"):
         read_db(str(path))
@@ -157,3 +172,11 @@ def test_read_db_rejects_malformed_files(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError, match="cells found"):
         read_db(str(path))
+
+    # a fingerprint that is not a valid range
+    for bad in ("nan", "0.0", "-1.0"):
+        lines = ["25.0,50.0,50.0"] + [f"{i},{x!r},{y!r},10.0,10.0,{bad if i == 2 else '10.0'}"
+                                      for i, (x, y) in enumerate(cell_vertices(spec).tolist())]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=f"{path}: fingerprints must be finite"):
+            read_db(str(path))

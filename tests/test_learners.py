@@ -212,6 +212,29 @@ def test_batch_methods_reject_anything_but_m_by_3(kind, bad):
                 getattr(clf, method)(bad)
 
 
+@pytest.mark.parametrize("kind", ["knn", "tree", "forest", "vote"])
+def test_batch_methods_take_an_empty_batch(kind):
+    clf = _query_shape_classifiers()[kind]
+    labels = clf.predict_batch(np.empty((0, 3)))
+    assert labels.dtype == np.int64 and labels.shape == (0,)
+    if kind == "vote":
+        assert not hasattr(clf, "predict_proba_batch")
+    else:
+        assert clf.predict_proba_batch(np.empty((0, 3))) == []
+
+
+def test_predict_batch_is_the_argmax_of_the_probabilities():
+    # few distinct values: repeated rows give multi-label leaves and equal masses
+    rng = np.random.default_rng(71)
+    train = _train(rng.integers(1, 6, size=(60, 3)), rng.integers(0, 5, size=60))
+    Q = rng.integers(1, 6, size=(40, 3)).astype(float)
+    for clf in (KnnClassifier(train, k=4), TreeClassifier(train, max_depth=2),
+                ForestClassifier(train, n_trees=5, seed=2)):
+        probs = clf.predict_proba_batch(Q)
+        assert clf.predict_batch(Q).tolist() == [argmax_label(p) for p in probs]
+        assert [clf.predict(RangeTriple(*q)) for q in Q] == [argmax_label(p) for p in probs]
+
+
 def test_tree_pure_node_is_a_single_leaf():
     train = _train([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [7, 7])
     tree = TreeClassifier(train)
