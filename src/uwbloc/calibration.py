@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FileFormatError, read_text
+from .errors import FileFormatError, parse_number, read_text
 from .geometry import AnchorLayout, PointMM, distance
 from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, correct_range_batch, mad_keep_mask
 from .simulator import MeasurementSet
@@ -349,7 +349,7 @@ def parse_calibration(text: str, origin: str = "<calibration>") -> CalibrationMo
         if len(parts) != 3 or parts[0] not in ANCHOR_NAMES:
             raise FileFormatError(f"{origin}:{ln}: expected '<A|B|C>,a,b'")
         try:
-            eqs[parts[0]] = LinearRangingEq(float(parts[1]), float(parts[2]))
+            eqs[parts[0]] = LinearRangingEq(parse_number(parts[1]), parse_number(parts[2]))
         except ValueError as exc:
             raise FileFormatError(f"{origin}:{ln}: {exc}") from exc
     if set(eqs) != set(ANCHOR_NAMES):

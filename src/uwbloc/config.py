@@ -19,7 +19,7 @@ from functools import reduce
 from typing import Callable, Mapping
 
 from .calibration import REFERENCE_POINTS, ModelKind
-from .errors import FileFormatError, read_text
+from .errors import FileFormatError, parse_number, read_text
 from .evaluation import CLASSIFIERS, TEST_POINTS, PipelineConfig
 from .fingerprint import DEFAULT_GRID, GridSpec
 from .geometry import DEFAULT_ANCHORS, AnchorLayout, PointMM
@@ -37,22 +37,16 @@ class ConfigError(ValueError):
 # -- per-key value conversion ------------------------------------------------
 
 
-# int() and float() also accept Python's digit separator "_", which the config
-# format does not have ("1_0" would read as 10), so both converters reject it
 def _to_int(s: str) -> int:
     try:
-        if "_" in s:
-            raise ValueError
-        return int(s, 10)
+        return parse_number(s, int)
     except ValueError:
         raise ValueError(f"not an integer: {s!r}") from None
 
 
 def _to_float(s: str) -> float:
     try:
-        if "_" in s:
-            raise ValueError
-        v = float(s)
+        v = parse_number(s)
     except ValueError:
         raise ValueError(f"not a number: {s!r}") from None
     if v != v or v in (float("inf"), float("-inf")):

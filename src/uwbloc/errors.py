@@ -1,4 +1,4 @@
-"""Exceptions shared across file readers, and the one text reader they use."""
+"""Exceptions shared across file readers, and the text and number readers they use."""
 
 
 class FileFormatError(ValueError):
@@ -13,3 +13,14 @@ def read_text(path: str) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
+
+
+def parse_number(text: str, kind: type = float):
+    """``kind(text)`` for ``int`` or ``float``, without Python's digit separator.
+
+    ``float("1_0")`` is 10.0, but neither the config nor any data file format
+    has "_" in numbers, so it raises ValueError here.
+    """
+    if "_" in text:
+        raise ValueError(f"digit separator in number: {text!r}")
+    return kind(text)

@@ -30,8 +30,8 @@ from .calibration import (
     clean_observation_rows,
     fit_model,
 )
-from .errors import FileFormatError, read_text
-from .fingerprint import FingerprintDB, GridSpec, OutOfAreaError, build_db, cell_vertex, cell_vertices
+from .errors import FileFormatError, parse_number, read_text
+from .fingerprint import FingerprintDB, GridSpec, OutOfAreaError, build_db, cell_vertices
 from .geometry import AnchorLayout, PointMM, check_ranges, distances, trilaterate_batch
 from .learners import (
     ForestClassifier,
@@ -56,6 +56,7 @@ from .simulator import (
 )
 
 # Not called here: bench/tracing.py instruments these names on this module.
+from .fingerprint import cell_vertex
 from .geometry import distance, trilaterate
 from .preprocess import correct_triple
 from .simulator import measurement_stream, simulate_range
@@ -219,10 +220,11 @@ def _aggregate(
 
 
 def _measured_triples(
-    cfg: PipelineConfig, stage: int, points: Sequence[PointMM], reps: int, anchors: AnchorLayout,
+    cfg: PipelineConfig, stage: int, xy: np.ndarray | Sequence[tuple[float, float]], reps: int,
+    anchors: AnchorLayout,
 ) -> np.ndarray:
-    """Corrected range triples of ``reps`` visits to each point, shape (m, reps, 3)."""
-    ranges = simulate_visits(points, anchors, reps, cfg.noise, derive_seed(cfg.seed, stage))
+    """Corrected range triples of ``reps`` visits to each (x, y) row of ``xy``, shape (m, reps, 3)."""
+    ranges = simulate_visits(xy, anchors, reps, cfg.noise, derive_seed(cfg.seed, stage))
     check_ranges(ranges)
     return correct_range_batch(ranges, cfg.correction)
 
@@ -231,7 +233,8 @@ def run_baseline(cfg: PipelineConfig, anchors: AnchorLayout) -> ErrorReport:
     """Trilateration-only evaluation; the reference everything else beats."""
     if cfg.model_kind is not None:
         raise ValueError("baseline run must have model_kind None")
-    ranges = _measured_triples(cfg, STAGE_TRIALS, cfg.test_points, cfg.n_trials, anchors)
+    test_xy = [p.as_tuple() for p in cfg.test_points]
+    ranges = _measured_triples(cfg, STAGE_TRIALS, test_xy, cfg.n_trials, anchors)
     positions = trilaterate_batch(anchors, ranges.reshape(-1, 3)).reshape(ranges.shape[:2] + (2,))
     per_point = [distances(xy, p) for p, xy in zip(cfg.test_points, positions)]
     metadata = {
@@ -252,8 +255,7 @@ def _training_set(cfg: PipelineConfig, db: FingerprintDB, anchors: AnchorLayout)
     if cfg.augment == 0:
         return base
     # noisy copies of each cell, drawn like query-time measurements
-    vertices = [cell_vertex(db.spec, label) for label in range(len(db))]
-    extra = _measured_triples(cfg, STAGE_AUGMENT, vertices, cfg.augment, anchors)
+    extra = _measured_triples(cfg, STAGE_AUGMENT, cell_vertices(db.spec), cfg.augment, anchors)
     X = np.vstack([base.X, extra.reshape(-1, 3)])
     y = np.concatenate([base.y, np.repeat(np.arange(len(db), dtype=np.int64), cfg.augment)])
     return TrainingSet(X, y, db.spec)
@@ -308,7 +310,8 @@ def run_ml(cfg: PipelineConfig, anchors: AnchorLayout, spec: GridSpec) -> ErrorR
     db = build_db(model, spec, anchors)
     # drawn before training, so that the draws' scratch memory and the
     # classifier are never held at the same time
-    queries = _measured_triples(cfg, STAGE_TRIALS, cfg.test_points, cfg.n_trials, anchors)
+    test_xy = [p.as_tuple() for p in cfg.test_points]
+    queries = _measured_triples(cfg, STAGE_TRIALS, test_xy, cfg.n_trials, anchors)
     clf = _build_classifier(cfg, _training_set(cfg, db, anchors))
     labels = clf.predict_batch(queries.reshape(-1, 3)).reshape(queries.shape[:2])
     per_point = [distances(xy, p) for p, xy in zip(cfg.test_points, cell_vertices(spec)[labels])]
@@ -437,8 +440,8 @@ def parse_report(text: str, origin: str = "<report>") -> ErrorReport:
         if len(parts) != 4:
             raise FileFormatError(f"{origin}:{ln}: expected 4 fields, got {len(parts)}")
         try:
-            x, y, avg = float(parts[0]), float(parts[1]), float(parts[2])
-            mx = None if parts[3] == "" else float(parts[3])
+            x, y, avg = (parse_number(p) for p in parts[:3])
+            mx = None if parts[3] == "" else parse_number(parts[3])
             entries.append(PointErrors(PointMM(x, y), avg, mx))
         except ValueError as exc:
             raise FileFormatError(f"{origin}:{ln}: {exc}") from exc

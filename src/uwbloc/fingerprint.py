@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import ANCHOR_NAMES, CalibrationModel, predict_measured
-from .errors import FileFormatError, read_text
+from .errors import FileFormatError, parse_number, read_text
 from .geometry import AnchorLayout, PointMM, RangeTriple, distances
 
 __all__ = [
@@ -177,7 +177,7 @@ def read_db(path: str) -> FingerprintDB:
     if len(head) != 3:
         raise FileFormatError(f"{path}:1: expected 'spacing,width,height'")
     try:
-        spacing, width, height = (float(v) for v in head)
+        spacing, width, height = (parse_number(v) for v in head)
         spec = GridSpec(width=width, height=height, spacing=spacing)
     except ValueError as exc:
         raise FileFormatError(f"{path}:1: {exc}") from exc
@@ -192,8 +192,8 @@ def read_db(path: str) -> FingerprintDB:
         if len(parts) != 6:
             raise FileFormatError(f"{path}:{ln}: expected 6 fields, got {len(parts)}")
         try:
-            label = int(parts[0])
-            x, y, fa, fb, fc = (float(p) for p in parts[1:])
+            label = parse_number(parts[0], int)
+            x, y, fa, fb, fc = (parse_number(p) for p in parts[1:])
         except ValueError as exc:
             raise FileFormatError(f"{path}:{ln}: {exc}") from exc
         if label != seen:

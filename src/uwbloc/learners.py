@@ -98,8 +98,8 @@ def argmax_label(probs: ClassProbabilities) -> int:
     return best_label
 
 
-#: Float64 elements of one query chunk's distance matrix in the KNN search;
-#: a chunk holds max(1, _CHUNK_ELEMENTS // n_rows) queries.
+#: Float64 elements of one query chunk's distance matrix in the KNN search (a
+#: chunk holds max(1, _CHUNK_ELEMENTS // n_rows) queries), and rows per chunk of the tree scan.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -229,239 +229,239 @@ class KnnClassifier(_ProbabilisticClassifier):
         return _accumulate([(query, labels.ravel(), np.full(labels.size, 1.0 / self.k))])
 
 
-def _occurrence_index(codes: np.ndarray) -> np.ndarray:
-    """For each element, how many earlier elements carry the same code."""
-    n = codes.shape[0]
-    order = np.argsort(codes, kind="stable")
-    sc = codes[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = sc[1:] != sc[:-1]
-    group_start = np.maximum.accumulate(np.where(first, np.arange(n), 0))
-    occ = np.empty(n, dtype=np.int64)
-    occ[order] = np.arange(n) - group_start
-    return occ
+def _guarded_threshold(lo, hi):
+    # midpoint can round up to hi for adjacent floats; keep right side non-empty
+    thr = (lo + hi) / 2.0
+    return np.where(thr >= hi, lo, thr)
 
 
-class TreeClassifier(_ProbabilisticClassifier):
-    """CART decision tree with Gini impurity over the three range features.
+def _best_splits(A, XT, code, n_labels, use, start, seg_size, min_leaf):
+    """Each segment's best split: its feature, whether it has one, and its first right-hand slot.
 
-    Split thresholds are midpoints of consecutive sorted distinct values;
-    rows with value <= threshold go left. Growth stops on pure nodes, at
-    ``max_depth``, or when a node is smaller than 2 * ``min_leaf``; leaves
-    keep their label frequencies. Given a feature RNG, every split attempt
-    draws a fresh feature subset (DFS pre-order, left child first), which
-    is how the forest decorrelates its members.
+    Per (feature, segment) pair in ``use``, row j adds 2*occ + 1 to a side's sum of squared class
+    counts; occ counts the earlier (left) or later (right) rows of its label in the segment."""
+    best, hit = np.full(use.shape, np.inf), np.zeros(use.shape, dtype=np.int64)
+    pairs = np.transpose(np.nonzero(use))
+    rows = np.cumsum(seg_size[pairs[:, 1]])  # in chunks of whole pairs, about _CHUNK_ELEMENTS rows each
+    cuts = np.searchsorted(rows, np.arange(_CHUNK_ELEMENTS, rows[-1:].sum(), _CHUNK_ELEMENTS))
+    for uf, us in (chunk.T for chunk in np.split(pairs, cuts)):
+        size = seg_size[us]
+        fstart = np.cumsum(size) - size
+        fseg = np.repeat(np.arange(uf.shape[0]), size)
+        r = np.arange(fseg.shape[0]) - fstart[fseg]
+        row = uf[fseg]
+        slots = A.ravel()[row * A.shape[1] + start[us][fseg] + r]
+        key = fseg * n_labels + code[slots]
+        order = np.argsort(key, kind="stable")  # by pair and label, then value
+        key = key[order]
+        heads = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+        runs = np.diff(np.append(heads, key.shape[0]))
+        inc = np.empty((2, key.shape[0]), dtype=np.int64)
+        inc[0, order] = 2 * (np.arange(key.shape[0]) - np.repeat(heads, runs)) + 1
+        inc[1, order] = 2 * np.repeat(runs, runs) - inc[0, order]
+        cum = np.cumsum(inc, axis=1)
+        left_sumsq = cum[0] - inc[0] - (cum[0] - inc[0])[fstart][fseg]
+        right_sumsq = cum[1, fstart + size - 1][fseg] - cum[1] + inc[1]
+        v = XT.ravel()[row * XT.shape[1] + slots]
+        c = np.flatnonzero((r >= min_leaf) & (size[fseg] - r >= min_leaf) & (v != np.roll(v, 1)))
+        nl, n = r[c].astype(float), size[fseg[c]]
+        imp = np.full(key.shape[0], np.inf)
+        imp[c] = 1.0 - (left_sumsq[c] / nl + right_sumsq[c] / (n - nl)) / n
+        # first minimum within a feature, lower feature on ties across features
+        best[uf, us] = np.minimum.reduceat(imp, fstart)
+        hit[uf, us] = np.minimum.reduceat(np.where(imp == best[uf, us][fseg], r, XT.shape[1]), fstart)
+    f = np.argmin(best, axis=0)
+    return f, np.isfinite(best.min(axis=0)), start + np.take_along_axis(hit, f[None, :], axis=0)[0]
+
+
+class _Trees(_ProbabilisticClassifier):
+    """CART trees (Gini impurity, three range features) grown level by level into flat arrays.
+
+    Thresholds are midpoints of consecutive distinct values, and rows with
+    value <= threshold go left. A node is a leaf when it is pure, at
+    ``max_depth``, smaller than 2 * ``min_leaf``, or has no split; leaves keep
+    their label frequencies. Node i splits on ``_feature[i]`` (-1: leaf) into
+    ``_left[i]`` and ``_left[i] + 1``; a leaf's entries are
+    ``_labels/_probs[_offset[i] : _offset[i + 1]]``. Member i's root is node i.
     """
 
-    # Internal switch for the fast path on all-distinct-label nodes;
-    # the equivalence with the generic sweep is covered by tests.
-    _fast_unique_path = True
+    def _grow(self, train, rows, rngs, features_per_split, max_depth, min_leaf) -> None:
+        """Grow member i on the rows ``train[rows[i]]``, all members in one loop.
 
-    def __init__(
-        self,
-        train: TrainingSet,
-        max_depth: int | None = None,
-        min_leaf: int = 1,
-        *,
-        feature_rng: np.random.Generator | None = None,
-        features_per_split: int | None = None,
-    ):
+        Open nodes are segments of one layout of slots (member rows); ``A[f]``
+        holds each segment's slots sorted by feature f, and a split partitions
+        the three rows stably. With ``rngs[i]`` and under 3 features per split,
+        member i draws the subsets of a depth's split attempts in one call.
+        """
         if max_depth is not None and max_depth < 1:
             raise ValueError(f"max_depth must be >= 1 or None, got {max_depth}")
         if min_leaf < 1:
             raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
         if features_per_split is not None and not (1 <= features_per_split <= 3):
             raise ValueError(f"features_per_split must be in 1..3, got {features_per_split}")
-        self._X = train.X
-        self._y = train.y
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self._rng = feature_rng
-        self._fps = features_per_split
-        self._feature: list[int] = []
-        self._threshold: list[float] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._leaf_labels: list[np.ndarray | None] = []
-        self._leaf_probs: list[np.ndarray | None] = []
-        self._build()
-        # node i's leaf entries are _labels/_probs[_first[i] : _first[i] + _size[i]]
-        self._size = np.array([0 if p is None else p.shape[0] for p in self._leaf_probs])
-        self._first = np.cumsum(self._size) - self._size
-        self._labels = np.concatenate([a for a in self._leaf_labels if a is not None])
-        self._probs = np.concatenate([a for a in self._leaf_probs if a is not None])
-        del self._leaf_labels, self._leaf_probs  # the build's per-node scratch
-
-    # -- construction ------------------------------------------------------
-
-    def _new_node(self) -> int:
-        self._feature.append(-1)
-        self._threshold.append(math.nan)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._leaf_labels.append(None)
-        self._leaf_probs.append(None)
-        return len(self._feature) - 1
-
-    def _make_leaf(self, nid: int, rows: np.ndarray) -> None:
-        labels, counts = np.unique(self._y[rows], return_counts=True)
-        self._leaf_labels[nid] = labels
-        self._leaf_probs[nid] = counts / rows.shape[0]
-
-    def _split_features(self) -> list[int]:
-        if self._rng is None or self._fps is None or self._fps >= 3:
-            return [0, 1, 2]
-        picked = self._rng.choice(3, size=self._fps, replace=False)
-        return sorted(int(f) for f in picked)
-
-    def _build(self) -> None:
-        n = self._X.shape[0]
-        root = self._new_node()
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
-        while stack:
-            nid, rows, depth = stack.pop()
-            yn = self._y[rows]
-            if (
-                np.all(yn == yn[0])
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or rows.shape[0] < 2 * self.min_leaf
-            ):
-                self._make_leaf(nid, rows)
-                continue
-            split = self._best_split(rows, self._split_features())
-            if split is None:
-                self._make_leaf(nid, rows)
-                continue
-            f, thr = split
-            self._feature[nid] = f
-            self._threshold[nid] = thr
-            mask = self._X[rows, f] <= thr
-            left = self._new_node()
-            right = self._new_node()
-            self._left[nid] = left
-            self._right[nid] = right
-            stack.append((right, rows[~mask], depth + 1))
-            stack.append((left, rows[mask], depth + 1))
-
-    def _best_split(self, rows: np.ndarray, features: list[int]) -> tuple[int, float] | None:
-        n = rows.shape[0]
-        codes = np.unique(self._y[rows], return_inverse=True)[1]
-        n_classes = int(codes.max()) + 1
-
-        if self._fast_unique_path and self.min_leaf == 1 and n_classes == n:
-            # Every class occurs once, so every candidate split scores the
-            # same weighted Gini of (n-2)/n and the generic sweep would pick
-            # the first candidate of the first splittable feature.
-            for f in features:
-                col = self._X[rows, f]
-                lo = col.min()
-                above = col[col > lo]
-                if above.shape[0] == 0:
-                    continue
-                return f, self._guarded_threshold(float(lo), float(above.min()))
-            return None
-
-        totals = np.bincount(codes, minlength=n_classes)
-        best_imp = math.inf
-        best: tuple[int, float] | None = None
-        for f in features:
-            col = self._X[rows, f]
-            order = np.argsort(col, kind="stable")
-            sv = col[order]
-            sy = codes[order]
-            change = np.flatnonzero(sv[1:] != sv[:-1]) + 1
-            cand = change[(change >= self.min_leaf) & (change <= n - self.min_leaf)]
-            if cand.shape[0] == 0:
-                continue
-            occ = _occurrence_index(sy)
-            # moving row j left grows the left sum of squared counts by
-            # 2*occ[j] + 1; same trick from the right for the right side
-            left_sumsq = np.cumsum(2 * occ + 1)
-            occ_r = totals[sy] - 1 - occ
-            right_sumsq = np.concatenate(
-                [np.cumsum((2 * occ_r + 1)[::-1])[::-1], np.zeros(1, dtype=np.int64)]
-            )
-            nl = cand.astype(float)
-            nr = float(n) - nl
-            imp = 1.0 - (left_sumsq[cand - 1] / nl + right_sumsq[cand] / nr) / n
-            j = int(np.argmin(imp))
-            if imp[j] < best_imp:
-                best_imp = float(imp[j])
-                best = (f, self._guarded_threshold(float(sv[cand[j] - 1]), float(sv[cand[j]])))
-        return best
+        sampled = rngs[0] is not None and features_per_split is not None and features_per_split < 3
+        slot_row = np.concatenate(rows)
+        XT = np.ascontiguousarray(train.X[slot_row].T)
+        label_values, codes = np.unique(train.y, return_inverse=True)
+        code, n_labels = codes[slot_row], label_values.shape[0]
+        n_slots, n_members = slot_row.shape[0], len(rows)
+        seg_size = np.array([r.shape[0] for r in rows])
+        cap = math.inf if max_depth is None else max_depth
+        rank = np.argsort(np.argsort(train.X, axis=0, kind="stable"), axis=0)[slot_row].T
+        A = np.argsort(rank + np.repeat(np.arange(n_members) * len(train), seg_size), axis=1)
+        feature, left = np.full((2, 2 * n_slots), -1, dtype=np.int64)
+        threshold, leaf_of = np.full(2 * n_slots, math.nan), np.empty(n_slots, dtype=np.int64)
+        # children take ids in their parents' order: a level's ids run member by member, left to right
+        nodes = seg_member = np.arange(n_members)
+        next_id, depth = n_members, 0
+        while nodes.shape[0]:
+            start = np.cumsum(seg_size) - seg_size
+            seg = np.repeat(np.arange(nodes.shape[0]), seg_size)
+            lab = code[A[0]]
+            pure = np.minimum.reduceat(lab, start) == np.maximum.reduceat(lab, start)
+            leaf = pure | (seg_size < 2 * min_leaf) | (depth >= cap)
+            peel = ~leaf & (min_leaf == 1 and not sampled)
+            if peel.any():
+                key = np.sort((seg * n_labels + lab)[peel[seg]])  # all labels distinct, or no peel
+                peel[key[1:][key[1:] == key[:-1]] // n_labels] = False
+            use = np.repeat((~leaf & ~peel)[None, :], 3, axis=0)  # the split attempts, per feature
+            if sampled:
+                att = np.flatnonzero(use[0])[np.argsort(nodes[use[0]])]
+                counts = np.bincount(seg_member[att], minlength=n_members)
+                draws = np.concatenate([rng.random((c, 3)) for rng, c in zip(rngs, counts.tolist())])
+                use[:, att] = (np.argsort(np.argsort(draws, axis=1), axis=1) < features_per_split).T
+            f, split, at = _best_splits(A, XT, code, n_labels, use, start, seg_size, min_leaf)
+            leaf_of[A[0][~split[seg]]] = nodes[seg[~split[seg]]]  # peeled slots get their leaves next
+            if peel.any():
+                next_id = self._peel(XT, A[0][peel[seg]], seg_size[peel], nodes[peel],
+                                     depth, cap, next_id, feature, threshold, left, leaf_of)
+            f, at, split_nodes = f[split], at[split], nodes[split]
+            kids = next_id + 2 * np.argsort(np.argsort(split_nodes))
+            feature[split_nodes], left[split_nodes] = f, kids
+            threshold[split_nodes] = _guarded_threshold(XT[f, A[f, at - 1]], XT[f, A[f, at]])
+            # stable partition: all left children, then all right children, each row's slots in order
+            side = np.full(n_slots, 2, dtype=np.int8)
+            p = np.flatnonzero(split[seg])
+            side[A[np.repeat(f, seg_size[split]), p]] = p >= np.repeat(at, seg_size[split])
+            side = side[A]
+            A = np.concatenate([A[side == 0].reshape(3, -1), A[side == 1].reshape(3, -1)], axis=1)
+            nodes, seg_member = np.concatenate([kids, kids + 1]), np.tile(seg_member[split], 2)
+            seg_size = np.concatenate([at - start[split], seg_size[split] - at + start[split]])
+            next_id, depth = next_id + 2 * kids.shape[0], depth + 1
+        self._feature, self._left, self._n_members = feature[:next_id], left[:next_id], n_members
+        # leaf entries: one per (leaf, label), sorted by leaf, then label
+        entries, counts = np.unique(leaf_of * n_labels + code, return_counts=True)
+        leaf, self._labels = entries // n_labels, label_values[entries % n_labels]
+        self._probs = counts / np.bincount(leaf_of, minlength=next_id)[leaf]
+        self._offset = np.append(0, np.cumsum(np.bincount(leaf, minlength=next_id)))
+        # a run of right children splitting on their parent's feature has rising thresholds: sorted by
+        # (run head, threshold), the internal nodes let one binary search find where a query leaves it
+        inner = np.flatnonzero(self._feature >= 0)
+        head = np.arange(next_id)
+        same = inner[feature[left[inner] + 1] == feature[inner]]
+        head[left[same] + 1] = same
+        while np.any(head[head] != head):
+            head = head[head]
+        key = head[inner] + 1j * threshold[inner]
+        self._run, self._run_key = inner[np.argsort(key)], np.append(np.sort(key), np.inf)
 
     @staticmethod
-    def _guarded_threshold(lo: float, hi: float) -> float:
-        # midpoint can round up to hi for adjacent floats; keep right side non-empty
-        thr = (lo + hi) / 2.0
-        return lo if thr >= hi else thr
+    def _peel(XT, slots, sizes, nodes, depth, cap, next_id, feature, threshold, left, leaf_of) -> int:
+        """Grow the subtrees of all-distinct-label segments in one step; return the next node id.
 
-    # -- prediction --------------------------------------------------------
+        With distinct labels, ``min_leaf`` 1 and all features, every candidate
+        scores 1 - 2/n: a split takes off the lowest value group of the lowest
+        splittable feature. Sorted by (segment, f0, f1, f2), a group at depth d,
+        constant below feature ``lvl``, is a run: the node holding its value
+        groups j.. on ``lvl`` splits group j off at depth d + j, below the cap.
+        """
+        s = slots[np.lexsort((*XT[::-1, slots], np.repeat(np.arange(len(sizes)), sizes)))]
+        v, M = XT[:, s], s.shape[0]
+        # lowest feature on which a slot differs from the previous one (3: none)
+        brk = np.append(-1, np.vstack([v[:, 1:] != v[:, :-1], np.ones((1, M - 1), bool)]).argmax(axis=0))
+        g_start = np.cumsum(sizes) - sizes
+        brk[g_start] = -1
+        g_end, g_node, g_depth = g_start + sizes, nodes, np.full(sizes.shape[0], depth)
+        leaves = []  # (first slot, node) of each leaf; the leaves tile the sorted slots
+        for lvl in range(3):
+            inside = np.cumsum(np.bincount(g_start, minlength=M + 1) - np.bincount(g_end, minlength=M + 1))
+            sub = np.flatnonzero((inside[:M] > 0) & (brk <= lvl))
+            parent = np.searchsorted(g_start, sub, side="right") - 1
+            head = np.searchsorted(sub, g_start)
+            j = np.arange(sub.shape[0]) - head[parent]
+            last = j == np.diff(np.append(head, sub.shape[0]))[parent] - 1
+            d = g_depth[parent] + j
+            splits = (d < cap) & ~last
+            kid = next_id + 2 * (np.cumsum(splits) - 1)
+            own = np.where(j == 0, g_node[parent], np.concatenate([[-1], kid[:-1] + 1]))
+            at = np.flatnonzero(splits)
+            feature[own[at]], left[own[at]] = lvl, kid[at]
+            threshold[own[at]] = _guarded_threshold(v[lvl, sub[at + 1] - 1], v[lvl, sub[at + 1]])
+            leaves.append(np.stack([sub, own])[:, d == cap])
+            down = splits | (last & (d < cap))  # left children, and the last value group
+            g_end = np.where(last, g_end[parent], np.append(sub[1:], M))[down]
+            g_start, g_node, g_depth = sub[down], np.where(last, own, kid)[down], (d + splits)[down]
+            next_id += 2 * at.shape[0]
+        first, node = np.concatenate(leaves + [np.stack([g_start, g_node])], axis=1)
+        order = np.argsort(first)
+        leaf_of[s] = np.repeat(node[order], np.diff(np.append(first[order], M)))
+        return next_id
 
     def apply_batch(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id reached by each query row."""
+        """Leaf node id reached by each (member, query), member by member."""
         X = _query_batch(X)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        stack: list[tuple[int, np.ndarray]] = [(0, np.arange(X.shape[0]))]
-        while stack:
-            nid, idxs = stack.pop()
-            if self._feature[nid] < 0:
-                out[idxs] = nid
-            elif idxs.shape[0] > 0:
-                mask = X[idxs, self._feature[nid]] <= self._threshold[nid]
-                stack += [(self._left[nid], idxs[mask]), (self._right[nid], idxs[~mask])]
-        return out
+        node = np.repeat(np.arange(self._n_members), X.shape[0])
+        live = np.flatnonzero(self._feature[node] >= 0)
+        while live.shape[0]:
+            nd = node[live]  # the head of a run
+            x = X[live % X.shape[0], self._feature[nd]]
+            # the run's first node with x <= threshold; NaN goes right everywhere, as +inf does
+            q = np.stack([nd, np.where(np.isnan(x), np.inf, x)], axis=1).view(complex)[:, 0]
+            e = np.searchsorted(self._run_key, q)
+            past = self._run_key[e].real != nd
+            node[live] = nd = self._left[self._run[e - past]] + past
+            live = live[self._feature[nd] >= 0]
+        return node
 
     def _masses(self, X: np.ndarray):
+        # every member's leaf entries, member by member, summed in that order
         leaf = self.apply_batch(X)
-        size = self._size[leaf]
-        query = np.repeat(np.arange(leaf.shape[0]), size)
-        entry = np.arange(query.shape[0]) + np.repeat(self._first[leaf] - np.cumsum(size) + size, size)
-        return query, self._labels[entry], self._probs[entry]
+        size = self._offset[leaf + 1] - self._offset[leaf]
+        entry = np.arange(size.sum()) + np.repeat(self._offset[leaf] - np.cumsum(size) + size, size)
+        query = np.repeat(np.tile(np.arange(X.shape[0]), self._n_members), size)
+        query, label, mass = _accumulate([(query, self._labels[entry], self._probs[entry])])
+        return query, label, mass / self._n_members
 
     @property
     def node_count(self) -> int:
-        return len(self._feature)
+        return int(self._feature.shape[0])
 
 
-class ForestClassifier(_ProbabilisticClassifier):
-    """Bagged ensemble of CART trees with per-split feature sampling.
+class TreeClassifier(_Trees):
+    """One CART tree; with a feature RNG and ``features_per_split`` < 3 it samples as forest members do."""
 
-    Member i trains on a same-size bootstrap resample (unless ``bootstrap``
-    is off) drawn from a generator seeded with ``seed + i``; the same
-    generator then feeds that member's per-split feature subsets. The
-    ensemble probability is the member-order sum over ``n_trees``.
+    def __init__(self, train: TrainingSet, max_depth: int | None = None, min_leaf: int = 1, *,
+                 feature_rng: np.random.Generator | None = None, features_per_split: int | None = None):
+        self._grow(train, [np.arange(len(train))], [feature_rng], features_per_split, max_depth, min_leaf)
+
+
+class ForestClassifier(_Trees):
+    """Bagged ensemble of CART trees with per-split feature sampling, grown together.
+
+    Member i trains on a same-size bootstrap resample (unless ``bootstrap`` is off) drawn
+    from a generator seeded with ``seed + i``, which then draws its feature subsets, one
+    call per depth. The ensemble probability is the member-order sum over ``n_trees``.
     """
 
-    def __init__(
-        self,
-        train: TrainingSet,
-        n_trees: int = 100,
-        features_per_split: int = 1,
-        max_depth: int | None = None,
-        min_leaf: int = 1,
-        seed: int = 0,
-        bootstrap: bool = True,
-    ):
-        if n_trees < 1:  # features_per_split is checked by each member tree
+    def __init__(self, train: TrainingSet, n_trees: int = 100, features_per_split: int = 1,
+                 max_depth: int | None = None, min_leaf: int = 1, seed: int = 0, bootstrap: bool = True):
+        if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
         self.n_trees = n_trees
-        self._trees: list[TreeClassifier] = []
+        rngs = [np.random.default_rng(seed + i) for i in range(n_trees)]
         n = len(train)
-        for i in range(n_trees):
-            rng = np.random.default_rng(seed + i)
-            if bootstrap:
-                idx = rng.integers(0, n, size=n)
-                member_train = TrainingSet(train.X[idx], train.y[idx], train.spec)
-            else:
-                member_train = train
-            self._trees.append(TreeClassifier(
-                member_train, max_depth, min_leaf, feature_rng=rng, features_per_split=features_per_split
-            ))
-
-    def _masses(self, X: np.ndarray):
-        query, label, mass = _accumulate([tree._masses(X) for tree in self._trees])
-        return query, label, mass / self.n_trees
+        rows = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs]
+        self._grow(train, rows, rngs, features_per_split, max_depth, min_leaf)
 
 
 @dataclass(frozen=True)

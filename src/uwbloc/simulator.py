@@ -27,8 +27,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import FileFormatError, read_text
-from .geometry import AnchorLayout, PointMM, RangeTriple, distance
+from .errors import FileFormatError, parse_number, read_text
+from .geometry import AnchorLayout, PointMM, RangeTriple, distances
 
 __all__ = [
     "NoiseConfig",
@@ -287,27 +287,30 @@ def _noisy_reading(d: np.ndarray, draws: np.ndarray, noise: NoiseConfig) -> np.n
 
 
 def simulate_visits(
-    locations: Sequence[PointMM], anchors: AnchorLayout, reps: int, noise: NoiseConfig, seed: int,
+    locations: np.ndarray | Sequence[tuple[float, float]], anchors: AnchorLayout, reps: int,
+    noise: NoiseConfig, seed: int,
 ) -> np.ndarray:
-    """Measured ranges of ``reps`` visits to each location, shape (m, reps, 3).
+    """Measured ranges of ``reps`` visits to each (x, y) row of ``locations``, shape (m, reps, 3).
 
     Visit ``rep`` to location ``i`` measures anchor ``j`` with the key
     ``(i, rep, j)``; the last axis holds anchors A, B and C.
     """
-    m = len(locations)
-    true_d = [[distance(loc, a) for a in anchors.as_tuple()] for loc in locations]
+    xy = np.asarray(locations, dtype=float).reshape(-1, 2)
+    m = xy.shape[0]
+    true_d = np.array([distances(xy, a) for a in anchors.as_tuple()]).reshape(3, m).T
     keys = np.empty((m, reps, 3, 3), dtype=np.int64)
     keys[..., 0] = np.arange(m)[:, None, None]
     keys[..., 1] = np.arange(reps)[:, None]
     keys[..., 2] = np.arange(3)
-    d = np.broadcast_to(np.array(true_d, dtype=float).reshape(m, 1, 3), (m, reps, 3))
+    d = np.broadcast_to(true_d[:, None, :], (m, reps, 3))
     return simulate_range_batch(d.ravel(), keys.reshape(-1, 3), noise, seed).reshape(m, reps, 3)
 
 
 def simulate_campaign(campaign: Campaign) -> list[MeasurementSet]:
     """Run a full campaign and return its rows in (location, rep) order."""
     ranges = simulate_visits(
-        campaign.locations, campaign.anchors, campaign.reps, campaign.noise, campaign.noise.seed
+        [loc.as_tuple() for loc in campaign.locations], campaign.anchors, campaign.reps,
+        campaign.noise, campaign.noise.seed,
     )
     return [
         MeasurementSet(loc, RangeTriple(*triple))
@@ -343,7 +346,7 @@ def read_measurements(path: str) -> list[MeasurementSet]:
         if len(parts) != 5:
             raise FileFormatError(f"{path}:{ln}: expected 5 fields, got {len(parts)}")
         try:
-            x, y, da, db, dc = (float(p) for p in parts)
+            x, y, da, db, dc = (parse_number(p) for p in parts)
             rows.append(MeasurementSet(PointMM(x, y), RangeTriple(da, db, dc)))
         except ValueError as exc:
             raise FileFormatError(f"{path}:{ln}: {exc}") from exc

@@ -192,6 +192,13 @@ def test_malformed_measurements_is_exit_3(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_digit_separator_in_a_data_file_is_exit_3(tmp_path, capsys):
+    bad = tmp_path / "separators.csv"
+    bad.write_text("loc_x,loc_y,d_a,d_b,d_c\n1_0,2_0,3_00,400,5e2\n")
+    assert main(["fit", str(bad), "--model", "one", "--out", str(tmp_path / "cal.csv")]) == 3
+    assert f"{bad}:2: " in capsys.readouterr().err
+
+
 def test_measurements_missing_reference_point_is_exit_3(tmp_path, capsys):
     # rows only at one reference point: cleaning cannot find the other three
     lines = ["loc_x,loc_y,d_a,d_b,d_c"]

@@ -71,3 +71,24 @@ def test_fuzzed_files_raise_only_file_format_error(tmp_path, kind):
             read(path)
         except FileFormatError:
             pass
+
+
+# a numeric field on the last line of each kind of file; Python's float and int
+# read "1_0" there as 10, and each of these fields would take 10 without complaint
+SEPARATOR_FIELD = {"calibration": 1, "db": 3, "measurements": 0, "report": 2}
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_digit_separator_is_a_file_format_error(tmp_path, kind):
+    write, read = FILES[kind]
+    path = str(tmp_path / f"{kind}.csv")
+    write(path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    fields = lines[-1].split(",")
+    fields[SEPARATOR_FIELD[kind]] = "1_0"
+    lines[-1] = ",".join(fields)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=f"{path}:{len(lines)}: .*'1_0'"):
+        read(path)

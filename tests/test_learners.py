@@ -280,22 +280,173 @@ def test_tree_separates_adjacent_float_features():
     assert tree.predict(RangeTriple(hi, 1.0, 1.0)) == 1
 
 
-def test_tree_fast_path_matches_generic_sweep():
-    class SlowTree(TreeClassifier):
-        _fast_unique_path = False
+def _reference_occurrence_index(codes):
+    n = codes.shape[0]
+    order = np.argsort(codes, kind="stable")
+    sc = codes[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = sc[1:] != sc[:-1]
+    group_start = np.maximum.accumulate(np.where(first, np.arange(n), 0))
+    occ = np.empty(n, dtype=np.int64)
+    occ[order] = np.arange(n) - group_start
+    return occ
 
+
+def _reference_best_split(X, y, rows, min_leaf):
+    n = rows.shape[0]
+    codes = np.unique(y[rows], return_inverse=True)[1]
+    totals = np.bincount(codes)
+    best_imp, best = math.inf, None
+    for f in range(3):
+        col = X[rows, f]
+        order = np.argsort(col, kind="stable")
+        sv, sy = col[order], codes[order]
+        change = np.flatnonzero(sv[1:] != sv[:-1]) + 1
+        cand = change[(change >= min_leaf) & (change <= n - min_leaf)]
+        if cand.shape[0] == 0:
+            continue
+        occ = _reference_occurrence_index(sy)
+        left_sumsq = np.cumsum(2 * occ + 1)
+        occ_r = totals[sy] - 1 - occ
+        right_sumsq = np.concatenate([np.cumsum((2 * occ_r + 1)[::-1])[::-1], np.zeros(1, dtype=np.int64)])
+        nl = cand.astype(float)
+        nr = float(n) - nl
+        imp = 1.0 - (left_sumsq[cand - 1] / nl + right_sumsq[cand] / nr) / n
+        j = int(np.argmin(imp))
+        if imp[j] < best_imp:
+            lo, hi = float(sv[cand[j] - 1]), float(sv[cand[j]])
+            thr = (lo + hi) / 2.0
+            best_imp, best = float(imp[j]), (f, lo if thr >= hi else thr)
+    return best
+
+
+def _reference_tree(X, y, max_depth=None, min_leaf=1):
+    """The node-at-a-time DFS build that the level-synchronous one replaced,
+    with its generic sweep only: a list of [feature, threshold, left, right,
+    leaf probabilities] per node."""
+    nodes = [[-1, math.nan, -1, -1, None]]
+    stack = [(0, np.arange(X.shape[0]), 0)]
+    while stack:
+        nid, rows, depth = stack.pop()
+        yn = y[rows]
+        split = None
+        if not (np.all(yn == yn[0]) or (max_depth is not None and depth >= max_depth)
+                or rows.shape[0] < 2 * min_leaf):
+            split = _reference_best_split(X, y, rows, min_leaf)
+        if split is None:
+            labels, counts = np.unique(yn, return_counts=True)
+            nodes[nid][4] = dict(zip(labels.tolist(), (counts / rows.shape[0]).tolist()))
+            continue
+        f, thr = split
+        mask = X[rows, f] <= thr
+        nodes[nid][:4] = [f, thr, len(nodes), len(nodes) + 1]
+        nodes += [[-1, math.nan, -1, -1, None], [-1, math.nan, -1, -1, None]]
+        stack += [(len(nodes) - 1, rows[~mask], depth + 1), (len(nodes) - 2, rows[mask], depth + 1)]
+    return nodes
+
+
+def _reference_proba(nodes, Q):
+    out = []
+    for q in Q:
+        nid = 0
+        while nodes[nid][0] >= 0:
+            nid = nodes[nid][2] if q[nodes[nid][0]] <= nodes[nid][1] else nodes[nid][3]
+        out.append(nodes[nid][4])
+    return out
+
+
+def _tree_problems():
     rng = np.random.default_rng(31)
-    for trial in range(8):
-        n = int(rng.integers(5, 60))
-        X = rng.uniform(1.0, 2500.0, size=(n, 3))
-        y = rng.permutation(n)  # all labels distinct: the degenerate regime
-        fast = TreeClassifier(_train(X, y))
-        slow = SlowTree(_train(X, y))
-        assert fast._feature == slow._feature
-        assert fast._threshold == slow._threshold
-        Q = rng.uniform(1.0, 2500.0, size=(50, 3))
-        assert np.array_equal(fast.predict_batch(Q), slow.predict_batch(Q))
-        assert fast.predict_proba_batch(Q) == slow.predict_proba_batch(Q)
+    cases = {}
+    X = rng.uniform(1.0, 2500.0, size=(70, 3))
+    cases["distinct-labels"] = (X, rng.permutation(70))
+    # few values per feature: value groups, identical rows, all labels distinct
+    cases["distinct-labels-coarse"] = (rng.integers(1, 4, size=(60, 3)).astype(float), rng.permutation(60))
+    cases["repeated-labels"] = (rng.uniform(1.0, 2500.0, size=(90, 3)), rng.integers(0, 30, size=90))
+    X = np.repeat(rng.uniform(1.0, 2500.0, size=(12, 3)), 5, axis=0)
+    cases["duplicate-rows"] = (X, rng.integers(0, 6, size=60))
+    X = 1000.0 + rng.integers(-3, 4, size=(50, 3)) * np.spacing(1000.0)
+    cases["ulp-adjacent"] = (X, rng.integers(0, 8, size=50))
+    col = rng.uniform(1.0, 2500.0, size=50)
+    cases["ties-across-features"] = (np.stack([col, col, col[::-1]], axis=1), rng.integers(0, 5, size=50))
+    return cases
+
+
+_TREE_PROBLEMS = _tree_problems()
+
+
+@pytest.mark.parametrize("max_depth", [None, 1, 3])
+@pytest.mark.parametrize("min_leaf", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_TREE_PROBLEMS))
+def test_tree_matches_reference_builder(name, min_leaf, max_depth):
+    X, y = _TREE_PROBLEMS[name]
+    tree = TreeClassifier(_train(X, y), max_depth, min_leaf)
+    ref = _reference_tree(X, y, max_depth, min_leaf)
+    assert tree.node_count == len(ref)
+    rng = np.random.default_rng(len(X))
+    Q = np.vstack([X, (X[:-1] + X[1:]) / 2.0, rng.uniform(X.min(), X.max(), size=(30, 3))])
+    Q = np.vstack([Q, np.where(np.eye(3, dtype=bool), np.nan, X[:3])])  # NaN goes right at every split
+    probs = _reference_proba(ref, Q)
+    assert tree.predict_proba_batch(Q) == probs
+    assert tree.predict_batch(Q).tolist() == [argmax_label(p) for p in probs]
+
+
+def _member_probs(clf, Q):
+    """Each member's leaf probabilities per query, read from the flat leaf table."""
+    out = []
+    for leaves in clf.apply_batch(Q).reshape(-1, len(Q)):
+        spans = [slice(clf._offset[leaf], clf._offset[leaf + 1]) for leaf in leaves]
+        out.append([dict(zip(clf._labels[s].tolist(), clf._probs[s].tolist())) for s in spans])
+    return out
+
+
+def test_forest_members_match_reference_builder_on_their_bootstraps():
+    # with every feature per split nothing is drawn after the bootstrap, so
+    # member i is the reference tree on default_rng(seed + i)'s resample
+    X, y = _TREE_PROBLEMS["repeated-labels"]
+    forest = ForestClassifier(_train(X, y), n_trees=4, features_per_split=3, seed=9, min_leaf=2)
+    Q = np.vstack([X, np.random.default_rng(3).uniform(1.0, 2500.0, size=(20, 3))])
+    refs = [_reference_tree(X[idx], y[idx], min_leaf=2) for idx in
+            (np.random.default_rng(9 + i).integers(0, len(X), size=len(X)) for i in range(4))]
+    assert _member_probs(forest, Q) == [_reference_proba(ref, Q) for ref in refs]
+    assert forest.node_count == sum(len(ref) for ref in refs)
+
+
+@pytest.mark.parametrize("features", [1, 2])
+def test_forest_member_depends_only_on_its_seed(features):
+    rng = np.random.default_rng(73)
+    train = _train(rng.uniform(1.0, 100.0, size=(80, 3)), rng.integers(0, 12, size=80))
+    Q = rng.uniform(1.0, 100.0, size=(40, 3))
+    three = ForestClassifier(train, n_trees=3, features_per_split=features, seed=21)
+    five = ForestClassifier(train, n_trees=5, features_per_split=features, seed=21)
+    assert _member_probs(three, Q) == _member_probs(five, Q)[:3]
+    assert _member_probs(five, Q)[3] != _member_probs(five, Q)[4]
+
+
+@pytest.mark.parametrize("chunk", [1, 37])
+def test_tree_scan_in_chunks_matches_one_chunk(monkeypatch, chunk):
+    # the scan splits a level into chunks of whole (feature, node) pairs; a pair
+    # larger than a chunk gets a chunk of its own
+    X, y = _TREE_PROBLEMS["repeated-labels"]
+    Q = np.vstack([X, np.random.default_rng(5).uniform(1.0, 2500.0, size=(20, 3))])
+    build = [lambda: ForestClassifier(_train(X, y), n_trees=3, seed=4),
+             lambda: TreeClassifier(_train(X, y), min_leaf=2)]
+    whole = [clf() for clf in build]
+    monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", chunk)
+    for one, chunked in zip(whole, (clf() for clf in build)):
+        assert chunked.node_count == one.node_count
+        assert _member_probs(chunked, Q) == _member_probs(one, Q)
+
+
+def test_tree_over_the_10mm_grid_recovers_every_training_label():
+    # 20,000 distinct labels: a build quadratic in the rows takes seconds here
+    model = CalibrationModel(
+        ModelKind.ONE, LinearRangingEq(1.0, 0.0), LinearRangingEq(1.0, 0.0), LinearRangingEq(1.0, 0.0)
+    )
+    train = TrainingSet.from_db(build_db(model, GridSpec(1000.0, 2000.0, 10.0), DEFAULT_ANCHORS))
+    tree = TreeClassifier(train)
+    assert len(train) == 20_000 and tree.node_count == 2 * len(train) - 1
+    assert np.array_equal(tree.predict_batch(train.X), train.y)
 
 
 def test_tree_batch_and_scalar_predictions_agree():
