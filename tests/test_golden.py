@@ -111,9 +111,9 @@ DIGESTS = {
     "two-vote-aug2-outlier0.05": "8d7e8d0e44d6003a79e513cce220a368afa8660e653d3185ca40f7921cbe0f65",
     "four-tree": "7a5f70b9d902c20277deafbdfb908315af00d2e6484accb37de1c074adad53c6",
     "four-tree-depth3": "36dbaf52ec5044c8caaacdcc89c7aa3d50b9c9b05727dc630f8618cb9dfddd8b",
-    "four-forest5": "0b7a7dd9905f353b9bc11cc841d4924431a5b45c56ea79024233d871470dbe50",
-    "four-forest5-nobootstrap-f2": "1434f9a79c3876ccfa111169bb405b57c84da510315dc9b5d79e7fc293d47015",
-    "four-forest5-aug2": "9596a59013713fd7cd376acad08069ebe01b4850e41a06010f5d2329a87cc50c",
+    "four-forest5": "27eb93ae6fcd52cdc64fb0f04c92fd4fcc746bb4f2321bb5d50d62317415235e",
+    "four-forest5-nobootstrap-f2": "2d340c41a06d26d5a9ce3f6c3edca914a5d81a8a0eea0618f7838803383be469",
+    "four-forest5-aug2": "37c6fd64489f0621c3a6bc8d10fe41fd81f8b7f0bb5d3e9265c73f427363ecc1",
     "four-vote-knn3-depth3-w1:1": "e7dace6fc80816d8648be8c5a224da7dc62f583c37d58f5fd4ed88c05844342e",
     "four-vote-knn3-depth3-w0:1": "81dc19d5d2f74af8c2061356824925bab6fad93e6f1a63141744ecec5b2abd16",
     "four-vote-knn3-depth3-w1:0": "a6bf5284b3c50c621c1c28e1896a8e81a206a1bb4c039ade328cefd7e613ef7e",
