@@ -98,8 +98,9 @@ def argmax_label(probs: ClassProbabilities) -> int:
     return best_label
 
 
-#: Float64 elements of one query chunk's distance matrix in the KNN search (a
-#: chunk holds max(1, _CHUNK_ELEMENTS // n_rows) queries), and rows per chunk of the tree scan.
+#: Float64 elements of one query chunk's distance matrix in the KNN search (a chunk holds
+#: max(1, _CHUNK_ELEMENTS // n_rows) queries), rows per chunk of the tree scan, and about the
+#: slots (member rows) per batch of trees grown together, which bounds a forest build's memory.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -277,36 +278,37 @@ def _best_splits(A, XT, code, n_labels, use, start, seg_size, min_leaf):
 class _Trees(_ProbabilisticClassifier):
     """CART trees (Gini impurity, three range features) grown level by level into flat arrays.
 
-    Thresholds are midpoints of consecutive distinct values, and rows with
-    value <= threshold go left. A node is a leaf when it is pure, at
-    ``max_depth``, smaller than 2 * ``min_leaf``, or has no split; leaves keep
-    their label frequencies. Node i splits on ``_feature[i]`` (-1: leaf) into
-    ``_left[i]`` and ``_left[i] + 1``; a leaf's entries are
-    ``_labels/_probs[_offset[i] : _offset[i + 1]]``. Member i's root is node i.
-    """
+    Thresholds are midpoints of consecutive distinct values, and rows with value <= threshold go
+    left. A node is a leaf when it is pure, at ``max_depth``, smaller than 2 * ``min_leaf``, or has
+    no split; leaves keep their label frequencies. Node i splits on ``_feature[i]`` (-1: leaf) into
+    ``_left[i]`` and ``_left[i] + 1``; a leaf's entries are ``_labels/_probs[_offset[i] :
+    _offset[i + 1]]``. Member i's root is node ``_root[i]``."""
 
     def _grow(self, train, rows, rngs, features_per_split, max_depth, min_leaf) -> None:
-        """Grow member i on the rows ``train[rows[i]]``, all members in one loop.
-
-        Open nodes are segments of one layout of slots (member rows); ``A[f]``
-        holds each segment's slots sorted by feature f, and a split partitions
-        the three rows stably. With ``rngs[i]`` and under 3 features per split,
-        member i draws the subsets of a depth's split attempts in one call.
-        """
+        """Grow member i on ``train[rows[i]]``, in batches of about ``_CHUNK_ELEMENTS`` slots."""
         if max_depth is not None and max_depth < 1:
             raise ValueError(f"max_depth must be >= 1 or None, got {max_depth}")
         if min_leaf < 1:
             raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
-        if features_per_split is not None and not (1 <= features_per_split <= 3):
-            raise ValueError(f"features_per_split must be in 1..3, got {features_per_split}")
-        sampled = rngs[0] is not None and features_per_split is not None and features_per_split < 3
-        slot_row = np.concatenate(rows)
-        XT = np.ascontiguousarray(train.X[slot_row].T)
-        label_values, codes = np.unique(train.y, return_inverse=True)
-        code, n_labels = codes[slot_row], label_values.shape[0]
-        n_slots, n_members = slot_row.shape[0], len(rows)
-        seg_size = np.array([r.shape[0] for r in rows])
-        cap = math.inf if max_depth is None else max_depth
+        parts, start = [], np.cumsum([0] + [r.shape[0] for r in rows])[:-1]
+        bounds = np.unique(start // _CHUNK_ELEMENTS, return_index=True)[1].tolist() + [len(rows)]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            parts.append(self._grow_batch(train, rows[a:b], rngs[a:b], features_per_split,
+                                          max_depth or math.inf, min_leaf, sum(p[0].shape[0] for p in parts)))
+        self._feature, self._left, self._labels, self._probs, entries, self._run, run_key, self._root = (
+            np.concatenate(p) for p in zip(*parts))
+        self._offset, self._run_key = np.append(0, np.cumsum(entries)), np.append(run_key, np.inf)
+
+    @staticmethod
+    def _grow_batch(train, rows, rngs, features_per_split, cap, min_leaf, first_id):
+        """Grow a batch of members in one loop and return its tables, node ids counted from ``first_id``.
+
+        Open nodes are segments of one layout of slots; ``A[f]`` holds each segment's slots sorted by
+        feature f, and a split partitions the three rows stably. Under 3 features per split, member i
+        draws the subsets of a depth's split attempts in one ``rngs[i]`` call."""
+        slot_row, (label_values, codes) = np.concatenate(rows), np.unique(train.y, return_inverse=True)
+        XT, code, n_labels = np.ascontiguousarray(train.X[slot_row].T), codes[slot_row], label_values.shape[0]
+        n_slots, n_members, seg_size = slot_row.shape[0], len(rows), np.array([r.shape[0] for r in rows])
         rank = np.argsort(np.argsort(train.X, axis=0, kind="stable"), axis=0)[slot_row].T
         A = np.argsort(rank + np.repeat(np.arange(n_members) * len(train), seg_size), axis=1)
         feature, left = np.full((2, 2 * n_slots), -1, dtype=np.int64)
@@ -320,12 +322,12 @@ class _Trees(_ProbabilisticClassifier):
             lab = code[A[0]]
             pure = np.minimum.reduceat(lab, start) == np.maximum.reduceat(lab, start)
             leaf = pure | (seg_size < 2 * min_leaf) | (depth >= cap)
-            peel = ~leaf & (min_leaf == 1 and not sampled)
+            peel = ~leaf & (min_leaf == 1 and features_per_split == 3)
             if peel.any():
                 key = np.sort((seg * n_labels + lab)[peel[seg]])  # all labels distinct, or no peel
                 peel[key[1:][key[1:] == key[:-1]] // n_labels] = False
             use = np.repeat((~leaf & ~peel)[None, :], 3, axis=0)  # the split attempts, per feature
-            if sampled:
+            if features_per_split < 3:
                 att = np.flatnonzero(use[0])[np.argsort(nodes[use[0]])]
                 counts = np.bincount(seg_member[att], minlength=n_members)
                 draws = np.concatenate([rng.random((c, 3)) for rng, c in zip(rngs, counts.tolist())])
@@ -333,8 +335,8 @@ class _Trees(_ProbabilisticClassifier):
             f, split, at = _best_splits(A, XT, code, n_labels, use, start, seg_size, min_leaf)
             leaf_of[A[0][~split[seg]]] = nodes[seg[~split[seg]]]  # peeled slots get their leaves next
             if peel.any():
-                next_id = self._peel(XT, A[0][peel[seg]], seg_size[peel], nodes[peel],
-                                     depth, cap, next_id, feature, threshold, left, leaf_of)
+                next_id = _Trees._peel(XT, A[0][peel[seg]], seg_size[peel], nodes[peel],
+                                       depth, cap, next_id, feature, threshold, left, leaf_of)
             f, at, split_nodes = f[split], at[split], nodes[split]
             kids = next_id + 2 * np.argsort(np.argsort(split_nodes))
             feature[split_nodes], left[split_nodes] = f, kids
@@ -348,33 +350,31 @@ class _Trees(_ProbabilisticClassifier):
             nodes, seg_member = np.concatenate([kids, kids + 1]), np.tile(seg_member[split], 2)
             seg_size = np.concatenate([at - start[split], seg_size[split] - at + start[split]])
             next_id, depth = next_id + 2 * kids.shape[0], depth + 1
-        self._feature, self._left, self._n_members = feature[:next_id], left[:next_id], n_members
         # leaf entries: one per (leaf, label), sorted by leaf, then label
         entries, counts = np.unique(leaf_of * n_labels + code, return_counts=True)
-        leaf, self._labels = entries // n_labels, label_values[entries % n_labels]
-        self._probs = counts / np.bincount(leaf_of, minlength=next_id)[leaf]
-        self._offset = np.append(0, np.cumsum(np.bincount(leaf, minlength=next_id)))
+        leaf, labels = entries // n_labels, label_values[entries % n_labels]
+        probs = counts / np.bincount(leaf_of, minlength=next_id)[leaf]
         # a run of right children splitting on their parent's feature has rising thresholds: sorted by
         # (run head, threshold), the internal nodes let one binary search find where a query leaves it
-        inner = np.flatnonzero(self._feature >= 0)
+        inner = np.flatnonzero(feature[:next_id] >= 0)
         head = np.arange(next_id)
         same = inner[feature[left[inner] + 1] == feature[inner]]
         head[left[same] + 1] = same
         while np.any(head[head] != head):
             head = head[head]
-        key = head[inner] + 1j * threshold[inner]
-        self._run, self._run_key = inner[np.argsort(key)], np.append(np.sort(key), np.inf)
+        key = head[inner] + first_id + 1j * threshold[inner]
+        return (feature[:next_id].copy(), left[:next_id] + first_id, labels, probs,
+                np.bincount(leaf, minlength=next_id), inner[np.argsort(key)] + first_id, np.sort(key),
+                first_id + np.arange(n_members))
 
     @staticmethod
     def _peel(XT, slots, sizes, nodes, depth, cap, next_id, feature, threshold, left, leaf_of) -> int:
         """Grow the subtrees of all-distinct-label segments in one step; return the next node id.
 
-        With distinct labels, ``min_leaf`` 1 and all features, every candidate
-        scores 1 - 2/n: a split takes off the lowest value group of the lowest
-        splittable feature. Sorted by (segment, f0, f1, f2), a group at depth d,
-        constant below feature ``lvl``, is a run: the node holding its value
-        groups j.. on ``lvl`` splits group j off at depth d + j, below the cap.
-        """
+        With distinct labels, ``min_leaf`` 1 and all features, every candidate scores 1 - 2/n: a
+        split takes off the lowest value group of the lowest splittable feature. Sorted by (segment,
+        f0, f1, f2), a group at depth d, constant below feature ``lvl``, is a run: the node holding
+        its value groups j.. on ``lvl`` splits group j off at depth d + j, below the cap."""
         s = slots[np.lexsort((*XT[::-1, slots], np.repeat(np.arange(len(sizes)), sizes)))]
         v, M = XT[:, s], s.shape[0]
         # lowest feature on which a slot differs from the previous one (3: none)
@@ -410,7 +410,7 @@ class _Trees(_ProbabilisticClassifier):
     def apply_batch(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id reached by each (member, query), member by member."""
         X = _query_batch(X)
-        node = np.repeat(np.arange(self._n_members), X.shape[0])
+        node = np.repeat(self._root, X.shape[0])
         live = np.flatnonzero(self._feature[node] >= 0)
         while live.shape[0]:
             nd = node[live]  # the head of a run
@@ -428,9 +428,9 @@ class _Trees(_ProbabilisticClassifier):
         leaf = self.apply_batch(X)
         size = self._offset[leaf + 1] - self._offset[leaf]
         entry = np.arange(size.sum()) + np.repeat(self._offset[leaf] - np.cumsum(size) + size, size)
-        query = np.repeat(np.tile(np.arange(X.shape[0]), self._n_members), size)
+        query = np.repeat(np.tile(np.arange(X.shape[0]), self._root.shape[0]), size)
         query, label, mass = _accumulate([(query, self._labels[entry], self._probs[entry])])
-        return query, label, mass / self._n_members
+        return query, label, mass / self._root.shape[0]
 
     @property
     def node_count(self) -> int:
@@ -438,25 +438,25 @@ class _Trees(_ProbabilisticClassifier):
 
 
 class TreeClassifier(_Trees):
-    """One CART tree; with a feature RNG and ``features_per_split`` < 3 it samples as forest members do."""
+    """One CART tree over every training row and all three features per split."""
 
-    def __init__(self, train: TrainingSet, max_depth: int | None = None, min_leaf: int = 1, *,
-                 feature_rng: np.random.Generator | None = None, features_per_split: int | None = None):
-        self._grow(train, [np.arange(len(train))], [feature_rng], features_per_split, max_depth, min_leaf)
+    def __init__(self, train: TrainingSet, max_depth: int | None = None, min_leaf: int = 1):
+        self._grow(train, [np.arange(len(train))], [None], 3, max_depth, min_leaf)
 
 
 class ForestClassifier(_Trees):
     """Bagged ensemble of CART trees with per-split feature sampling, grown together.
 
-    Member i trains on a same-size bootstrap resample (unless ``bootstrap`` is off) drawn
-    from a generator seeded with ``seed + i``, which then draws its feature subsets, one
-    call per depth. The ensemble probability is the member-order sum over ``n_trees``.
-    """
+    Member i trains on a same-size bootstrap resample (unless ``bootstrap`` is off) drawn from a
+    generator seeded with ``seed + i``, which then draws its feature subsets, one call per depth.
+    The ensemble probability is the member-order sum over ``n_trees``."""
 
     def __init__(self, train: TrainingSet, n_trees: int = 100, features_per_split: int = 1,
                  max_depth: int | None = None, min_leaf: int = 1, seed: int = 0, bootstrap: bool = True):
         if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+        if not (1 <= features_per_split <= 3):
+            raise ValueError(f"features_per_split must be in 1..3, got {features_per_split}")
         self.n_trees = n_trees
         rngs = [np.random.default_rng(seed + i) for i in range(n_trees)]
         n = len(train)

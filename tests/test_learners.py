@@ -355,6 +355,15 @@ def _reference_proba(nodes, Q):
     return out
 
 
+def _reference_splits(nodes):
+    return sorted((f, thr) for f, thr, *_ in nodes if f >= 0)
+
+
+def _splits(clf):
+    """The (feature, threshold) pairs of the internal nodes, sorted."""
+    return sorted(zip(clf._feature[clf._run].tolist(), clf._run_key[:-1].imag.tolist()))
+
+
 def _tree_problems():
     rng = np.random.default_rng(31)
     cases = {}
@@ -383,6 +392,7 @@ def test_tree_matches_reference_builder(name, min_leaf, max_depth):
     tree = TreeClassifier(_train(X, y), max_depth, min_leaf)
     ref = _reference_tree(X, y, max_depth, min_leaf)
     assert tree.node_count == len(ref)
+    assert _splits(tree) == _reference_splits(ref)
     rng = np.random.default_rng(len(X))
     Q = np.vstack([X, (X[:-1] + X[1:]) / 2.0, rng.uniform(X.min(), X.max(), size=(30, 3))])
     Q = np.vstack([Q, np.where(np.eye(3, dtype=bool), np.nan, X[:3])])  # NaN goes right at every split
@@ -410,6 +420,7 @@ def test_forest_members_match_reference_builder_on_their_bootstraps():
             (np.random.default_rng(9 + i).integers(0, len(X), size=len(X)) for i in range(4))]
     assert _member_probs(forest, Q) == [_reference_proba(ref, Q) for ref in refs]
     assert forest.node_count == sum(len(ref) for ref in refs)
+    assert _splits(forest) == sorted(pair for ref in refs for pair in _reference_splits(ref))
 
 
 @pytest.mark.parametrize("features", [1, 2])
@@ -423,10 +434,12 @@ def test_forest_member_depends_only_on_its_seed(features):
     assert _member_probs(five, Q)[3] != _member_probs(five, Q)[4]
 
 
-@pytest.mark.parametrize("chunk", [1, 37])
+@pytest.mark.parametrize("chunk", [1, 37, 100])
 def test_tree_scan_in_chunks_matches_one_chunk(monkeypatch, chunk):
-    # the scan splits a level into chunks of whole (feature, node) pairs; a pair
-    # larger than a chunk gets a chunk of its own
+    # the scan splits a level into chunks of whole (feature, node) pairs, and a pair
+    # larger than a chunk gets a chunk of its own; the same constant splits the
+    # forest's 90-row members into batches grown together: one member per batch
+    # at 1 and 37, members {0, 1} and {2} at 100
     X, y = _TREE_PROBLEMS["repeated-labels"]
     Q = np.vstack([X, np.random.default_rng(5).uniform(1.0, 2500.0, size=(20, 3))])
     build = [lambda: ForestClassifier(_train(X, y), n_trees=3, seed=4),
@@ -434,8 +447,22 @@ def test_tree_scan_in_chunks_matches_one_chunk(monkeypatch, chunk):
     whole = [clf() for clf in build]
     monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", chunk)
     for one, chunked in zip(whole, (clf() for clf in build)):
-        assert chunked.node_count == one.node_count
+        assert chunked.node_count == one.node_count and _splits(chunked) == _splits(one)
         assert _member_probs(chunked, Q) == _member_probs(one, Q)
+
+
+def test_forest_grows_members_in_batches_of_bounded_slots(monkeypatch):
+    # a batch takes the members that start within one _CHUNK_ELEMENTS span of slots,
+    # so a forest's working memory does not grow with n_trees
+    slots, grow = [], learners._Trees._grow_batch
+    def spy(train, rows, *args):
+        slots.append(sum(r.shape[0] for r in rows))
+        return grow(train, rows, *args)
+    monkeypatch.setattr(learners._Trees, "_grow_batch", staticmethod(spy))
+    monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", 100)
+    rng = np.random.default_rng(8)
+    ForestClassifier(_train(rng.uniform(1.0, 100.0, size=(40, 3)), rng.integers(0, 5, size=40)), n_trees=7)
+    assert slots == [120, 80, 80]  # members start at slots 0, 40, ..., 240
 
 
 def test_tree_over_the_10mm_grid_recovers_every_training_label():
@@ -466,8 +493,9 @@ def test_tree_parameter_validation():
         TreeClassifier(train, max_depth=0)
     with pytest.raises(ValueError):
         TreeClassifier(train, min_leaf=0)
-    with pytest.raises(ValueError):
-        TreeClassifier(train, features_per_split=4)
+    for features in (0, 4):
+        with pytest.raises(ValueError):
+            ForestClassifier(train, n_trees=1, features_per_split=features)
 
 
 def test_forest_is_deterministic_per_seed():
