@@ -99,7 +99,7 @@ def argmax_label(probs: ClassProbabilities) -> int:
 
 
 #: Float64 elements of one query chunk's distance matrix in the KNN search (a chunk holds
-#: max(1, _CHUNK_ELEMENTS // n_rows) queries), rows per chunk of the tree scan, and about the
+#: max(1, _CHUNK_ELEMENTS // n_rows) queries), rows per chunk of the tree scan, and half the
 #: slots (member rows) per batch of trees grown together, which bounds a forest build's memory.
 _CHUNK_ELEMENTS = 1 << 16
 
@@ -285,13 +285,13 @@ class _Trees(_ProbabilisticClassifier):
     _offset[i + 1]]``. Member i's root is node ``_root[i]``."""
 
     def _grow(self, train, rows, rngs, features_per_split, max_depth, min_leaf) -> None:
-        """Grow member i on ``train[rows[i]]``, in batches of about ``_CHUNK_ELEMENTS`` slots."""
+        """Grow member i on ``train[rows[i]]``, in batches of about ``2 * _CHUNK_ELEMENTS`` slots."""
         if max_depth is not None and max_depth < 1:
             raise ValueError(f"max_depth must be >= 1 or None, got {max_depth}")
         if min_leaf < 1:
             raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
         parts, start = [], np.cumsum([0] + [r.shape[0] for r in rows])[:-1]
-        bounds = np.unique(start // _CHUNK_ELEMENTS, return_index=True)[1].tolist() + [len(rows)]
+        bounds = np.unique(start // (2 * _CHUNK_ELEMENTS), return_index=True)[1].tolist() + [len(rows)]
         for a, b in zip(bounds[:-1], bounds[1:]):
             parts.append(self._grow_batch(train, rows[a:b], rngs[a:b], features_per_split,
                                           max_depth or math.inf, min_leaf, sum(p[0].shape[0] for p in parts)))

@@ -434,12 +434,12 @@ def test_forest_member_depends_only_on_its_seed(features):
     assert _member_probs(five, Q)[3] != _member_probs(five, Q)[4]
 
 
-@pytest.mark.parametrize("chunk", [1, 37, 100])
+@pytest.mark.parametrize("chunk", [1, 37, 50])
 def test_tree_scan_in_chunks_matches_one_chunk(monkeypatch, chunk):
     # the scan splits a level into chunks of whole (feature, node) pairs, and a pair
     # larger than a chunk gets a chunk of its own; the same constant splits the
     # forest's 90-row members into batches grown together: one member per batch
-    # at 1 and 37, members {0, 1} and {2} at 100
+    # at 1 and 37, members {0, 1} and {2} at 50
     X, y = _TREE_PROBLEMS["repeated-labels"]
     Q = np.vstack([X, np.random.default_rng(5).uniform(1.0, 2500.0, size=(20, 3))])
     build = [lambda: ForestClassifier(_train(X, y), n_trees=3, seed=4),
@@ -452,14 +452,14 @@ def test_tree_scan_in_chunks_matches_one_chunk(monkeypatch, chunk):
 
 
 def test_forest_grows_members_in_batches_of_bounded_slots(monkeypatch):
-    # a batch takes the members that start within one _CHUNK_ELEMENTS span of slots,
-    # so a forest's working memory does not grow with n_trees
+    # a batch takes the members that start within one span of 2 * _CHUNK_ELEMENTS
+    # slots, so a forest's working memory does not grow with n_trees
     slots, grow = [], learners._Trees._grow_batch
     def spy(train, rows, *args):
         slots.append(sum(r.shape[0] for r in rows))
         return grow(train, rows, *args)
     monkeypatch.setattr(learners._Trees, "_grow_batch", staticmethod(spy))
-    monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", 100)
+    monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", 50)
     rng = np.random.default_rng(8)
     ForestClassifier(_train(rng.uniform(1.0, 100.0, size=(40, 3)), rng.integers(0, 5, size=40)), n_trees=7)
     assert slots == [120, 80, 80]  # members start at slots 0, 40, ..., 240
