@@ -26,7 +26,7 @@ from uwbloc.calibration import (
 from uwbloc.errors import FileFormatError
 from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, RangeTriple, distance
 from uwbloc.preprocess import CorrectionPolicy
-from uwbloc.simulator import MeasurementSet
+from uwbloc.simulator import MeasurementSet, read_measurements
 
 
 def _true_distances():
@@ -141,6 +141,46 @@ def test_clean_raises_when_nothing_survives():
     base[2][2][0] = 150.0
     with pytest.raises(InsufficientDataError):
         clean_observation_rows(_rows_for(REFERENCE_POINTS, base))
+
+
+def _reading(pi, r):
+    return (100.0 * pi + 150.0 + r, 100.0 * pi + 1500.0 + r, 100.0 * pi + 800.0 + r)
+
+
+def test_clean_pools_interleaved_file_rows_in_order(tmp_path):
+    # rows of each point come in several runs, other locations in between,
+    # and the points have 4, 5, 4 and 3 readings: pooled in file order and
+    # trimmed to 3 sets, of which set 1 (an outlier at point 1) is dropped
+    order = [0, 0, 1, 1, 1, 2, 0, 0, 3, 2, 1, 1, 3, 2, 2, 3]
+    seen = [0, 0, 0, 0]
+    lines = ["loc_x,loc_y,d_a,d_b,d_c"]
+    for pi in order:
+        values = list(_reading(pi, seen[pi]))
+        if (pi, seen[pi]) == (1, 1):
+            values[1] = 9000.0
+        seen[pi] += 1
+        x, y = REFERENCE_POINTS[pi].as_tuple()
+        lines.append(",".join(repr(v) for v in (x, y, *values)))
+        if pi == 2:
+            lines.append("500.0,700.0,1.0,2.0,3.0")
+    path = tmp_path / "interleaved.csv"
+    path.write_text("\n".join(lines) + "\n")
+    obs = clean_observation_rows(read_measurements(str(path)), REFERENCE_POINTS)
+    want = np.array([[_reading(pi, r) for pi in range(4)] for r in (0, 2)])
+    assert obs.sets.shape == want.shape
+    assert np.array_equal(obs.sets, want)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_fit_model_rejects_points_equidistant_from_an_anchor(kind):
+    # points 1 and 4 are both 500 mm from anchor A, and every kind fits
+    # anchor A (or reuses its data) through that pair
+    points = (PointMM(300.0, 400.0), PointMM(900.0, 100.0), PointMM(100.0, 1900.0),
+              PointMM(400.0, 300.0))
+    anchor_points = DEFAULT_ANCHORS.as_tuple()
+    sets = np.array([[[1.1 * distance(p, a) + 5.0 for a in anchor_points] for p in points]] * 3)
+    with pytest.raises(DegeneratePairError):
+        fit_model(kind, ObservationData(points, sets), DEFAULT_ANCHORS)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))

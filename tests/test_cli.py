@@ -212,6 +212,18 @@ def test_measurements_missing_reference_point_is_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reference_points_equidistant_from_an_anchor_is_exit_4(tmp_path, capsys):
+    # points 1 and 4 are both 500 mm from anchor A: no calibration line fits
+    points = "300,400; 900,100; 100,1900; 400,300"
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(f"calibration.reference_points = {points}\n"
+                   f"campaign.locations = {points}\ncampaign.reps = 20\n")
+    meas = tmp_path / "meas.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(meas)]) == 0
+    assert main(["fit", str(meas), "--config", str(cfg), "--out", str(tmp_path / "cal.csv")]) == 4
+    assert "both points have true distance 500.0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("setting", [
     "anchors.by = 1e300\nanchors.bx = 1e300\nanchors.cx = 2e300\nanchors.cy = 2e300",
     "grid.spacing = 5e-324",

@@ -95,6 +95,18 @@ CHAIN_DIGESTS = {
     "cmp.csv": "8fe1f9fa00330a52a6e40837137a65a59490f7d7cabda345332a0b0f31e509f1",
 }
 
+# a campaign that visits reference point 1 twice: fit pools both visits in order
+REPEATED_CONFIG = """\
+campaign.locations = 100,100; 900,100; 100,1900; 100,100; 900,1900
+campaign.reps = 30
+calibration.n_select = 20
+"""
+
+REPEATED_DIGESTS = {
+    "meas.csv": "bfc9556ef7e8101cd40503e4644131e20756d30daf3b500f484b75106b6f57fe",
+    "cal.csv": "cd87ea0c3b77ec8a9b888d7b35d25f3104d93ba73b902772ac3a4ebbafd23e96",
+}
+
 CONFIG_DIGESTS = {
     "defaults": ("ae65fed1cb6dec75",
                  "71ded34517f6f7153e764d6024ae17c24a87984cf666a4de4fc9fa4ba24c6fb3"),
@@ -137,6 +149,22 @@ def test_cli_chain_digests(tmp_path):
     assert _run_chain(tmp_path) == CHAIN_DIGESTS
 
 
+def _run_repeated(work: Path) -> dict[str, str]:
+    cfg = work / "repeated.cfg"
+    cfg.write_text(REPEATED_CONFIG, encoding="utf-8")
+    meas, cal = work / "meas.csv", work / "cal.csv"
+    assert main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(meas)]) == 0
+    assert main(["fit", str(meas), "--config", str(cfg), "--seed", "3", "--out", str(cal)]) == 0
+    return {p.name: _sha(p.read_bytes()) for p in (meas, cal)}
+
+
+def test_repeated_reference_point_digests(tmp_path, capsys):
+    assert _run_repeated(tmp_path) == REPEATED_DIGESTS
+    out = capsys.readouterr().out
+    assert "wrote 150 measurement sets" in out
+    assert "kept 26 clean sets" in out
+
+
 def test_all_keys_config_sets_every_key(tmp_path):
     from uwbloc.config import _SCHEMA
 
@@ -158,5 +186,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         for name, digest in _run_chain(Path(d)).items():
             print(f'    "{name}": "{digest}",')
+        for name, digest in _run_repeated(Path(d)).items():
+            print(f'    repeated "{name}": "{digest}",')
         print(f'    "defaults": {_config_digests(None)!r},')
         print(f'    "all-keys": {_config_digests(_write_all_keys(Path(d)))!r},')
