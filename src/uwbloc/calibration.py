@@ -23,7 +23,7 @@ import numpy as np
 from .errors import FileFormatError, parse_number, read_text
 from .geometry import AnchorLayout, PointMM, distance
 from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, correct_range_batch, mad_keep_mask
-from .simulator import MeasurementSet
+from .simulator import Visits
 
 __all__ = [
     "DegeneratePairError",
@@ -132,13 +132,18 @@ class LinearRangingEq:
             raise NonPositiveSlopeError(f"slope must be positive, got {self.a}")
 
 
-def fit_pair(true1: float, meas1: float, true2: float, meas2: float) -> LinearRangingEq:
-    """Fit the line through two (true, measured) distance pairs."""
-    for v in (true1, meas1, true2, meas2):
+def _check_pair(true1: float, true2: float, *measured: float) -> None:
+    """A line fits only through finite, positive distances and two distinct true distances."""
+    for v in (true1, true2, *measured):
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"distances must be finite and positive, got {v}")
     if true1 == true2:
         raise DegeneratePairError(f"both points have true distance {true1}")
+
+
+def fit_pair(true1: float, meas1: float, true2: float, meas2: float) -> LinearRangingEq:
+    """Fit the line through two (true, measured) distance pairs."""
+    _check_pair(true1, true2, meas1, meas2)
     a = (meas2 - meas1) / (true2 - true1)
     if a <= 0.0:
         raise NonPositiveSlopeError(f"fitted slope {a} is not positive")
@@ -180,38 +185,31 @@ class ObservationData:
 
 
 def clean_observation_rows(
-    rows: list[MeasurementSet],
+    records: list[Visits],
     points: tuple[PointMM, ...] = REFERENCE_POINTS,
     *,
     mad_k: float = 3.0,
     mad_scale: float = MAD_SCALE_NORMAL,
     policy: CorrectionPolicy | None = None,
 ) -> ObservationData:
-    """Group raw campaign rows by reference point and clean them into sets.
+    """Pool the campaign records of each reference point and clean them into sets.
 
-    Rows are matched to reference points by exact coordinates; a point
-    without rows raises MissingReferencePointError. Reps are aligned
-    across points (trimmed to the shortest), the MAD rule is evaluated
-    per (point, anchor) column, and a set survives only if all twelve of
-    its values pass. The correction policy, when given, is applied to the
-    surviving measured values.
+    A point's readings are those of every record at exactly its
+    coordinates, in record order; a point without readings raises
+    MissingReferencePointError. Reps are aligned across points (trimmed
+    to the shortest), the MAD rule is evaluated per (point, anchor)
+    column, and a set survives only if all twelve of its values pass. The
+    correction policy, when given, is applied to the surviving measured
+    values.
     """
-    by_loc: dict[tuple[float, float], list[MeasurementSet]] = {}
-    for row in rows:
-        by_loc.setdefault(row.location.as_tuple(), []).append(row)
-
-    groups = []
+    pooled = []
     for p in points:
-        grp = by_loc.get(p.as_tuple())
-        if not grp:
+        ranges = np.concatenate([np.empty((0, 3))] + [r.ranges for r in records if r.location == p])
+        if len(ranges) == 0:
             raise MissingReferencePointError(f"no measurements at reference point {p.as_tuple()}")
-        groups.append(grp)
-
-    n = min(len(g) for g in groups)
-    raw = np.empty((n, len(points), 3), dtype=float)
-    for pi, grp in enumerate(groups):
-        for si in range(n):
-            raw[si, pi, :] = grp[si].ranges.as_tuple()
+        pooled.append(ranges)
+    n = min(len(r) for r in pooled)
+    raw = np.stack([r[:n] for r in pooled], axis=1)
 
     keep = np.ones(n, dtype=bool)
     for pi in range(len(points)):
@@ -256,15 +254,19 @@ def fit_model(
     ``n_select`` measurement sets are drawn uniformly without replacement
     (seeded); each selected set yields one (a, b) per anchor according to
     the model kind's pairing rule, and the final parameters are the means
-    over selected sets. A set whose fit produces a non-positive slope is
-    skipped and counted in a warning rather than failing the whole fit.
+    over selected sets. A set in which any pair fits a non-positive slope
+    is skipped and counted in a warning rather than failing the whole fit.
+
+    All selected sets are fitted at once, with ``fit_pair``'s arithmetic:
+    each anchor's (a, b) is the mean of its pair fits summed left to
+    right, and the final means sum the kept sets in selection order.
     """
     kind = ModelKind(kind)
     if n_select < 1:
         raise ValueError(f"n_select must be >= 1, got {n_select}")
 
     anchor_points = anchors.as_tuple()
-    true_d = [[distance(p, a) for a in anchor_points] for p in obs.points]
+    true_d = np.array([[distance(p, a) for a in anchor_points] for p in obs.points])
 
     if obs.n_sets >= n_select:
         rng = np.random.default_rng(seed)
@@ -276,32 +278,20 @@ def fit_model(
         )
         selected = np.arange(obs.n_sets)
 
-    pairing = _PAIRINGS[kind]
-    sums = [[0.0, 0.0] for _ in range(3)]
-    used = 0
-    skipped = 0
-    for s in selected:
-        per_anchor: list[tuple[float, float]] = []
-        try:
-            for ai in range(3):
-                src, pairs = pairing[ai]
-                fits = [
-                    fit_pair(
-                        true_d[i][src], float(obs.sets[s, i, src]),
-                        true_d[j][src], float(obs.sets[s, j, src]),
-                    )
-                    for i, j in pairs
-                ]
-                a = sum(f.a for f in fits) / len(fits)
-                b = sum(f.b for f in fits) / len(fits)
-                per_anchor.append((a, b))
-        except NonPositiveSlopeError:
-            skipped += 1
-            continue
-        for ai, (a, b) in enumerate(per_anchor):
-            sums[ai][0] += a
-            sums[ai][1] += b
-        used += 1
+    m = obs.sets[selected]
+    params = np.empty((len(selected), 3, 2))  # set, anchor, (a, b)
+    fitted = np.ones(len(selected), dtype=bool)
+    for ai, (src, pairs) in _PAIRINGS[kind].items():
+        i, j = np.array(pairs).T
+        for t1, t2 in zip(true_d[i, src].tolist(), true_d[j, src].tolist()):
+            _check_pair(t1, t2)
+        a = (m[:, j, src] - m[:, i, src]) / (true_d[j, src] - true_d[i, src])  # (set, pair)
+        b = m[:, i, src] - a * true_d[i, src]
+        fitted &= (a > 0.0).all(axis=1)
+        params[:, ai, 0] = np.cumsum(a, axis=1)[:, -1] / len(pairs)
+        params[:, ai, 1] = np.cumsum(b, axis=1)[:, -1] / len(pairs)
+    used = int(fitted.sum())
+    skipped = len(selected) - used
 
     if used == 0:
         raise InsufficientDataError("every selected measurement set failed to fit")
@@ -309,6 +299,7 @@ def fit_model(
         warnings.warn(f"skipped {skipped} measurement set(s) with non-positive fitted slope",
                       stacklevel=2)
 
+    sums = np.cumsum(params[fitted], axis=0)[-1].tolist()
     eqs = [LinearRangingEq(sa / used, sb / used) for sa, sb in sums]
     return CalibrationModel(kind, *eqs)
 

@@ -7,7 +7,7 @@ campaign, ``fit`` turns measurements into a ranging calibration,
 ``compare`` lays finished reports side by side.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 malformed input
-data file, 4 pipeline or I/O failure. Given the same configuration and
+data file, 4 pipeline, I/O or memory failure. Given the same configuration and
 seed, every output file is byte-identical across runs.
 """
 
@@ -108,9 +108,9 @@ def _overrides(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    rows = simulate_campaign(cfg.campaign())
-    write_measurements(args.out, rows)
-    print(f"wrote {len(rows)} measurement sets to {args.out}")
+    records = simulate_campaign(cfg.campaign())
+    write_measurements(args.out, records)
+    print(f"wrote {sum(len(r.ranges) for r in records)} measurement sets to {args.out}")
     return 0
 
 
@@ -119,9 +119,8 @@ def _cmd_fit(args: argparse.Namespace, cfg: RunConfig) -> int:
     kind = pcfg.model_kind
     if kind is None:
         raise ConfigError("calibration.kind is none; nothing to fit")
-    rows = read_measurements(args.measurements)
     obs = clean_observation_rows(
-        rows,
+        read_measurements(args.measurements),
         pcfg.reference_points,
         mad_k=pcfg.mad_k,
         mad_scale=pcfg.mad_scale,
@@ -203,6 +202,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except (OSError, ValueError) as exc:
         print(f"uwbloc: error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("uwbloc: error: out of memory", file=sys.stderr)
         return 4
 
 

@@ -156,6 +156,12 @@ def _int_range(lo: int, hi: int) -> Callable[[str], int]:
     return conv
 
 
+# campaign.reps, calibration.obs_sets, eval.n_trials and fingerprint.augment
+# count the visits per location of a campaign, and a visit index is one
+# 32-bit word of a draw's key (simulator.simulate_range_batch)
+MAX_REPS = 2**32
+
+
 # -- canonical value formatting ----------------------------------------------
 
 
@@ -202,7 +208,7 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], str]] = {
     "preprocess.mad_scale": (_float_min(0.0, inclusive=False), "mad_scale"),
     "calibration.kind": (_to_model_kind, "model_kind"),
     "calibration.n_select": (_int_min(1), "n_select"),
-    "calibration.obs_sets": (_int_min(1), "obs_sets"),
+    "calibration.obs_sets": (_int_range(1, MAX_REPS), "obs_sets"),
     "calibration.reference_points": (_to_points, "reference_points"),
     "classifier.kind": (_to_classifier, "classifier"),
     "classifier.k": (_int_min(1), "knn_k"),
@@ -212,11 +218,11 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], str]] = {
     "classifier.features_per_split": (_int_range(1, 3), "forest_features"),
     "classifier.bootstrap": (_to_bool, "forest_bootstrap"),
     "classifier.weights": (_to_weights, "vote_weights"),
-    "eval.n_trials": (_int_min(1), "n_trials"),
+    "eval.n_trials": (_int_range(1, MAX_REPS), "n_trials"),
     "eval.test_points": (_to_points, "test_points"),
-    "campaign.reps": (_int_min(1), "campaign.reps"),
+    "campaign.reps": (_int_range(1, MAX_REPS), "campaign.reps"),
     "campaign.locations": (_to_points, "campaign.locations"),
-    "fingerprint.augment": (_int_min(0), "augment"),
+    "fingerprint.augment": (_int_range(0, MAX_REPS), "augment"),
 }
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .calibration import ANCHOR_NAMES, CalibrationModel, predict_measured
 from .errors import FileFormatError, parse_number, read_text
-from .geometry import AnchorLayout, PointMM, RangeTriple, distances
+from .geometry import AnchorLayout, PointMM, distances
 
 __all__ = [
     "LabelOutOfRangeError",
@@ -136,11 +136,6 @@ class FingerprintDB:
 
     def __len__(self) -> int:
         return int(self.vectors.shape[0])
-
-    def triple(self, label: int) -> RangeTriple:
-        if not (0 <= label < len(self)):
-            raise LabelOutOfRangeError(f"label {label} outside [0, {len(self)})")
-        return RangeTriple(*(float(v) for v in self.vectors[label]))
 
 
 def build_db(model: CalibrationModel, spec: GridSpec, anchors: AnchorLayout) -> FingerprintDB:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -70,14 +69,6 @@ class TrainingSet:
 
     def __len__(self) -> int:
         return int(self.X.shape[0])
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[tuple[RangeTriple, int]], spec: GridSpec | None = None) -> "TrainingSet":
-        if len(rows) == 0:
-            raise EmptyTrainingSetError("training set is empty")
-        X = np.array([r.as_tuple() for r, _ in rows], dtype=float)
-        y = np.array([label for _, label in rows], dtype=np.int64)
-        return cls(X, y, spec)
 
     @classmethod
     def from_db(cls, db: FingerprintDB) -> "TrainingSet":

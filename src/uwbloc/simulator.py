@@ -28,13 +28,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import FileFormatError, parse_number, read_text
-from .geometry import AnchorLayout, PointMM, RangeTriple, distances
+from .geometry import AnchorLayout, PointMM, check_ranges, distances
 
 __all__ = [
     "NoiseConfig",
     "IDENTITY_NOISE",
     "Campaign",
-    "MeasurementSet",
+    "Visits",
     "STAGE_OBSERVATION",
     "STAGE_TRIALS",
     "STAGE_SELECTION",
@@ -106,12 +106,22 @@ class NoiseConfig:
 IDENTITY_NOISE = NoiseConfig(slope=1.0, offset=0.0, sigma=0.0, inflation_factor=1.0)
 
 
-@dataclass(frozen=True)
-class MeasurementSet:
-    """One synchronized reading: where the tag stood and what it measured."""
+@dataclass(frozen=True, eq=False)
+class Visits:
+    """Every reading taken at one campaign location.
+
+    ``ranges`` has shape (k, 3): one row per visit in rep order, columns
+    anchors A, B and C.
+    """
 
     location: PointMM
-    ranges: RangeTriple
+    ranges: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.ranges, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 3:
+            raise ValueError(f"ranges must have shape (k, 3), got {arr.shape}")
+        object.__setattr__(self, "ranges", arr)
 
 
 @dataclass(frozen=True)
@@ -306,39 +316,37 @@ def simulate_visits(
     return simulate_range_batch(d.ravel(), keys.reshape(-1, 3), noise, seed).reshape(m, reps, 3)
 
 
-def simulate_campaign(campaign: Campaign) -> list[MeasurementSet]:
-    """Run a full campaign and return its rows in (location, rep) order."""
+def simulate_campaign(campaign: Campaign) -> list[Visits]:
+    """Run a full campaign: one record per ``Campaign.locations`` entry, in that order."""
     ranges = simulate_visits(
         [loc.as_tuple() for loc in campaign.locations], campaign.anchors, campaign.reps,
         campaign.noise, campaign.noise.seed,
     )
-    return [
-        MeasurementSet(loc, RangeTriple(*triple))
-        for loc, visits in zip(campaign.locations, ranges.tolist())
-        for triple in visits
-    ]
+    return [Visits(loc, visits) for loc, visits in zip(campaign.locations, ranges)]
 
 
 MEASUREMENT_HEADER = "loc_x,loc_y,d_a,d_b,d_c"
 
 
-def write_measurements(path: str, rows: list[MeasurementSet]) -> None:
-    """Write campaign rows as delimited text with full float precision."""
+def write_measurements(path: str, records: list[Visits]) -> None:
+    """Write campaign records as delimited text, one row per reading, with full float precision."""
     lines = [MEASUREMENT_HEADER]
-    for row in rows:
-        x, y = row.location.as_tuple()
-        da, db, dc = row.ranges.as_tuple()
-        lines.append(f"{x!r},{y!r},{da!r},{db!r},{dc!r}")
+    for rec in records:
+        x, y = rec.location.as_tuple()
+        lines += (f"{x!r},{y!r},{da!r},{db!r},{dc!r}" for da, db, dc in rec.ranges.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_measurements(path: str) -> list[MeasurementSet]:
-    """Parse a measurement file back into campaign rows."""
+def read_measurements(path: str) -> list[Visits]:
+    """Parse a measurement file into one record per distinct (x, y), in order of first appearance.
+
+    A location's readings keep their file order, wherever its rows fall.
+    """
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != MEASUREMENT_HEADER:
         raise FileFormatError(f"{path}: expected header '{MEASUREMENT_HEADER}'")
-    rows: list[MeasurementSet] = []
+    groups: dict[tuple[float, float], tuple[PointMM, list[float]]] = {}
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -346,8 +354,12 @@ def read_measurements(path: str) -> list[MeasurementSet]:
         if len(parts) != 5:
             raise FileFormatError(f"{path}:{ln}: expected 5 fields, got {len(parts)}")
         try:
-            x, y, da, db, dc = (parse_number(p) for p in parts)
-            rows.append(MeasurementSet(PointMM(x, y), RangeTriple(da, db, dc)))
+            x, y, *ranges = (parse_number(p) for p in parts)
+            # PointMM rejects a non-finite coordinate before it can become a key
+            if (x, y) not in groups:
+                groups[(x, y)] = (PointMM(x, y), [])
+            check_ranges(ranges)
         except ValueError as exc:
             raise FileFormatError(f"{path}:{ln}: {exc}") from exc
-    return rows
+        groups[(x, y)][1].extend(ranges)
+    return [Visits(loc, np.reshape(values, (-1, 3))) for loc, values in groups.values()]

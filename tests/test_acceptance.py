@@ -285,11 +285,10 @@ def test_full_runs_are_reproducible(announce, capsys, tmp_path):
         campaign = Campaign(
             locations=(PointMM(100.0, 100.0), PointMM(700.0, 1300.0)),
             reps=4, anchors=DEFAULT_ANCHORS, noise=noise)
-        sets = simulate_campaign(campaign)
+        records = simulate_campaign(campaign)
         anchors = DEFAULT_ANCHORS.as_tuple()
         loc_idx, rep, anchor_idx = 1, 2, 1
-        row = sets[loc_idx * 4 + rep]
         stream = measurement_stream(123, loc_idx, rep, anchor_idx)
         d = distance(campaign.locations[loc_idx], anchors[anchor_idx])
         want = simulate_range(d, noise, stream)
-        assert row.ranges.as_tuple()[anchor_idx] == want
+        assert records[loc_idx].ranges[rep].tolist()[anchor_idx] == want

@@ -24,9 +24,9 @@ from uwbloc.calibration import (
     write_calibration,
 )
 from uwbloc.errors import FileFormatError
-from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, RangeTriple, distance
+from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, distance
 from uwbloc.preprocess import CorrectionPolicy
-from uwbloc.simulator import MeasurementSet, read_measurements
+from uwbloc.simulator import Visits, read_measurements
 
 
 def _true_distances():
@@ -88,19 +88,15 @@ def test_observation_data_shape_checks():
         ObservationData(REFERENCE_POINTS, np.full((2, 4, 3), -1.0))
 
 
-def _rows_for(points, sets):
-    """Flatten per-point value lists into campaign rows (set-major per point)."""
-    rows = []
-    for pi, p in enumerate(points):
-        for triple in sets[pi]:
-            rows.append(MeasurementSet(p, RangeTriple(*triple)))
-    return rows
+def _records_for(points, sets):
+    """One campaign record per point, its readings in set order."""
+    return [Visits(p, sets[pi]) for pi, p in enumerate(points)]
 
 
 def test_clean_groups_and_aligns_sets():
     base = [[(100.0 + s, 2000.0 + s, 1000.0 + s) for s in range(5)] for _ in range(4)]
     base[2].append((100.0, 2000.0, 1000.0))  # extra rep at point 2 gets trimmed
-    obs = clean_observation_rows(_rows_for(REFERENCE_POINTS, base))
+    obs = clean_observation_rows(_records_for(REFERENCE_POINTS, base))
     assert obs.n_sets == 5
     assert obs.series(0, 0).tolist() == [100.0, 101.0, 102.0, 103.0, 104.0]
 
@@ -109,22 +105,22 @@ def test_clean_drops_whole_set_on_any_outlier():
     # one wild value in set 3 at (point 1, anchor 2) must remove set 3
     base = [[[100.0 + s, 2000.0 + s, 1000.0 + s] for s in range(7)] for _ in range(4)]
     base[1][3][2] = 9000.0
-    obs = clean_observation_rows(_rows_for(REFERENCE_POINTS, base))
+    obs = clean_observation_rows(_records_for(REFERENCE_POINTS, base))
     assert obs.n_sets == 6
     assert 103.0 not in obs.series(0, 0).tolist()
 
 
 def test_clean_requires_every_reference_point():
     base = [[(100.0, 2000.0, 1000.0)] for _ in range(3)]
-    rows = _rows_for(REFERENCE_POINTS[:3], base)
+    records = _records_for(REFERENCE_POINTS[:3], base)
     with pytest.raises(MissingReferencePointError):
-        clean_observation_rows(rows)
+        clean_observation_rows(records)
 
 
 def test_clean_applies_correction_after_filtering():
     base = [[(500.0, 1200.0, 800.0)] * 4 for _ in range(4)]
     obs = clean_observation_rows(
-        _rows_for(REFERENCE_POINTS, base), policy=CorrectionPolicy(ratio=0.9)
+        _records_for(REFERENCE_POINTS, base), policy=CorrectionPolicy(ratio=0.9)
     )
     # only the value above the 1000 threshold is scaled
     assert obs.sets[0, 0, 0] == 500.0
@@ -140,7 +136,7 @@ def test_clean_raises_when_nothing_survives():
     base[1][1][0] = 150.0
     base[2][2][0] = 150.0
     with pytest.raises(InsufficientDataError):
-        clean_observation_rows(_rows_for(REFERENCE_POINTS, base))
+        clean_observation_rows(_records_for(REFERENCE_POINTS, base))
 
 
 def _reading(pi, r):

@@ -8,6 +8,7 @@ import importlib.resources
 
 import pytest
 
+from uwbloc import cli
 from uwbloc.cli import main
 
 
@@ -254,6 +255,15 @@ def test_file_that_is_not_utf8_names_the_byte(tmp_path, capsys, kind):
     bad.write_bytes("# caf\u00e9\n".encode("latin-1"))
     assert main([a.format(f=bad, d=tmp_path) for a in argv]) == code
     assert f"{bad}: not UTF-8 text at byte offset 5" in capsys.readouterr().err
+
+
+def test_running_out_of_memory_is_exit_4(monkeypatch, tmp_path, capsys):
+    def exhausted(args, cfg):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_simulate", exhausted)
+    assert main(["simulate", "--out", str(tmp_path / "m.csv")]) == 4
+    assert capsys.readouterr().err == "uwbloc: error: out of memory\n"
 
 
 def test_unwritable_output_is_exit_4(tmp_path, coarse_cfg, capsys):

@@ -50,8 +50,15 @@ BAD_VALUES = {
 }
 
 
-# further bad values of one key each: Python's digit separators
-MORE_BAD_VALUES = [("classifier.k", "1_0"), ("noise.sigma", "1_000.5")]
+# the keys that count visits per campaign location, whose visit index is one
+# 32-bit word of a draw's key
+REP_KEYS = ("campaign.reps", "calibration.obs_sets", "eval.n_trials", "fingerprint.augment")
+
+# further bad values of one key each: Python's digit separators, and run
+# sizes past 2**32 (which would fail only after allocating for them)
+MORE_BAD_VALUES = [("classifier.k", "1_0"), ("noise.sigma", "1_000.5")] + [
+    (key, str(2**32 + 1)) for key in REP_KEYS
+]
 
 
 def _resolve(text: str) -> None:
@@ -69,6 +76,11 @@ def test_every_key_has_a_bad_value():
 def test_bad_value_error_names_the_key(key, value):
     with pytest.raises(ConfigError, match=f": {key}: "):
         _resolve(f"{key} = {value}\n")
+
+
+def test_run_sizes_up_to_two_to_the_32_resolve():
+    cfg = resolve_config({key: str(2**32) for key in REP_KEYS})
+    assert [cfg.values[key] for key in REP_KEYS] == [2**32] * 4
 
 
 def test_fuzzed_configs_raise_only_config_error():

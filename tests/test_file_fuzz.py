@@ -13,8 +13,8 @@ from uwbloc.calibration import CalibrationModel, LinearRangingEq, ModelKind, rea
 from uwbloc.errors import FileFormatError
 from uwbloc.evaluation import load_reference_report, read_report, write_report
 from uwbloc.fingerprint import GridSpec, build_db, read_db, write_db
-from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, RangeTriple
-from uwbloc.simulator import MeasurementSet, read_measurements, write_measurements
+from uwbloc.geometry import DEFAULT_ANCHORS, PointMM
+from uwbloc.simulator import Visits, read_measurements, write_measurements
 
 EDGE_VALUES = ["nan", "inf", "-1", "0", "1e309", "", "1_0"]
 
@@ -26,8 +26,8 @@ MODEL = CalibrationModel(
 FILES = {
     "measurements": (
         lambda path: write_measurements(path, [
-            MeasurementSet(PointMM(250.0, 500.0), RangeTriple(560.1, 1520.7, 905.3)),
-            MeasurementSet(PointMM(750.0, 1500.0), RangeTriple(1675.2, 900.4, 1580.9)),
+            Visits(PointMM(250.0, 500.0), [[560.1, 1520.7, 905.3]]),
+            Visits(PointMM(750.0, 1500.0), [[1675.2, 900.4, 1580.9]]),
         ]),
         read_measurements,
     ),

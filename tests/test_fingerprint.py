@@ -108,9 +108,7 @@ def test_build_db_floors_anchor_coincident_vertices():
     # label 0 sits exactly on anchor A; a raw prediction of 0 would not be
     # a valid range, so the floor applies
     db = build_db(IDENTITY_MODEL, DEFAULT_GRID, DEFAULT_ANCHORS)
-    assert db.triple(0).d_a == DB_PREDICTION_FLOOR
-    assert db.triple(0).d_b == 2000.0
-    assert db.triple(0).d_c == 1000.0
+    assert db.vectors[0].tolist() == [DB_PREDICTION_FLOOR, 2000.0, 1000.0]
 
 
 def test_fingerprint_db_validation():
@@ -118,8 +116,6 @@ def test_fingerprint_db_validation():
         FingerprintDB(DEFAULT_GRID, np.ones((10, 3)))
     with pytest.raises(ValueError):
         FingerprintDB(GridSpec(50.0, 50.0, 25.0), np.zeros((4, 3)))
-    with pytest.raises(LabelOutOfRangeError):
-        build_db(IDENTITY_MODEL, DEFAULT_GRID, DEFAULT_ANCHORS).triple(9999)
 
 
 def test_db_file_round_trip(tmp_path):

@@ -39,10 +39,10 @@ def test_training_set_validation():
         _train([[1.0, 2.0, 3.0]], [99], GridSpec(50.0, 50.0, 25.0))
 
 
-def test_training_set_from_rows_and_db():
-    rows = [(RangeTriple(1.0, 2.0, 3.0), 5), (RangeTriple(4.0, 5.0, 6.0), 2)]
-    train = TrainingSet.from_rows(rows)
+def test_training_set_from_arrays_and_db():
+    train = TrainingSet([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [5, 2])
     assert len(train) == 2
+    assert train.X.dtype == np.float64
     assert train.y.tolist() == [5, 2]
 
     model = CalibrationModel(

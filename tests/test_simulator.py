@@ -10,6 +10,7 @@ from uwbloc.simulator import (
     Campaign,
     IDENTITY_NOISE,
     NoiseConfig,
+    Visits,
     STAGE_AUGMENT,
     STAGE_FOREST,
     STAGE_OBSERVATION,
@@ -100,25 +101,34 @@ def test_outlier_multiplier_applies_before_inflation():
 
 
 def test_campaign_rows_are_location_major():
-    locs = (PointMM(100.0, 100.0), PointMM(900.0, 1900.0))
+    # one record per location, in order, even for a location given twice
+    locs = (PointMM(100.0, 100.0), PointMM(900.0, 1900.0), PointMM(100.0, 100.0))
     campaign = Campaign(locs, 3, DEFAULT_ANCHORS, IDENTITY_NOISE)
-    rows = simulate_campaign(campaign)
-    assert [r.location for r in rows] == [locs[0]] * 3 + [locs[1]] * 3
+    records = simulate_campaign(campaign)
+    assert [r.location for r in records] == list(locs)
+    assert [r.ranges.shape for r in records] == [(3, 3)] * 3
+
+
+def test_visits_need_one_row_of_three_ranges_per_reading():
+    assert Visits(PointMM(1.0, 1.0), [[1.0, 2.0, 3.0]]).ranges.shape == (1, 3)
+    for bad in ([1.0, 2.0, 3.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="shape"):
+            Visits(PointMM(1.0, 1.0), bad)
 
 
 def test_campaign_rows_match_per_draw_streams():
     noise = NoiseConfig(seed=21)
     locs = (PointMM(100.0, 100.0), PointMM(500.0, 700.0))
-    rows = simulate_campaign(Campaign(locs, 4, DEFAULT_ANCHORS, noise))
+    records = simulate_campaign(Campaign(locs, 4, DEFAULT_ANCHORS, noise))
     anchor_points = DEFAULT_ANCHORS.as_tuple()
-    # recompute an arbitrary row completely out of order
+    # recompute an arbitrary reading completely out of order
     li, rep = 1, 2
     expected = [
         simulate_range(distance(locs[li], anchor_points[ai]), noise,
                        measurement_stream(21, li, rep, ai))
         for ai in range(3)
     ]
-    assert rows[li * 4 + rep].ranges.as_tuple() == tuple(expected)
+    assert records[li].ranges[rep].tolist() == expected
 
 
 def test_campaign_validation():
@@ -129,16 +139,19 @@ def test_campaign_validation():
 
 
 def test_measurement_file_round_trip(tmp_path):
-    rows = simulate_campaign(
-        Campaign((PointMM(100.0, 100.0),), 5, DEFAULT_ANCHORS, NoiseConfig(seed=3))
+    records = simulate_campaign(
+        Campaign((PointMM(100.0, 100.0), PointMM(700.0, 300.0)), 5, DEFAULT_ANCHORS,
+                 NoiseConfig(seed=3))
     )
     path = tmp_path / "meas.csv"
-    write_measurements(str(path), rows)
+    write_measurements(str(path), records)
+    # one row per reading, location-major
+    assert len(path.read_text().splitlines()) == 1 + 2 * 5
     back = read_measurements(str(path))
-    assert len(back) == len(rows)
-    for a, b in zip(rows, back):
+    assert len(back) == len(records)
+    for a, b in zip(records, back):
         assert a.location == b.location
-        assert a.ranges.as_tuple() == b.ranges.as_tuple()
+        assert a.ranges.tolist() == b.ranges.tolist()
 
 
 def test_read_measurements_rejects_malformed_files(tmp_path):
@@ -165,7 +178,7 @@ def test_simulation_is_reproducible():
     campaign = Campaign((PointMM(250.0, 500.0),), 10, DEFAULT_ANCHORS, NoiseConfig(seed=8))
     first = simulate_campaign(campaign)
     second = simulate_campaign(campaign)
-    assert [r.ranges.as_tuple() for r in first] == [r.ranges.as_tuple() for r in second]
+    assert [r.ranges.tolist() for r in first] == [r.ranges.tolist() for r in second]
 
 
 # -- the batched kernel against the single-draw oracle ------------------------
