@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from uwbloc import simulator
 from uwbloc.errors import FileFormatError
 from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, distance
 from uwbloc.simulator import (
@@ -230,8 +235,8 @@ def test_batch_kernel_matches_single_draw_oracle(seed, noise):
 
 def test_batch_kernel_spans_chunks():
     d, keys = _random_case(2 * DRAW_CHUNK + 3, 5)
-    noise = NoiseConfig(p_outlier=0.3, seed=9)
-    assert _same_bits(simulate_range_batch(d, keys, noise, 9), _oracle(d, keys, noise, 9))
+    for noise in (NoiseConfig(seed=9), NoiseConfig(p_outlier=0.3, seed=9)):
+        assert _same_bits(simulate_range_batch(d, keys, noise, 9), _oracle(d, keys, noise, 9))
 
 
 def test_batch_kernel_empty_batch():
@@ -260,3 +265,128 @@ def test_batch_kernel_rejects_what_the_single_draw_path_rejects():
         simulate_range_batch([5.0], np.array([(0.0, 1.0, 2.0)]), NoiseConfig(), 0)
     with pytest.raises(ValueError, match="shape|expected"):
         simulate_range_batch([5.0, 6.0], keys[:1], NoiseConfig(), 0)
+
+
+# -- the array path and the per-key path ---------------------------------------
+# simulate_range_batch computes a draw in numpy arithmetic when numpy's
+# ziggurat takes its fast path on the key's first raw output, and draws every
+# other key on a reused generator. The oracle cases above meet such a slow key
+# about once in 200, so these make sure both paths run and agree.
+
+
+def _slow_kind(seed, key):
+    """None if numpy's normal on this key's stream uses one raw output, else
+    'tail' (layer 0), 'layer1' or 'wedge' (rabs >= ki)."""
+    key = tuple(int(k) for k in key)
+    normal = measurement_stream(seed, *key)
+    normal.standard_normal()
+    raw = measurement_stream(seed, *key).bit_generator
+    layer = raw.random_raw() & 0xFF
+    if normal.bit_generator.state == raw.state:
+        return None
+    return {0: "tail", 1: "layer1"}.get(layer, "wedge")
+
+
+@pytest.fixture
+def per_key_rows(monkeypatch):
+    """Counts the rows simulate_range_batch sends down the per-key path."""
+    simulator._ziggurat_tables()  # recovered before counting
+    rows = []
+    draw_per_key = simulator._draw_per_key
+
+    def spy(state, inc, outliers):
+        rows.append(state[0].size)
+        return draw_per_key(state, inc, outliers)
+
+    monkeypatch.setattr(simulator, "_draw_per_key", spy)
+    return rows
+
+
+@pytest.fixture
+def fresh_tables():
+    """Forget the recovered tables before and after the test."""
+    simulator._ziggurat_tables.cache_clear()
+    yield
+    simulator._ziggurat_tables.cache_clear()
+
+
+SLOW_SEED = 11
+# keys in the ziggurat's tail (layer 0, rabs >= ki[0]) under SLOW_SEED: about
+# one key in 4,000 lands there, so a random batch this size may hold none
+TAIL_KEYS = [(1051586539, 226, 2), (3360535182, 157, 0), (2287284178, 319, 2)]
+
+
+@pytest.fixture(scope="module")
+def slow_case():
+    d, keys = _random_case(4096, SLOW_SEED)
+    keys[-len(TAIL_KEYS):] = TAIL_KEYS
+    kinds = [_slow_kind(SLOW_SEED, key) for key in keys]
+    return d, keys, kinds
+
+
+@pytest.mark.parametrize("noise", [NoiseConfig(), NoiseConfig(p_outlier=0.3)],
+                         ids=["default", "outlier0.3"])
+def test_batch_kernel_slow_keys_of_every_kind(slow_case, noise, per_key_rows):
+    d, keys, kinds = slow_case
+    slow = sum(k is not None for k in kinds)
+    assert {"tail", "layer1", "wedge"} <= set(kinds)
+    got = simulate_range_batch(d, keys, noise, SLOW_SEED)
+    # both paths ran, and the per-key one took exactly the slow keys
+    assert 0 < sum(per_key_rows) == slow < len(keys)
+    assert _same_bits(got, _oracle(d, keys, noise, SLOW_SEED))
+
+
+def test_most_keys_take_the_array_path(slow_case, per_key_rows):
+    d, keys, _ = slow_case
+    simulate_range_batch(d, keys, NoiseConfig(), SLOW_SEED)
+    assert sum(per_key_rows) <= 0.03 * len(keys)
+
+
+def test_ziggurat_tables_pass_their_self_check(fresh_tables):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ki, wi = simulator._ziggurat_tables()
+    assert ki.any() and wi.any()
+
+
+def test_per_key_fallback_keeps_the_bits(fresh_tables, monkeypatch, slow_case, per_key_rows):
+    # tables that cannot be recovered send every key down the per-key path
+    monkeypatch.setattr(simulator, "_recover_tables", lambda: None)
+    simulator._ziggurat_tables.cache_clear()
+    d, keys, _ = slow_case
+    d, keys = d[:300], keys[:300]
+    noise = NoiseConfig(p_outlier=0.3)
+    with pytest.warns(RuntimeWarning, match="per key"):
+        got = simulate_range_batch(d, keys, noise, SLOW_SEED)
+    assert per_key_rows[-1] == len(keys)
+    assert _same_bits(got, _oracle(d, keys, noise, SLOW_SEED))
+
+
+def test_self_check_rejects_wrong_tables(fresh_tables, monkeypatch):
+    ki, wi = simulator._recover_tables()
+    monkeypatch.setattr(simulator, "_recover_tables", lambda: (ki, np.nextafter(wi, 1.0)))
+    with pytest.warns(RuntimeWarning, match="per key"):
+        ki_used, _ = simulator._ziggurat_tables()
+    assert not ki_used.any()
+
+
+def test_batch_draws_recover_nothing_at_set_up(tmp_path):
+    # what a fresh process does before its first evaluation: load and resolve
+    # a config (overrides, or a file), no range drawn yet
+    dense = tmp_path / "dense.cfg"
+    dense.write_text("grid.spacing = 10\n", encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from uwbloc import simulator\n"
+        "from uwbloc.config import load_config\n"
+        "for path, overrides in ((None, {'calibration.kind': 'none'}), (None, {}),\n"
+        "                        (sys.argv[1], {})):\n"
+        "    cfg = load_config(path, overrides)\n"
+        "    cfg.pipeline(); cfg.anchors(); cfg.grid()\n"
+        "print(simulator._ziggurat_tables.cache_info().misses)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code, str(dense)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
