@@ -89,9 +89,9 @@ def argmax_label(probs: ClassProbabilities) -> int:
     return best_label
 
 
-#: Float64 elements of one query chunk's distance matrix in the KNN search (a chunk holds
-#: max(1, _CHUNK_ELEMENTS // n_rows) queries), rows per chunk of the tree scan, and half the
-#: slots (member rows) per batch of trees grown together, which bounds a forest build's memory.
+#: Float64 elements of one query chunk's stripe bounds and of one piece of candidate rows in the
+#: KNN search, rows per chunk of the tree scan, and half the slots (member rows) per batch of
+#: trees grown together, which bounds a forest build's memory.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -148,72 +148,162 @@ class _ProbabilisticClassifier(_Classifier):
         return self.predict_proba_batch(np.asarray([ranges.as_tuple()], dtype=float))[0]
 
 
+#: Rows per block, at most, of the KNN search's Sort-Tile-Recursive packing.
+_LEAF = 16
+
+
+def _sum_sq(term) -> np.ndarray:
+    """``(term(0)**2 + term(1)**2) + term(2)**2``, the order in which ``((x - q)**2).sum(axis=1)``
+    adds. Each ``term(f)`` is a fresh array, squared in place and freed before the next is made."""
+    total = _squared(term(0))
+    total += _squared(term(1))
+    total += _squared(term(2))
+    return total
+
+
+def _squared(a: np.ndarray) -> np.ndarray:
+    a *= a
+    return a
+
+
+def _gap(q, lo, hi) -> np.ndarray:
+    """``clamp(q, lo, hi) - q``: ``lo - q`` below a box, ``hi - q`` (exactly ``-(q - hi)``) above
+    it, 0 inside, so its square is ``max(lo - q, q - hi, 0)**2``; NaN for a NaN ``q``."""
+    g = np.maximum(q, lo)
+    np.minimum(g, hi, out=g)
+    g -= q
+    return g
+
+
+def _padded(first, end, width) -> tuple[np.ndarray, np.ndarray]:
+    """Items ``first[i] .. end[i] - 1`` as the rows of an (m, width) array, padded with ``end[i] - 1``,
+    and a mask of the items that are not padding."""
+    items = first[:, None] + np.arange(width)
+    real = items < end[:, None]
+    np.minimum(items, (end - 1)[:, None], out=items)
+    return items, real
+
+
 class KnnClassifier(_ProbabilisticClassifier):
     """Exact k-nearest-neighbor over fingerprint vectors.
 
     Neighbors are ranked by squared Euclidean distance
     ``((X[r] - q)**2).sum()``, ties by lower label, then lower row, and
     each of the k winners contributes 1/k probability mass.
+
+    The rows are packed once by Sort-Tile-Recursive (Leutenegger, Lopez &
+    Edgington, ICDE 1997): ``s = ceil((n / _LEAF) ** (1/3))`` slabs by
+    feature 0, each cut into ``s`` stripes by feature 1, each cut into ``s``
+    blocks by feature 2, with a lo/hi box per block and per stripe.
     """
 
     def __init__(self, train: TrainingSet, k: int = 1):
         if not (1 <= k <= len(train)):
             raise KOutOfRangeError(f"k={k} with {len(train)} training rows")
-        self._X = train.X
         self._y = train.y
-        # the filter's inputs; overflow here only widens the filter
-        with np.errstate(over="ignore"):
-            self._xx = (self._X ** 2).sum(axis=1)
-        self._xx_max = float(self._xx.max())
         self.k = k
+        n = len(train)
+        s = math.ceil((n / _LEAF) ** (1 / 3))
+        order, group, rank = np.arange(n), np.zeros(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        for f in range(3):  # group: the slab, then stripe, then block of each sorted position
+            rank[np.argsort(train.X[:, f])] = np.arange(n)  # ties fall either way: only the layout moves
+            order = order[np.argsort(group * n + rank[order])]
+            at = np.arange(n) - np.searchsorted(group, group)  # place in the group
+            group = group * s + at * s // np.bincount(group)[group]
+        # position p ranks _tie[p]-th by (label, row): the order of ties in d2
+        rank[np.argsort(train.y, kind="stable")] = np.arange(n)
+        self._order, self._tie = order, rank[order]
+        self._XT = train.X.T.take(order, axis=1)  # C-contiguous (3, n)
+        block = np.flatnonzero(np.diff(group, prepend=-1))
+        stripe = np.flatnonzero(np.diff(group[block] // s, prepend=-1))
+        # (3, B) and (3, S) boxes; block b holds positions _bstart[b] .. _bstart[b + 1] - 1,
+        # stripe t blocks _sfirst[t] .. _sfirst[t + 1] - 1
+        self._lo, self._hi = (u.reduceat(self._XT, block, axis=1) for u in (np.minimum, np.maximum))
+        self._slo = np.minimum.reduceat(self._lo, stripe, axis=1)
+        self._shi = np.maximum.reduceat(self._hi, stripe, axis=1)
+        self._bstart, self._sfirst = np.append(block, n), np.append(stripe, block.shape[0])
+        self._rows_max, self._blocks_max = np.diff(self._bstart).max(), np.diff(self._sfirst).max()
+        self._stripe_rows = np.diff(self._bstart[self._sfirst])
+        # each query's first upper bound comes from `_window` rows; a chunk of `_step` queries
+        # holds its stripe bounds and those rows in about _CHUNK_ELEMENTS elements
+        self._window = min(n, max(k, _LEAF))
+        self._step = max(1, _CHUNK_ELEMENTS // (stripe.shape[0] + self._window))
 
     def _neighbors_batch(self, Q: np.ndarray) -> np.ndarray:
-        """Row indices of each query's k nearest rows, in rank order: (m, k).
-
-        Two stages per chunk of queries. The expanded form
-        ``xx - 2 q.x + qq`` (one matmul) rules out every row that is
-        provably farther than the k-th nearest; the survivors are ranked by
-        the exact expression above, so the result does not depend on how
-        the matmul rounds.
-        """
-        X, y, k = self._X, self._y, self.k
-        n = X.shape[0]
-        eps = np.finfo(float).eps
-        tiny = np.finfo(float).smallest_subnormal
-        out = np.empty((Q.shape[0], k), dtype=np.int64)
-        step = max(1, _CHUNK_ELEMENTS // n)
-        for start in range(0, Q.shape[0], step):
-            q = Q[start : start + step]
-            with np.errstate(over="ignore", invalid="ignore"):
-                qq = (q ** 2).sum(axis=1)
-                approx = (-2.0 * q) @ X.T
-                approx += self._xx
-                approx += qq[:, None]
-                if k == 1:  # the k = 1 partition, at a tenth of its cost
-                    kth = approx.min(axis=1)
-                else:
-                    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
-                # Rounding bound, with u = eps/2 and S = max_r |x_r|^2 + |q|^2:
-                # xx and qq are within 3u of their true sums, the matmul within
-                # 3u of sum |q_i x_i| <= S/2 in any summation order, with or
-                # without FMA (the -2 scaling is exact), and the two additions
-                # add u each on at most 2S, so |approx - d2| <= 10u*S. The exact
-                # expression is within a relative 5u of d2 <= 2S. If row r ranks
-                # within the exact top k, one of the k rows with the smallest
-                # approx (s, with approx_s <= kth) does not rank before r, so
-                # approx_r <= d2_r + 10u*S <= d2_s + 30u*S <= kth + 40u*S, below
-                # kth + 32*eps*S. The subnormal term covers underflow, which
-                # adds at most half the smallest subnormal per operation. 8*S
-                # overflows before any intermediate can, and an inf or NaN
-                # tolerance (overflow, non-finite query) keeps every row.
-                tol = 4.0 * eps * (8.0 * (self._xx_max + qq)) + 64.0 * tiny
-            qi, rows = np.divmod(np.flatnonzero(~(approx > (kth + tol)[:, None])), n)
-            d2 = ((X[rows] - q[qi]) ** 2).sum(axis=1)
-            ranked = rows[np.lexsort((rows, y[rows], d2, qi))]
-            counts = np.bincount(qi, minlength=q.shape[0])
-            first = np.cumsum(counts) - counts
-            out[start : start + q.shape[0]] = ranked[first[:, None] + np.arange(k)]
+        """Row indices of each query's k nearest rows, in rank order: (m, k)."""
+        out = np.empty((Q.shape[0], self.k), dtype=np.int64)
+        for start in range(0, Q.shape[0], self._step):
+            out[start : start + self._step] = self._search(Q[start : start + self._step])
         return out
+
+    def _search(self, q: np.ndarray) -> np.ndarray:
+        """The k nearest rows of each query of one chunk, in rank order: (c, k).
+
+        For a row x inside a box and IEEE rounding, ``fl(x - q) >= fl(lo - q) >= 0``
+        below the box and ``fl(x - q) <= fl(hi - q) <= 0`` above it (rounding is
+        monotone), and squaring a magnitude and adding are monotone too. So a box's
+        bound, its gaps squared and summed in the order ``(f0 + f1) + f2`` that
+        every d2 here and in the ranking uses, never exceeds the d2 of a row in the
+        box. ``ub`` is the k-th smallest d2 over some k rows, hence at least the
+        k-th nearest row's: a box whose bound is ``> ub`` holds no winner, and no
+        winner has d2 ``> ub``, with no tolerance. A NaN bound or ``ub`` (a NaN or
+        infinite query) fails every ``>`` and keeps every block and row.
+        """
+        qT = q.T
+        ub, qi, st = self._stripes(qT)
+        # candidates in pieces of whole stripes, about _CHUNK_ELEMENTS rows each
+        rows = np.cumsum(self._stripe_rows[st])
+        cuts = np.searchsorted(rows, np.arange(_CHUNK_ELEMENTS, rows[-1], _CHUNK_ELEMENTS))
+        found, held = [], 0
+        for piece in zip(np.split(qi, cuts), np.split(st, cuts)):
+            found.append(self._survivors(qT, ub, *piece))
+            held += found[-1][0].shape[0]
+            if held > _CHUNK_ELEMENTS // 4:  # the merge takes about 8 arrays of the held length
+                found = [self._best(found, ub)]
+                held = found[0][0].shape[0]
+        return self._order[self._best(found, ub)[1]].reshape(q.shape[0], self.k)
+
+    def _stripes(self, qT):
+        """Each query's first ``ub``, and the (query, stripe) pairs whose bound is not above it.
+
+        ``ub`` is taken over the ``_window`` rows from the best block of the query's best stripe."""
+        XT, sfirst, k = self._XT, self._sfirst, self.k
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = _sum_sq(lambda f: _gap(qT[f][:, None], self._slo[f], self._shi[f]))
+            best = bound.argmin(axis=1)
+            blk = _padded(sfirst[best], sfirst[best + 1], self._blocks_max)[0]
+            blk_bound = _sum_sq(lambda f: _gap(qT[f][:, None], self._lo[f][blk], self._hi[f][blk]))
+            blk = np.take_along_axis(blk, blk_bound.argmin(axis=1)[:, None], axis=1)
+            win = np.minimum(self._bstart[blk], XT.shape[1] - self._window) + np.arange(self._window)
+            d2 = _sum_sq(lambda f: XT[f][win] - qT[f][:, None])
+            ub = d2.min(axis=1) if k == 1 else np.partition(d2, k - 1, axis=1)[:, k - 1]
+            return (ub, *np.nonzero(~(bound > ub[:, None])))
+
+    def _survivors(self, qT, ub, qi, st):
+        """(query, position, d2) of the rows of stripes ``st`` that may rank within ``qi``'s k best."""
+        b, keep = _padded(self._sfirst[st], self._sfirst[st + 1], self._blocks_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = _sum_sq(lambda f: _gap(qT[f][qi][:, None], self._lo[f][b], self._hi[f][b]))
+        keep &= ~(bound > ub[qi][:, None])
+        i, j = np.nonzero(keep)
+        qi, b = qi[i], b[i, j]
+        pos, keep = _padded(self._bstart[b], self._bstart[b + 1], self._rows_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = _sum_sq(lambda f: self._XT[f][pos] - qT[f][qi][:, None])
+        keep &= ~(d2 > ub[qi][:, None])
+        i, j = np.nonzero(keep)
+        return qi[i], pos[i, j], d2[i, j]
+
+    def _best(self, found, ub):
+        """The k best of ``found`` (query, position, d2) parts per query, ranked, sorted by query.
+
+        Lowers each ``ub`` with k of them to the k-th one's d2."""
+        qi, pos, d2 = (np.concatenate(a) for a in zip(*found))
+        order = np.lexsort((self._tie[pos], d2, qi))
+        qi, pos, d2 = qi[order], pos[order], d2[order]
+        rank = np.arange(qi.shape[0]) - np.searchsorted(qi, qi)
+        ub[qi[rank == self.k - 1]] = d2[rank == self.k - 1]
+        return tuple(a[rank < self.k] for a in (qi, pos, d2))
 
     def _masses(self, X: np.ndarray):
         labels = self._y[self._neighbors_batch(X)]

@@ -572,7 +572,8 @@ def read_measurements(path: str) -> list[Visits]:
             # PointMM rejects a non-finite coordinate before it can become a key
             if (x, y) not in groups:
                 groups[(x, y)] = (PointMM(x, y), [])
-            check_ranges(ranges)
+            if not all(0.0 < v < math.inf for v in ranges):  # NaN fails too
+                check_ranges(ranges)
         except ValueError as exc:
             raise FileFormatError(f"{path}:{ln}: {exc}") from exc
         groups[(x, y)][1].extend(ranges)

@@ -6,6 +6,7 @@ edge values; it must either parse the result or raise ``FileFormatError``
 """
 
 import random
+import re
 
 import pytest
 
@@ -92,3 +93,22 @@ def test_digit_separator_is_a_file_format_error(tmp_path, kind):
         fh.write("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError, match=f"{path}:{len(lines)}: .*'1_0'"):
         read(path)
+
+
+@pytest.mark.parametrize("ranges, message", [
+    ("nan,900.4,1580.9", "range must be finite, got nan"),
+    ("1675.2,inf,1580.9", "range must be finite, got inf"),
+    ("1675.2,900.4,-1", "range must be positive, got -1.0"),
+    ("0,nan,1580.9", "range must be positive, got 0.0"),  # the first bad range decides
+])
+def test_bad_range_mid_file_names_its_line(tmp_path, ranges, message):
+    path = str(tmp_path / "measurements.csv")
+    write_measurements(path, [Visits(PointMM(250.0 * i, 500.0), [[560.1, 1520.7, 905.3]])
+                              for i in range(5)])
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[3] = "750.0,500.0," + ranges
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}:4: {message}")):
+        read_measurements(path)

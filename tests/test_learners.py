@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,32 +154,70 @@ def _adversarial_cases():
                   [np.inf, -np.inf, 1.0], [np.nan, np.nan, np.nan], [1.0, 2.0, 3.0]])
     cases["non-finite-queries"] = (X, rng.integers(0, 8, size=30), Q)
     cases["empty-batch"] = (X, rng.integers(0, 8, size=30), np.empty((0, 3)))
-    budget = learners._CHUNK_ELEMENTS
-    n = budget // 2 - 100  # two queries per chunk
-    cases["partial-last-chunk"] = (
-        rng.uniform(1.0, 2500.0, size=(n, 3)), rng.integers(0, n // 4, size=n),
-        rng.uniform(1.0, 2500.0, size=(7, 3)),
-    )
-    n = budget + 3  # more rows than the budget: one query per chunk
-    cases["rows-over-budget"] = (
-        rng.uniform(1.0, 2500.0, size=(n, 3)), rng.integers(0, n // 4, size=n),
-        rng.uniform(1.0, 2500.0, size=(3, 3)),
-    )
+    X = rng.uniform(1.0, 2500.0, size=(3000, 3))
+    step = KnnClassifier(_train(X, np.zeros(3000)), k=1)._step  # queries per chunk, as for k = 4
+    Q = rng.uniform(1.0, 2500.0, size=(step + 7, 3))
+    cases["partial-last-chunk"] = (X, rng.integers(0, 750, size=3000), Q)
+    # more rows than the budget and none prunable: one query's candidates come in pieces
+    n = learners._CHUNK_ELEMENTS + 3
+    Q = SPHERE_CENTER + [[0.0, 0.0, 0.0], [0.0, 1e-9, 0.0]]
+    cases["rows-over-budget"] = (_sphere(rng, n), rng.integers(0, n // 4, size=n), Q)
+    Q = SPHERE_CENTER + [[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0]]
+    cases["sphere"] = (_sphere(rng, 400), rng.integers(0, 9, size=400), Q)
+    centers = rng.uniform(1.0, 1e6, size=(6, 3))
+    X = np.repeat(centers, 30, axis=0) + rng.normal(0.0, 10.0, size=(180, 3))
+    Q = np.vstack([centers + 1.0, (centers[:3] + centers[3:]) / 2.0])
+    cases["far-clusters"] = (X, rng.integers(0, 40, size=180), Q)
+    X = rng.uniform(1.0, 2500.0, size=(1, 3))
+    cases["one-row"] = (X, [3], np.vstack([X, rng.uniform(1.0, 2500.0, size=(4, 3))]))
+    X = rng.uniform(1.0, 2500.0, size=(5, 3))
+    cases["under-one-block"] = (X, [2, 0, 2, 1, 0], np.vstack([X, rng.uniform(1.0, 2500.0, size=(6, 3))]))
+    X = rng.uniform(1.0, 2500.0, size=(120, 3))
+    cases["k-leaf-plus-one"] = (X, rng.integers(0, 30, size=120), rng.uniform(1.0, 2500.0, size=(20, 3)))
+    X = rng.uniform(1.0, 2500.0, size=(40, 3))
+    cases["k-equals-n"] = (X, rng.integers(0, 10, size=40), rng.uniform(1.0, 2500.0, size=(20, 3)))
+    # runs of 40 equal rows, each over three blocks, with few labels: ties in d2 and label
+    X = np.repeat(rng.uniform(1.0, 2500.0, size=(4, 3)), 40, axis=0)[rng.permutation(160)]
+    cases["duplicates-across-blocks"] = (X, rng.integers(0, 3, size=160), np.vstack([X[:4], X[:4] + 0.25]))
+    # a coarse lattice puts rows on the faces of many boxes; query the block and stripe corners and faces
+    X = rng.integers(1, 9, size=(300, 3)).astype(float)
+    knn = KnnClassifier(_train(X, np.zeros(300)), k=1)
+    Q = []
+    for lo, hi in ((knn._lo, knn._hi), (knn._slo, knn._shi)):
+        for b in range(0, lo.shape[1], 3):
+            corners = np.where(np.indices((2, 2, 2)).reshape(3, -1).T == 1, hi[:, b], lo[:, b])
+            faces = np.repeat(((lo[:, b] + hi[:, b]) / 2.0)[None, :], 6, axis=0)
+            faces[np.arange(6), np.arange(6) % 3] = np.concatenate([lo[:, b], hi[:, b]])
+            Q += [corners, faces]
+    cases["box-faces-and-corners"] = (X, rng.integers(0, 12, size=300), np.vstack(Q))
     return cases
 
 
+SPHERE_CENTER = np.array([2000.0, 2000.0, 2000.0])
+
+
+def _sphere(rng, n):
+    """n rows at distance 1000 from SPHERE_CENTER; a box over some of them is never farther from
+    the center than they are, so no block prunes for a query there."""
+    u = rng.normal(size=(n, 3))
+    return SPHERE_CENTER + 1000.0 * u / np.linalg.norm(u, axis=1)[:, None]
+
+
 _ADVERSARIAL = _adversarial_cases()
+# the k of each case, when not 1 and 4
+_ADVERSARIAL_K = {"one-row": (1,), "k-leaf-plus-one": (learners._LEAF + 1,), "k-equals-n": (40,)}
 
 
-@pytest.mark.parametrize("k", [1, 4])
-@pytest.mark.parametrize("name", sorted(_ADVERSARIAL))
+@pytest.mark.parametrize("name, k", [(name, k) for name in sorted(_ADVERSARIAL)
+                                     for k in _ADVERSARIAL_K.get(name, (1, 4))])
 def test_knn_batch_search_matches_per_query_reference(name, k):
     X, y, Q = _ADVERSARIAL[name]
-    knn = KnnClassifier(_train(X, y), k=k)
-    ref = _reference_neighbors(knn._X, knn._y, Q, k)
+    train = _train(X, y)
+    knn = KnnClassifier(train, k=k)
+    ref = _reference_neighbors(train.X, train.y, Q, k)
     assert np.array_equal(knn._neighbors_batch(Q), ref)
     ref_probs = []
-    for labels in knn._y[ref]:
+    for labels in train.y[ref]:
         probs = {}
         for label in labels:
             probs[int(label)] = probs.get(int(label), 0.0) + 1.0 / k
@@ -187,6 +226,52 @@ def test_knn_batch_search_matches_per_query_reference(name, k):
     labels = knn.predict_batch(Q)
     assert labels.dtype == np.int64 and labels.shape == (Q.shape[0],)
     assert labels.tolist() == [argmax_label(p) for p in ref_probs]
+
+
+@pytest.mark.parametrize("chunk", [1, 50])
+def test_knn_search_in_small_chunks_matches_reference(monkeypatch, chunk):
+    # at 1: one query per chunk, one stripe per piece and a merge after every piece,
+    # each lowering ub to its k-th best; at 50: a few of each
+    monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", chunk)
+    for name in ("unsorted-labels", "duplicates-across-blocks", "far-clusters", "k-leaf-plus-one"):
+        X, y, Q = _ADVERSARIAL[name]
+        train = _train(X, y)
+        for k in (4, learners._LEAF + 1):
+            got = KnnClassifier(train, k=k)._neighbors_batch(Q)
+            assert np.array_equal(got, _reference_neighbors(train.X, train.y, Q, k)), (name, k)
+
+
+def test_knn_memory_stays_within_the_chunk_budget():
+    # nothing prunes around a sphere's center, so every query reaches every row; the
+    # search must still work in pieces instead of allocating queries x rows
+    rng = np.random.default_rng(79)
+    n = 20_000
+    X, y = _sphere(rng, n), rng.integers(0, 50, size=n)
+    knn = KnnClassifier(_train(X, y), k=1)
+    Q = SPHERE_CENTER + rng.normal(0.0, 1e-3, size=(64, 3))
+    tracemalloc.start()
+    try:
+        got = knn._neighbors_batch(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * learners._CHUNK_ELEMENTS * 8  # one float64 per (query, row) is 19.5x
+    assert np.array_equal(got, _reference_neighbors(X, y, Q, 1))
+
+
+def test_knn_over_the_5mm_grid_matches_the_reference():
+    # 80,000 rows: exact at a scale the benchmark does not reach; work quadratic
+    # in the rows (6.4e9 pairs) would take minutes here
+    model = CalibrationModel(
+        ModelKind.ONE, LinearRangingEq(1.0, 0.0), LinearRangingEq(1.0, 0.0), LinearRangingEq(1.0, 0.0)
+    )
+    train = TrainingSet.from_db(build_db(model, GridSpec(1000.0, 2000.0, 5.0), DEFAULT_ANCHORS))
+    assert len(train) == 80_000
+    rng = np.random.default_rng(83)
+    Q = train.X[rng.integers(0, len(train), size=50)] + rng.normal(0.0, 20.0, size=(50, 3))
+    for k in (1, 3):
+        got = KnnClassifier(train, k=k)._neighbors_batch(Q)
+        assert np.array_equal(got, _reference_neighbors(train.X, train.y, Q, k))
 
 
 def _query_shape_classifiers():
