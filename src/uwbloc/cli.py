@@ -14,6 +14,7 @@ seed, every output file is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -48,6 +49,7 @@ _RATIO_CHOICES = (1.0, 0.9, 0.85, 0.8)
 _MODEL_KINDS = tuple(ModelKind)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwbloc",

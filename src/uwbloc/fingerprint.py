@@ -42,6 +42,9 @@ DB_PREDICTION_FLOOR = 1.0
 #: Most cells a grid may have (~100 MB of fingerprints; fits the default area at 1 mm).
 MAX_GRID_CELLS = 1 << 22
 
+# Cells write_db converts to text at a time, which bounds its peak memory.
+_WRITE_CELLS = 4096
+
 
 class LabelOutOfRangeError(ValueError):
     """A cell label does not exist on this grid."""
@@ -98,11 +101,17 @@ def cell_vertex(spec: GridSpec, label: int) -> PointMM:
     return PointMM(col * spec.spacing, row * spec.spacing)
 
 
+def _grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The x of every grid column and the y of every grid row."""
+    return np.arange(spec.cols) * spec.spacing, np.arange(spec.rows) * spec.spacing
+
+
 def cell_vertices(spec: GridSpec) -> np.ndarray:
     """``cell_vertex`` of every label at once: row ``label`` of a (cell_count, 2) array."""
+    xs, ys = _grid_axes(spec)
     v = np.empty((spec.rows, spec.cols, 2))  # filled in place, to keep peak memory down
-    v[..., 0] = np.arange(spec.cols) * spec.spacing
-    v[..., 1] = np.arange(spec.rows)[:, None] * spec.spacing
+    v[..., 0] = xs
+    v[..., 1] = ys[:, None]
     return v.reshape(-1, 2)
 
 
@@ -155,12 +164,17 @@ def build_db(model: CalibrationModel, spec: GridSpec, anchors: AnchorLayout) -> 
 def write_db(path: str, db: FingerprintDB) -> None:
     """Write a DB file: grid header, then `label,x,y,fa,fb,fc` per cell."""
     s = db.spec
-    lines = [f"{s.spacing!r},{s.width!r},{s.height!r}"]
-    # row by row: converting the whole DB to Python floats at once raises peak memory
-    for label, (vertex, vector) in enumerate(zip(cell_vertices(s), db.vectors)):
-        lines.append(",".join(map(repr, [label, *vertex.tolist(), *vector.tolist()])))
+    cols = s.cols
+    # a c x r grid has only c + r distinct coordinates: format each once
+    xs, ys = ([repr(v) for v in axis.tolist()] for axis in _grid_axes(s))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{s.spacing!r},{s.width!r},{s.height!r}\n")
+        # a slice of cells at a time: converting the whole DB to Python floats
+        # and text at once raises peak memory
+        for start in range(0, len(db), _WRITE_CELLS):
+            cells = enumerate(db.vectors[start:start + _WRITE_CELLS].tolist(), start)
+            fh.write("".join(f"{label},{xs[label % cols]},{ys[label // cols]},{fa!r},{fb!r},{fc!r}\n"
+                             for label, (fa, fb, fc) in cells))
 
 
 def read_db(path: str) -> FingerprintDB:

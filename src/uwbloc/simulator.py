@@ -25,8 +25,8 @@ in numpy array arithmetic:
   wi[layer]``. The outlier coin and magnitude then come from the 2nd and 3rd
   raw outputs as ``random()`` does, ``(r >> 11) * 2**-53``;
 - the ~1.5% of keys off that fast path (the tail of layer 0, all of layer
-  1, and ``rabs >= ki``) have their seeded state set on one reused
-  generator, which draws as ``simulate_range`` does.
+  1, and ``rabs >= ki``) have their seeded state set on one generator kept
+  per process, which draws as ``simulate_range`` does.
 
 numpy does not expose ``ki`` and ``wi``. The first batch draw in a process
 (never the import) reads them off numpy's own generator: with ``inc = 1``
@@ -35,15 +35,18 @@ probe at ``rabs = 1`` gives ``wi[layer]``, and ``ki[layer]`` is the least
 ``rabs`` whose normal leaves the state more than one step on. That takes
 ~15 ms and is then checked against the per-key generator on a fixed key
 set; should the check fail, a ``RuntimeWarning`` says so and every key takes
-the per-key path, which is still bit-exact. A draw costs ~0.7 µs in chunks of
-1,024 keys (2 cores, numpy 2.4.6), against ~6 µs per key on the per-key path
-and ~35 µs through ``measurement_stream``.
+the per-key path, which is still bit-exact. A draw costs ~0.2–0.3 µs in
+chunks of 4,096 keys (2 cores, numpy 2.4.6), against ~3.5 µs per key on the
+per-key path and ~35 µs through ``measurement_stream``. A chunk's fixed cost
+is ~150 array calls, so smaller chunks cost more per draw; its working set is
+~130 bytes per key, ~0.5 MiB at 4,096.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -77,7 +80,7 @@ __all__ = [
 MIN_SIMULATED_RANGE = 1.0
 
 # Keys per chunk in simulate_range_batch, which bounds its working set.
-DRAW_CHUNK = 1024
+DRAW_CHUNK = 4096
 
 # An outlier multiplies the reading by a uniform draw from this range.
 OUTLIER_MAGNITUDE = (1.5, 3.0)
@@ -199,9 +202,10 @@ def simulate_range(true_distance: float, noise: NoiseConfig, rng: np.random.Gene
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
+_SHIFT16 = np.uint32(16)
 
 # PCG64 (pcg64.h): a 128-bit LCG stepped before each XSL-RR output; 128-bit
 # numbers are (hi, lo) pairs of uint64 arrays
@@ -228,55 +232,92 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return r ^ (r >> np.uint32(16))
+@functools.cache
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constants of ``calls`` successive ``hashmix`` calls, as a read-only column.
+
+    ``hashmix`` advances its constant on every call, so call ``j`` xors with
+    entry ``j`` and multiplies by entry ``j + 1``.
+    """
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
 
-class _HashMix:
-    """SeedSequence's ``hashmix``, whose multiplier advances on every call."""
+def _hashmix(values: np.ndarray | np.uint32, consts: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """SeedSequence's ``hashmix``, one call per row of the result on ``values`` (broadcast).
 
-    def __init__(self, init: int, mult: int) -> None:
-        self.const, self.mult = init, mult
+    ``consts`` is a slice of a ``_hash_consts`` column, one entry longer
+    than the number of calls.
+    """
+    out = np.bitwise_xor(values, consts[:-1], out=out)
+    out *= consts[1:]
+    out ^= out >> _SHIFT16
+    return out
 
-    def __call__(self, values: np.ndarray, calls: int) -> np.ndarray:
-        """``calls`` successive hashmix calls, one per row of ``values`` (broadcast)."""
-        consts = [self.const]
-        for _ in range(calls):
-            consts.append(consts[-1] * self.mult & _MASK32)
-        self.const = consts[-1]
-        consts = np.array(consts, dtype=np.uint32)[:, None]
-        values = (values ^ consts[:-1]) * consts[1:]
-        return values ^ (values >> np.uint32(16))
+
+def _mix(x: np.ndarray, y: np.ndarray) -> None:
+    """SeedSequence's ``mix(x, y)``, written into ``x``; ``y`` (broadcast) is overwritten."""
+    x *= _MIX_MULT_L
+    y *= _MIX_MULT_R
+    x -= y
+    x ^= x >> _SHIFT16
 
 
 def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """The high 64 bits of each ``a * b``, from 32-bit limbs."""
-    a0, a1 = a & _LIMB, a >> _U64(32)
+    """The high 64 bits of each ``a * b``, from 32-bit limbs, in a new array."""
     b0, b1 = b & _LIMB, b >> _U64(32)
-    lo_lo, hi_lo, lo_hi = a0 * b0, a1 * b0, a0 * b1
-    mid = (lo_lo >> _U64(32)) + (hi_lo & _LIMB) + (lo_hi & _LIMB)
-    return a1 * b1 + (hi_lo >> _U64(32)) + (lo_hi >> _U64(32)) + (mid >> _U64(32))
+    a0, a1 = a & _LIMB, a >> _U64(32)
+    carry = a0 * b0
+    carry >>= _U64(32)
+    mid = a1 * b0
+    mid += carry  # at most (2**32 - 1)**2 + 2**32 - 1: no wrap
+    np.bitwise_and(mid, _LIMB, out=carry)
+    a0 *= b1
+    a0 += carry  # likewise
+    mid >>= _U64(32)
+    a0 >>= _U64(32)
+    a1 *= b1
+    a1 += mid
+    a1 += a0
+    return a1
 
 
 def _add128(a: tuple, b: tuple) -> tuple:
-    """``a + b`` mod 2**128."""
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < a[1]), lo
+    """``a += b`` mod 2**128, in place; returns ``a``."""
+    hi, lo = a
+    lo += b[1]
+    hi += b[0]
+    hi += lo < b[1]
+    return a
 
 
 def _pcg_step(state: tuple, inc: tuple) -> tuple:
-    """``state * MULT + inc`` mod 2**128."""
+    """``state * MULT + inc`` mod 2**128, in new arrays."""
     hi, lo = state
-    product = (_mulhi64(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO, lo * _MULT_LO)
-    return _add128(product, inc)
+    new_hi = _mulhi64(lo, _MULT_LO)
+    term = lo * _MULT_HI
+    new_hi += term
+    np.multiply(hi, _MULT_LO, out=term)
+    new_hi += term
+    return _add128((new_hi, np.multiply(lo, _MULT_LO, out=term)), inc)
 
 
 def _xsl_rr(state: tuple) -> np.ndarray:
     """PCG64's output of a stepped state: ``rotr64(hi ^ lo, hi >> 58)``."""
     hi, lo = state
-    v, rot = hi ^ lo, hi >> _U64(58)
-    return (v >> rot) | (v << ((_U64(64) - rot) & _U64(63)))
+    v = hi ^ lo
+    rot = hi >> _U64(58)
+    out = v >> rot
+    np.subtract(_U64(64), rot, out=rot)
+    rot &= _U64(63)
+    v <<= rot
+    out |= v
+    return out
 
 
 def _pcg64_seeded(seed: int, keys: np.ndarray) -> tuple[tuple, tuple]:
@@ -284,35 +325,58 @@ def _pcg64_seeded(seed: int, keys: np.ndarray) -> tuple[tuple, tuple]:
 
     The keys must lie in [0, 2**32), so that each is one entropy word.
     """
-    seed_words = _uint32_words(seed)
-    entropy = np.empty((len(seed_words) + 3, keys.shape[0]), dtype=np.uint32)
-    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    entropy[len(seed_words):] = keys.T
-    # mix_entropy, one pool word per row: a source word's hashmix calls
-    # into the other pool words are all made on the same value
-    hashmix = _HashMix(_INIT_A, _MULT_A)
-    pool = hashmix(entropy[:_POOL_SIZE], _POOL_SIZE)
-    for i_src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != i_src]
-        pool[dst] = _mix(pool[dst], hashmix(pool[i_src], _POOL_SIZE - 1))
+    n = keys.shape[0]
+    entropy = [np.uint32(w) for w in _uint32_words(seed)] + list(keys.astype(np.uint32).T)
+    # mix_entropy: one hashmix call per pool word, then each pool word mixed
+    # into every other one (its calls all hash the same value), then every
+    # further entropy word mixed into each pool word: four calls per word
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    pool = np.empty((_POOL_SIZE, n), dtype=np.uint32)
+    for row, word in zip(pool, entropy):
+        row[...] = word
+    _hashmix(pool, consts[:_POOL_SIZE + 1], out=pool)
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        hashed = _hashmix(pool[src], consts[k:k + _POOL_SIZE])
+        k += _POOL_SIZE - 1
+        _mix(pool[:src], hashed[:src])
+        _mix(pool[src + 1:], hashed[src:])
     for word in entropy[_POOL_SIZE:]:
-        pool = _mix(pool, hashmix(word, _POOL_SIZE))
-    # generate_state(4, np.uint64): eight words cycling over the pool
-    words = _HashMix(_INIT_B, _MULT_B)(np.tile(pool, (2, 1)), 8).astype(np.uint64)
-    seed_hi, seed_lo, inc_hi, inc_lo = (words[j] | (words[j + 1] << _U64(32)) for j in range(0, 8, 2))
+        _mix(pool, _hashmix(word, consts[k:k + _POOL_SIZE + 1]))
+        k += _POOL_SIZE
+    del entropy
+    # generate_state(4, np.uint64): eight words cycling over the pool, then
+    # each pair of words (low first) as one uint64
+    consts = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    words = np.empty((2 * _POOL_SIZE, n), dtype=np.uint32)
+    _hashmix(pool, consts[:_POOL_SIZE + 1], out=words[:_POOL_SIZE])
+    _hashmix(pool, consts[_POOL_SIZE:], out=words[_POOL_SIZE:])
+    del pool
+    pairs = words[1::2].astype(np.uint64)
+    pairs <<= _U64(32)
+    pairs |= words[::2]
+    del words
     # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1; state = 0, step,
     # state += initstate, step; so state = (inc + initstate) * MULT + inc
-    inc = ((inc_hi << _U64(1)) | (inc_lo >> _U64(63)), (inc_lo << _U64(1)) | _U64(1))
-    return _pcg_step(_add128(inc, (seed_hi, seed_lo)), inc), inc
+    init_hi, init_lo, inc_hi, inc_lo = pairs
+    inc_hi <<= _U64(1)
+    inc_hi |= inc_lo >> _U64(63)
+    inc_lo <<= _U64(1)
+    inc_lo |= _U64(1)
+    inc = (inc_hi, inc_lo)
+    return _pcg_step(_add128((init_hi, init_lo), inc), inc), inc
 
 
-def _unit_double(r: np.ndarray) -> np.ndarray:
-    """numpy's ``next_double`` of raw outputs: ``random()`` in [0, 1)."""
-    return (r >> _U64(11)).astype(np.float64) * _DOUBLE_UNIT
+_GENERATOR_LOCK = threading.Lock()
 
 
+@functools.cache
 def _settable_generator() -> tuple[np.random.Generator, Callable[[int, int], None]]:
-    """A PCG64 generator, and a function that sets its 128-bit (state, inc)."""
+    """A PCG64 generator, and a function that sets its 128-bit (state, inc); one per process.
+
+    Every use sets the whole state first, under ``_GENERATOR_LOCK``, so no
+    use sees what an earlier one left behind.
+    """
     rng = np.random.Generator(np.random.PCG64(0))
     bit_gen = rng.bit_generator
     full = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
@@ -330,16 +394,19 @@ def _draw_per_key(state: tuple, inc: tuple, outliers: bool) -> np.ndarray:
 
     Each state is set on one reused generator, which then draws as
     ``simulate_range`` does: the standard normal, then (with ``outliers``)
-    the outlier coin and magnitude.
+    the outlier coin and the ``random()`` that ``uniform`` scales into the
+    magnitude.
     """
     rng, set_state = _settable_generator()
-    halves = (a.tolist() for a in (*state, *inc))
-    out = np.empty((state[0].size, 3 if outliers else 1))
-    for row, (sh, sl, ih, il) in enumerate(zip(*halves)):
-        set_state(sh << 64 | sl, ih << 64 | il)
-        out[row] = ((rng.standard_normal(), rng.random(), rng.uniform(*OUTLIER_MAGNITUDE))
-                    if outliers else rng.standard_normal())
-    return out
+    halves = [a.tolist() for a in (*state, *inc)]
+    draws = []
+    with _GENERATOR_LOCK:
+        for sh, sl, ih, il in zip(*halves):
+            set_state(sh << 64 | sl, ih << 64 | il)
+            draws.append(rng.standard_normal())
+            if outliers:
+                draws += (rng.random(), rng.random())
+    return np.array(draws, dtype=np.float64).reshape(len(halves[0]), 3 if outliers else 1)
 
 
 def _draw(seed: int, keys: np.ndarray, outliers: bool, tables: tuple) -> tuple:
@@ -354,18 +421,23 @@ def _draw(seed: int, keys: np.ndarray, outliers: bool, tables: tuple) -> tuple:
     stepped = _pcg_step(state, inc)
     r = _xsl_rr(stepped)
     layer = (r & _U64(_LAYERS - 1)).astype(np.intp)
-    rabs = (r >> _U64(9)) & _RABS_MASK
-    z = rabs.astype(np.float64) * wi[layer]
-    columns = [np.where((r >> _U64(8)) & _U64(1) == 1, -z, z)]
-    if outliers:
-        stepped = _pcg_step(stepped, inc)
-        columns.append(_unit_double(_xsl_rr(stepped)))
-        low, high = OUTLIER_MAGNITUDE
-        stepped = _pcg_step(stepped, inc)
-        # Generator.uniform(low, high) returns low + (high - low) * random()
-        columns.append(low + (high - low) * _unit_double(_xsl_rr(stepped)))
-    draws = np.column_stack(columns)
+    negative = (r & _U64(_LAYERS)).astype(bool)
+    r >>= _U64(9)
+    rabs = np.bitwise_and(r, _RABS_MASK, out=r)
+    draws = np.empty((keys.shape[0], 3 if outliers else 1))
+    z = draws[:, 0]
+    z[...] = rabs
+    z *= wi[layer]
+    np.negative(z, out=z, where=negative)
     fast = rabs < ki[layer]
+    del r, rabs, layer, negative
+    for column in range(1, draws.shape[1]):
+        # the outlier coin and magnitude: random() of the 2nd and 3rd outputs
+        stepped = _pcg_step(stepped, inc)
+        r = _xsl_rr(stepped)
+        r >>= _U64(11)
+        draws[:, column] = r
+        draws[:, column] *= _DOUBLE_UNIT
     slow = np.flatnonzero(~fast)
     if slow.size:
         draws[slow] = _draw_per_key(
@@ -421,18 +493,19 @@ def _recover_tables() -> tuple[np.ndarray, np.ndarray] | None:
 
     ki, wi = np.zeros(_LAYERS, dtype=np.uint64), np.zeros(_LAYERS)
     top = 1 << _RABS_BITS
-    for layer in range(_LAYERS):
-        z, fast = probe(layer, 1)
-        if not fast:
-            # a layer whose fast path is at most rabs == 0, where z is ±0.0 for any wi
-            ki[layer] = int(probe(layer, 0)[1])
-            continue
-        wi[layer] = z
-        # Marsaglia & Tsang: ki[i] = floor(2**52 * x[i-1] / x[i]), wi[i] = x[i] / 2**52
-        guess = None
-        if layer >= 2 and wi[layer - 1] > 0.0:
-            guess = int(wi[layer - 1] / wi[layer] * top)
-        ki[layer] = _least_slow(lambda v: probe(layer, v)[1], 1, top, guess)
+    with _GENERATOR_LOCK:
+        for layer in range(_LAYERS):
+            z, fast = probe(layer, 1)
+            if not fast:
+                # a layer whose fast path is at most rabs == 0, where z is ±0.0 for any wi
+                ki[layer] = int(probe(layer, 0)[1])
+                continue
+            wi[layer] = z
+            # Marsaglia & Tsang: ki[i] = floor(2**52 * x[i-1] / x[i]), wi[i] = x[i] / 2**52
+            guess = None
+            if layer >= 2 and wi[layer - 1] > 0.0:
+                guess = int(wi[layer - 1] / wi[layer] * top)
+            ki[layer] = _least_slow(lambda v: probe(layer, v)[1], 1, top, guess)
     return (ki, wi) if wi.any() else None
 
 
@@ -487,27 +560,40 @@ def simulate_range_batch(
         v = float(d[np.argmax(bad)])
         raise ValueError(f"true distance must be finite and >= 0, got {v}")
     out = np.empty(d.size)
+    outliers = noise.p_outlier > 0.0
+    tables = _ziggurat_tables() if d.size else None  # an empty batch recovers nothing
     for start in range(0, d.size, DRAW_CHUNK):
-        chunk = slice(start, min(start + DRAW_CHUNK, d.size))
-        draws, _ = _draw(seed, keys[chunk], noise.p_outlier > 0.0, _ziggurat_tables())
-        out[chunk] = _noisy_reading(d[chunk], draws, noise)
+        chunk = slice(start, start + DRAW_CHUNK)
+        draws, _ = _draw(seed, keys[chunk], outliers, tables)
+        _noisy_reading(d[chunk], draws, noise, out[chunk])
     return out
 
 
-def _noisy_reading(d: np.ndarray, draws: np.ndarray, noise: NoiseConfig) -> np.ndarray:
-    """simulate_range's arithmetic on arrays, in its operation order.
+def _noisy_reading(d: np.ndarray, draws: np.ndarray, noise: NoiseConfig, out: np.ndarray) -> None:
+    """simulate_range's arithmetic on arrays, in its operation order, written into ``out``.
 
     ``draws`` holds one row per distance: the standard normal, then (only
-    when ``p_outlier`` > 0) the outlier coin and magnitude.
+    when ``p_outlier`` > 0) the outlier coin and the ``random()`` of the
+    magnitude; it is overwritten.
     """
     # an overflow gives inf silently, as in simulate_range; callers reject it
     with np.errstate(over="ignore"):
+        np.multiply(d, noise.slope, out=out)
+        out += noise.offset
         # Generator.normal(0, sigma) returns 0 + sigma * z
-        base = noise.slope * d + noise.offset + (0.0 + noise.sigma * draws[:, 0])
+        z = draws[:, 0]
+        z *= noise.sigma
+        z += 0.0
+        out += z
         if noise.p_outlier > 0.0:
-            base = np.where(draws[:, 1] < noise.p_outlier, base * draws[:, 2], base)
-        base = np.where(base > noise.inflation_threshold, base * noise.inflation_factor, base)
-    return np.maximum(base, MIN_SIMULATED_RANGE)
+            # Generator.uniform(low, high) returns low + (high - low) * random()
+            low, high = OUTLIER_MAGNITUDE
+            magnitude = draws[:, 2]
+            magnitude *= high - low
+            magnitude += low
+            np.multiply(out, magnitude, out=out, where=draws[:, 1] < noise.p_outlier)
+        np.multiply(out, noise.inflation_factor, out=out, where=out > noise.inflation_threshold)
+    np.maximum(out, MIN_SIMULATED_RANGE, out=out)
 
 
 def simulate_visits(
@@ -547,7 +633,8 @@ def write_measurements(path: str, records: list[Visits]) -> None:
     lines = [MEASUREMENT_HEADER]
     for rec in records:
         x, y = rec.location.as_tuple()
-        lines += (f"{x!r},{y!r},{da!r},{db!r},{dc!r}" for da, db, dc in rec.ranges.tolist())
+        prefix = f"{x!r},{y!r},"
+        lines += (f"{prefix}{da!r},{db!r},{dc!r}" for da, db, dc in rec.ranges.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

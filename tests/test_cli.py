@@ -5,6 +5,9 @@ code instead of raising SystemExit, so assertions stay plain.
 """
 
 import importlib.resources
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +48,28 @@ def coarse_cfg(tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out
+
+
+def test_reused_parser_behaves_as_a_fresh_one(tmp_path, coarse_cfg, capsys, monkeypatch):
+    # main builds its parser once per process: a usage error, then --help, then
+    # a valid command must each print, exit and write what a fresh process does
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal
+    commands = (["evaluate", "--model", "five"], ["--help"],
+                ["evaluate", "--config", str(coarse_cfg), "--model", "none", "--out", "{}"])
+    in_process = []
+    for argv in commands:
+        rc = main([a.format(tmp_path / "in_process.csv") for a in argv])
+        in_process.append((rc, *capsys.readouterr()))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    fresh = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "uwbloc.cli",
+                               *(a.format(tmp_path / "fresh.csv") for a in argv)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [rc for rc, _, _ in in_process] == [2, 0, 0]
+    assert in_process == fresh
+    assert (tmp_path / "in_process.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_evaluate_ml_writes_report_with_config_echo(tmp_path, coarse_cfg):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uwbloc import fingerprint
 from uwbloc.calibration import CalibrationModel, LinearRangingEq, ModelKind
 from uwbloc.errors import FileFormatError
 from uwbloc.fingerprint import (
@@ -126,6 +127,20 @@ def test_db_file_round_trip(tmp_path):
     back = read_db(str(path))
     assert back.spec == spec
     assert np.array_equal(back.vectors, db.vectors)
+
+
+def test_db_file_bytes_across_write_slices(tmp_path, monkeypatch):
+    # 3 x 5 cells written 4 at a time: slices end mid-row and on the last cell;
+    # the reference formats every cell's label, vertex and fingerprint in turn
+    spec = GridSpec(0.3, 0.5, 0.1)
+    db = build_db(IDENTITY_MODEL, spec, DEFAULT_ANCHORS)
+    lines = [f"{spec.spacing!r},{spec.width!r},{spec.height!r}"]
+    for label, (vertex, vector) in enumerate(zip(cell_vertices(spec), db.vectors)):
+        lines.append(",".join(map(repr, [label, *vertex.tolist(), *vector.tolist()])))
+    monkeypatch.setattr(fingerprint, "_WRITE_CELLS", 4)
+    path = tmp_path / "db.csv"
+    write_db(str(path), db)
+    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 def test_read_db_rejects_malformed_files(tmp_path):

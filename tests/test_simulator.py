@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -191,7 +192,8 @@ def test_simulation_is_reproducible():
 # digests they hold on every numpy version: a change to numpy's seeding fails
 # here instead of silently changing every stream.
 
-KERNEL_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)  # one- and two-word entropy
+# one- and two-word entropy, and five words: more seed words than SeedSequence's pool holds
+KERNEL_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 5)
 KERNEL_NOISES = {
     "default": NoiseConfig(),
     "outlier0.3": NoiseConfig(p_outlier=0.3),
@@ -237,6 +239,34 @@ def test_batch_kernel_spans_chunks():
     d, keys = _random_case(2 * DRAW_CHUNK + 3, 5)
     for noise in (NoiseConfig(seed=9), NoiseConfig(p_outlier=0.3, seed=9)):
         assert _same_bits(simulate_range_batch(d, keys, noise, 9), _oracle(d, keys, noise, 9))
+    # what every pipeline passes: a derived (two-word) seed, and simulate_visits'
+    # (location, rep, anchor) keys, here over two chunks and part of a third
+    seed = derive_seed(4, STAGE_TRIALS)
+    assert seed > 2**32
+    xy = np.array([(100.0, 250.0), (900.0, 1750.0), (0.0, 0.0)])
+    reps = (2 * DRAW_CHUNK + 5) // 9 + 1
+    keys = np.array([(i, rep, j) for i in range(len(xy)) for rep in range(reps) for j in range(3)])
+    d = np.array([distance(PointMM(*xy[i]), DEFAULT_ANCHORS.as_tuple()[j]) for i, _, j in keys])
+    for noise in (NoiseConfig(), NoiseConfig(p_outlier=0.3)):
+        got = simulator.simulate_visits(xy, DEFAULT_ANCHORS, reps, noise, seed)
+        assert _same_bits(got.ravel(), _oracle(d, keys, noise, seed))
+
+
+def test_batch_draw_peak_memory_is_bounded():
+    # one 7,200-key call (6 points x 400 reps, as a default evaluation draws):
+    # the chunked kernel keeps its working set to a few hundred KiB
+    xy = [(250.0, 500.0), (750.0, 500.0), (250.0, 1000.0), (750.0, 1000.0),
+          (250.0, 1500.0), (750.0, 1500.0)]
+    seed = derive_seed(0, STAGE_TRIALS)
+    for noise in (NoiseConfig(), NoiseConfig(p_outlier=0.3)):
+        simulator.simulate_visits(xy, DEFAULT_ANCHORS, 400, noise, seed)  # lazy set-up first
+        tracemalloc.start()
+        try:
+            simulator.simulate_visits(xy, DEFAULT_ANCHORS, 400, noise, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 2**20
 
 
 def test_batch_kernel_empty_batch():
@@ -368,6 +398,28 @@ def test_self_check_rejects_wrong_tables(fresh_tables, monkeypatch):
     with pytest.warns(RuntimeWarning, match="per key"):
         ki_used, _ = simulator._ziggurat_tables()
     assert not ki_used.any()
+
+
+def test_reused_generator_keeps_no_state(fresh_tables, slow_case):
+    # every slow key sets the whole state of one shared generator: draws A, B, A
+    # give A's bits both times, and recovering the tables afterwards, on that
+    # same generator, still passes the self-check
+    d, keys, kinds = slow_case
+    slow = [i for i, kind in enumerate(kinds) if kind is not None]
+    a, b = keys[slow[::2]], keys[slow[1::2]]
+    first = simulator._draw_per_key(*simulator._pcg64_seeded(SLOW_SEED, a), True)
+    simulator._draw_per_key(*simulator._pcg64_seeded(SLOW_SEED + 1, b), False)
+    again = simulator._draw_per_key(*simulator._pcg64_seeded(SLOW_SEED, a), True)
+    assert _same_bits(first, again)
+    noise = NoiseConfig(p_outlier=0.3)
+    want = _oracle(d[:300], keys[:300], noise, SLOW_SEED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _same_bits(simulate_range_batch(d[:300], keys[:300], noise, SLOW_SEED), want)
+        simulator._ziggurat_tables.cache_clear()
+        ki, wi = simulator._ziggurat_tables()
+        assert ki.any() and wi.any()
+        assert _same_bits(simulate_range_batch(d[:300], keys[:300], noise, SLOW_SEED), want)
 
 
 def test_batch_draws_recover_nothing_at_set_up(tmp_path):
