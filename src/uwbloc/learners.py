@@ -90,8 +90,8 @@ def argmax_label(probs: ClassProbabilities) -> int:
 
 
 #: Float64 elements of one query chunk's stripe bounds and of one piece of candidate rows in the
-#: KNN search, rows per chunk of the tree scan, and half the slots (member rows) per batch of
-#: trees grown together, which bounds a forest build's memory.
+#: KNN search, rows per chunk of the tree scan, and half the slots (a member's distinct rows) per
+#: batch of trees grown together, which bounds a forest build's memory.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -317,37 +317,47 @@ def _guarded_threshold(lo, hi):
     return np.where(thr >= hi, lo, thr)
 
 
-def _best_splits(A, XT, code, n_labels, use, start, seg_size, min_leaf):
+def _best_splits(A, XT, code, weight, n_labels, distinct, use, start, seg_size, seg_weight, min_leaf):
     """Each segment's best split: its feature, whether it has one, and its first right-hand slot.
 
-    Per (feature, segment) pair in ``use``, row j adds 2*occ + 1 to a side's sum of squared class
-    counts; occ counts the earlier (left) or later (right) rows of its label in the segment."""
+    Per (feature, segment) pair in ``use``, a slot of weight w adds 2*occ*w + w*w to a side's sum
+    of squared class weights; occ is the weight of the earlier (left) or later (right) slots of its
+    label in the segment. With ``distinct`` labels occ is 0 and no slot is sorted by label."""
     best, hit = np.full(use.shape, np.inf), np.zeros(use.shape, dtype=np.int64)
     pairs = np.transpose(np.nonzero(use))
     rows = np.cumsum(seg_size[pairs[:, 1]])  # in chunks of whole pairs, about _CHUNK_ELEMENTS rows each
     cuts = np.searchsorted(rows, np.arange(_CHUNK_ELEMENTS, rows[-1:].sum(), _CHUNK_ELEMENTS))
-    for uf, us in (chunk.T for chunk in np.split(pairs, cuts)):
+    for uf, us in (chunk.T for chunk in np.split(pairs, cuts) if chunk.size):
         size = seg_size[us]
         fstart = np.cumsum(size) - size
         fseg = np.repeat(np.arange(uf.shape[0]), size)
         r = np.arange(fseg.shape[0]) - fstart[fseg]
         row = uf[fseg]
         slots = A.ravel()[row * A.shape[1] + start[us][fseg] + r]
-        key = fseg * n_labels + code[slots]
-        order = np.argsort(key, kind="stable")  # by pair and label, then value
-        key = key[order]
-        heads = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
-        runs = np.diff(np.append(heads, key.shape[0]))
-        inc = np.empty((2, key.shape[0]), dtype=np.int64)
-        inc[0, order] = 2 * (np.arange(key.shape[0]) - np.repeat(heads, runs)) + 1
-        inc[1, order] = 2 * np.repeat(runs, runs) - inc[0, order]
-        cum = np.cumsum(inc, axis=1)
-        left_sumsq = cum[0] - inc[0] - (cum[0] - inc[0])[fstart][fseg]
-        right_sumsq = cum[1, fstart + size - 1][fseg] - cum[1] + inc[1]
+        w = weight[slots]
+        if distinct:
+            inc_l = inc_r = w * w
+        else:
+            key = fseg * n_labels + code[slots]
+            order = np.argsort(key, kind="stable")  # by pair and label, then value
+            key, wo = key[order], w[order]
+            heads = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+            runs = np.diff(np.append(heads, key.shape[0]))
+            cw = np.cumsum(wo) - wo
+            inc_l, inc_r = np.empty((2, key.shape[0]), dtype=np.int64)
+            inc_l[order] = (2 * (cw - np.repeat(cw[heads], runs)) + wo) * wo
+            inc_r[order] = 2 * np.repeat(np.add.reduceat(wo, heads), runs) * wo - inc_l[order]
+        cum_l = np.cumsum(inc_l)
+        cum_r = cum_l if distinct else np.cumsum(inc_r)
+        left_sumsq = cum_l - inc_l - (cum_l - inc_l)[fstart][fseg]
+        right_sumsq = cum_r[fstart + size - 1][fseg] - cum_r + inc_r
+        nl = np.cumsum(w) - w
+        nl -= nl[fstart][fseg]
+        n = seg_weight[us][fseg]
         v = XT.ravel()[row * XT.shape[1] + slots]
-        c = np.flatnonzero((r >= min_leaf) & (size[fseg] - r >= min_leaf) & (v != np.roll(v, 1)))
-        nl, n = r[c].astype(float), size[fseg[c]]
-        imp = np.full(key.shape[0], np.inf)
+        c = np.flatnonzero((nl >= min_leaf) & (n - nl >= min_leaf) & (v != np.roll(v, 1)))
+        nl, n = nl[c].astype(float), n[c]
+        imp = np.full(slots.shape[0], np.inf)
         imp[c] = 1.0 - (left_sumsq[c] / nl + right_sumsq[c] / (n - nl)) / n
         # first minimum within a feature, lower feature on ties across features
         best[uf, us] = np.minimum.reduceat(imp, fstart)
@@ -365,31 +375,37 @@ class _Trees(_ProbabilisticClassifier):
     ``_left[i]`` and ``_left[i] + 1``; a leaf's entries are ``_labels/_probs[_offset[i] :
     _offset[i + 1]]``. Member i's root is node ``_root[i]``."""
 
-    def _grow(self, train, rows, rngs, features_per_split, max_depth, min_leaf) -> None:
-        """Grow member i on ``train[rows[i]]``, in batches of about ``2 * _CHUNK_ELEMENTS`` slots."""
+    def _grow(self, train, members, rngs, features_per_split, max_depth, min_leaf) -> None:
+        """Grow member i on its (distinct rows, integer weights) ``members[i]``, in batches of about
+        ``2 * _CHUNK_ELEMENTS`` slots."""
         if max_depth is not None and max_depth < 1:
             raise ValueError(f"max_depth must be >= 1 or None, got {max_depth}")
         if min_leaf < 1:
             raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
-        parts, start = [], np.cumsum([0] + [r.shape[0] for r in rows])[:-1]
-        bounds = np.unique(start // (2 * _CHUNK_ELEMENTS), return_index=True)[1].tolist() + [len(rows)]
+        parts, start = [], np.cumsum([0] + [r.shape[0] for r, _ in members])[:-1]
+        bounds = np.unique(start // (2 * _CHUNK_ELEMENTS), return_index=True)[1].tolist() + [len(members)]
         for a, b in zip(bounds[:-1], bounds[1:]):
-            parts.append(self._grow_batch(train, rows[a:b], rngs[a:b], features_per_split,
+            parts.append(self._grow_batch(train, members[a:b], rngs[a:b], features_per_split,
                                           max_depth or math.inf, min_leaf, sum(p[0].shape[0] for p in parts)))
         self._feature, self._left, self._labels, self._probs, entries, self._run, run_key, self._root = (
             np.concatenate(p) for p in zip(*parts))
         self._offset, self._run_key = np.append(0, np.cumsum(entries)), np.append(run_key, np.inf)
 
     @staticmethod
-    def _grow_batch(train, rows, rngs, features_per_split, cap, min_leaf, first_id):
+    def _grow_batch(train, members, rngs, features_per_split, cap, min_leaf, first_id):
         """Grow a batch of members in one loop and return its tables, node ids counted from ``first_id``.
 
-        Open nodes are segments of one layout of slots; ``A[f]`` holds each segment's slots sorted by
-        feature f, and a split partitions the three rows stably. Under 3 features per split, member i
-        draws the subsets of a depth's split attempts in one ``rngs[i]`` call."""
-        slot_row, (label_values, codes) = np.concatenate(rows), np.unique(train.y, return_inverse=True)
+        A slot is one distinct row of a member, with its integer weight; sizes, ``min_leaf`` and leaf
+        frequencies count weight. Open nodes are segments of one layout of slots; ``A[f]`` holds each
+        segment's slots sorted by feature f, and a split partitions the three rows stably. Under 3
+        features per split, member i draws the subsets of a depth's split attempts in one ``rngs[i]``
+        call."""
+        slot_row, weight = (np.concatenate(a) for a in zip(*members))
+        seg_size = np.array([r.shape[0] for r, _ in members])
+        label_values, codes = np.unique(train.y, return_inverse=True)
         XT, code, n_labels = np.ascontiguousarray(train.X[slot_row].T), codes[slot_row], label_values.shape[0]
-        n_slots, n_members, seg_size = slot_row.shape[0], len(rows), np.array([r.shape[0] for r in rows])
+        n_slots, n_members = slot_row.shape[0], len(members)
+        distinct = n_labels == len(train)  # no label repeats, so no segment holds a label twice
         rank = np.argsort(np.argsort(train.X, axis=0, kind="stable"), axis=0)[slot_row].T
         A = np.argsort(rank + np.repeat(np.arange(n_members) * len(train), seg_size), axis=1)
         feature, left = np.full((2, 2 * n_slots), -1, dtype=np.int64)
@@ -400,10 +416,11 @@ class _Trees(_ProbabilisticClassifier):
         while nodes.shape[0]:
             start = np.cumsum(seg_size) - seg_size
             seg = np.repeat(np.arange(nodes.shape[0]), seg_size)
-            lab = code[A[0]]
+            lab, seg_weight = code[A[0]], np.add.reduceat(weight[A[0]], start)
             pure = np.minimum.reduceat(lab, start) == np.maximum.reduceat(lab, start)
-            leaf = pure | (seg_size < 2 * min_leaf) | (depth >= cap)
-            peel = ~leaf & (min_leaf == 1 and features_per_split == 3)
+            leaf = pure | (seg_weight < 2 * min_leaf) | (depth >= cap)
+            # unit weights only: a slot of weight 2 or more repeats its label
+            peel = ~leaf & (seg_weight == seg_size) & (min_leaf == 1 and features_per_split == 3)
             if peel.any():
                 key = np.sort((seg * n_labels + lab)[peel[seg]])  # all labels distinct, or no peel
                 peel[key[1:][key[1:] == key[:-1]] // n_labels] = False
@@ -413,7 +430,8 @@ class _Trees(_ProbabilisticClassifier):
                 counts = np.bincount(seg_member[att], minlength=n_members)
                 draws = np.concatenate([rng.random((c, 3)) for rng, c in zip(rngs, counts.tolist())])
                 use[:, att] = (np.argsort(np.argsort(draws, axis=1), axis=1) < features_per_split).T
-            f, split, at = _best_splits(A, XT, code, n_labels, use, start, seg_size, min_leaf)
+            f, split, at = _best_splits(A, XT, code, weight, n_labels, distinct, use, start, seg_size,
+                                        seg_weight, min_leaf)
             leaf_of[A[0][~split[seg]]] = nodes[seg[~split[seg]]]  # peeled slots get their leaves next
             if peel.any():
                 next_id = _Trees._peel(XT, A[0][peel[seg]], seg_size[peel], nodes[peel],
@@ -431,10 +449,11 @@ class _Trees(_ProbabilisticClassifier):
             nodes, seg_member = np.concatenate([kids, kids + 1]), np.tile(seg_member[split], 2)
             seg_size = np.concatenate([at - start[split], seg_size[split] - at + start[split]])
             next_id, depth = next_id + 2 * kids.shape[0], depth + 1
-        # leaf entries: one per (leaf, label), sorted by leaf, then label
-        entries, counts = np.unique(leaf_of * n_labels + code, return_counts=True)
+        # leaf entries: one per (leaf, label), sorted by leaf, then label; the weights are integers, so
+        # each frequency is the same double as a ratio of row counts
+        entries, entry_of = np.unique(leaf_of * n_labels + code, return_inverse=True)
         leaf, labels = entries // n_labels, label_values[entries % n_labels]
-        probs = counts / np.bincount(leaf_of, minlength=next_id)[leaf]
+        probs = np.bincount(entry_of, weights=weight) / np.bincount(leaf_of, weight, next_id)[leaf]
         # a run of right children splitting on their parent's feature has rising thresholds: sorted by
         # (run head, threshold), the internal nodes let one binary search find where a query leaves it
         inner = np.flatnonzero(feature[:next_id] >= 0)
@@ -522,7 +541,8 @@ class TreeClassifier(_Trees):
     """One CART tree over every training row and all three features per split."""
 
     def __init__(self, train: TrainingSet, max_depth: int | None = None, min_leaf: int = 1):
-        self._grow(train, [np.arange(len(train))], [None], 3, max_depth, min_leaf)
+        self._grow(train, [(np.arange(len(train)), np.ones(len(train), dtype=np.int64))], [None], 3,
+                   max_depth, min_leaf)
 
 
 class ForestClassifier(_Trees):
@@ -530,7 +550,8 @@ class ForestClassifier(_Trees):
 
     Member i trains on a same-size bootstrap resample (unless ``bootstrap`` is off) drawn from a
     generator seeded with ``seed + i``, which then draws its feature subsets, one call per depth.
-    The ensemble probability is the member-order sum over ``n_trees``."""
+    The resample is kept as its distinct rows, each weighted by how often it was drawn. The ensemble
+    probability is the member-order sum over ``n_trees``."""
 
     def __init__(self, train: TrainingSet, n_trees: int = 100, features_per_split: int = 1,
                  max_depth: int | None = None, min_leaf: int = 1, seed: int = 0, bootstrap: bool = True):
@@ -541,8 +562,10 @@ class ForestClassifier(_Trees):
         self.n_trees = n_trees
         rngs = [np.random.default_rng(seed + i) for i in range(n_trees)]
         n = len(train)
-        rows = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs]
-        self._grow(train, rows, rngs, features_per_split, max_depth, min_leaf)
+        counts = (np.bincount(rng.integers(0, n, size=n), minlength=n) if bootstrap
+                  else np.ones(n, dtype=np.int64) for rng in rngs)
+        members = [(np.flatnonzero(c), c[c > 0]) for c in counts]
+        self._grow(train, members, rngs, features_per_split, max_depth, min_leaf)
 
 
 @dataclass(frozen=True)

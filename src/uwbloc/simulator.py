@@ -326,7 +326,7 @@ def _pcg64_seeded(seed: int, keys: np.ndarray) -> tuple[tuple, tuple]:
     The keys must lie in [0, 2**32), so that each is one entropy word.
     """
     n = keys.shape[0]
-    entropy = [np.uint32(w) for w in _uint32_words(seed)] + list(keys.astype(np.uint32).T)
+    entropy = [np.uint32(w) for w in _uint32_words(seed)] + list(keys.astype(np.uint32, copy=False).T)
     # mix_entropy: one hashmix call per pool word, then each pool word mixed
     # into every other one (its calls all hash the same value), then every
     # further entropy word mixed into each pool word: four calls per word
@@ -608,7 +608,7 @@ def simulate_visits(
     xy = np.asarray(locations, dtype=float).reshape(-1, 2)
     m = xy.shape[0]
     true_d = np.array([distances(xy, a) for a in anchors.as_tuple()]).reshape(3, m).T
-    keys = np.empty((m, reps, 3, 3), dtype=np.int64)
+    keys = np.empty((m, reps, 3, 3), dtype=np.uint32)  # one entropy word each, as the draw needs
     keys[..., 0] = np.arange(m)[:, None, None]
     keys[..., 1] = np.arange(reps)[:, None]
     keys[..., 2] = np.arange(3)

@@ -469,6 +469,13 @@ def _tree_problems():
 _TREE_PROBLEMS = _tree_problems()
 
 
+def _probe_queries(X):
+    """The rows, the midpoints of consecutive rows, random points in their box, and rows with a NaN."""
+    rng = np.random.default_rng(len(X))
+    Q = np.vstack([X, (X[:-1] + X[1:]) / 2.0, rng.uniform(X.min(), X.max(), size=(30, 3))])
+    return np.vstack([Q, np.where(np.eye(3, dtype=bool), np.nan, X[:3])])  # NaN goes right at every split
+
+
 @pytest.mark.parametrize("max_depth", [None, 1, 3])
 @pytest.mark.parametrize("min_leaf", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(_TREE_PROBLEMS))
@@ -478,9 +485,7 @@ def test_tree_matches_reference_builder(name, min_leaf, max_depth):
     ref = _reference_tree(X, y, max_depth, min_leaf)
     assert tree.node_count == len(ref)
     assert _splits(tree) == _reference_splits(ref)
-    rng = np.random.default_rng(len(X))
-    Q = np.vstack([X, (X[:-1] + X[1:]) / 2.0, rng.uniform(X.min(), X.max(), size=(30, 3))])
-    Q = np.vstack([Q, np.where(np.eye(3, dtype=bool), np.nan, X[:3])])  # NaN goes right at every split
+    Q = _probe_queries(X)
     probs = _reference_proba(ref, Q)
     assert tree.predict_proba_batch(Q) == probs
     assert tree.predict_batch(Q).tolist() == [argmax_label(p) for p in probs]
@@ -495,13 +500,20 @@ def _member_probs(clf, Q):
     return out
 
 
-def test_forest_members_match_reference_builder_on_their_bootstraps():
-    # with every feature per split nothing is drawn after the bootstrap, so
-    # member i is the reference tree on default_rng(seed + i)'s resample
-    X, y = _TREE_PROBLEMS["repeated-labels"]
-    forest = ForestClassifier(_train(X, y), n_trees=4, features_per_split=3, seed=9, min_leaf=2)
-    Q = np.vstack([X, np.random.default_rng(3).uniform(1.0, 2500.0, size=(20, 3))])
-    refs = [_reference_tree(X[idx], y[idx], min_leaf=2) for idx in
+@pytest.mark.parametrize("max_depth", [None, 3])
+@pytest.mark.parametrize("min_leaf", [1, 2, 3])
+@pytest.mark.parametrize("name", ["distinct-labels", "distinct-labels-coarse", "repeated-labels",
+                                  "duplicate-rows"])
+def test_forest_members_match_reference_builder_on_their_bootstraps(name, min_leaf, max_depth):
+    # with every feature per split nothing is drawn after the bootstrap, so member i is
+    # the reference tree on default_rng(seed + i)'s resample with its rows duplicated;
+    # the forest weights each distinct row instead (labels never repeat in the first
+    # two problems, so their scan sorts no labels)
+    X, y = _TREE_PROBLEMS[name]
+    forest = ForestClassifier(_train(X, y), n_trees=4, features_per_split=3, seed=9,
+                              max_depth=max_depth, min_leaf=min_leaf)
+    Q = _probe_queries(X)
+    refs = [_reference_tree(X[idx], y[idx], max_depth, min_leaf) for idx in
             (np.random.default_rng(9 + i).integers(0, len(X), size=len(X)) for i in range(4))]
     assert _member_probs(forest, Q) == [_reference_proba(ref, Q) for ref in refs]
     assert forest.node_count == sum(len(ref) for ref in refs)
@@ -537,17 +549,24 @@ def test_tree_scan_in_chunks_matches_one_chunk(monkeypatch, chunk):
 
 
 def test_forest_grows_members_in_batches_of_bounded_slots(monkeypatch):
+    # a slot is one distinct row of a member, weighted by its count in the bootstrap;
     # a batch takes the members that start within one span of 2 * _CHUNK_ELEMENTS
     # slots, so a forest's working memory does not grow with n_trees
     slots, grow = [], learners._Trees._grow_batch
-    def spy(train, rows, *args):
-        slots.append(sum(r.shape[0] for r in rows))
-        return grow(train, rows, *args)
+    def spy(train, members, *args):
+        for rows, weight in members:
+            assert np.unique(rows).shape == rows.shape and weight.min() >= 1 and weight.sum() == len(train)
+        slots.append(sum(rows.shape[0] for rows, _ in members))
+        return grow(train, members, *args)
     monkeypatch.setattr(learners._Trees, "_grow_batch", staticmethod(spy))
     monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", 50)
     rng = np.random.default_rng(8)
     ForestClassifier(_train(rng.uniform(1.0, 100.0, size=(40, 3)), rng.integers(0, 5, size=40)), n_trees=7)
-    assert slots == [120, 80, 80]  # members start at slots 0, 40, ..., 240
+    distinct = [np.count_nonzero(np.bincount(np.random.default_rng(i).integers(0, 40, size=40)))
+                for i in range(7)]
+    first = np.cumsum([0] + distinct[:-1]) // 100
+    assert slots == [sum(d for d, b in zip(distinct, first) if b == batch) for batch in np.unique(first)]
+    assert len(slots) > 1 and sum(slots) < 7 * 40
 
 
 def test_tree_over_the_10mm_grid_recovers_every_training_label():
