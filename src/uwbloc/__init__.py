@@ -70,7 +70,6 @@ from .learners import (
     TrainingSet,
     TreeClassifier,
     VoteWeights,
-    soft_vote,
 )
 from .preprocess import CorrectionPolicy, correct_range, correct_triple, mad_filter, mad_keep_mask
 from .simulator import (

@@ -277,7 +277,9 @@ def _build_classifier(cfg: PipelineConfig, train: TrainingSet):
             bootstrap=cfg.forest_bootstrap,
         )
     knn = KnnClassifier(train, cfg.knn_k)
-    tree = TreeClassifier(train, cfg.tree_max_depth, cfg.tree_min_leaf)
+    tree = None
+    if cfg.vote_weights.tree_can_decide(knn.k):
+        tree = TreeClassifier(train, cfg.tree_max_depth, cfg.tree_min_leaf)
     return SoftVoteClassifier(knn, tree, cfg.vote_weights)
 
 

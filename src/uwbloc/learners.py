@@ -25,8 +25,6 @@ __all__ = [
     "TreeClassifier",
     "ForestClassifier",
     "SoftVoteClassifier",
-    "argmax_label",
-    "soft_vote",
 ]
 
 ClassProbabilities = dict[int, float]
@@ -74,19 +72,6 @@ class TrainingSet:
     def from_db(cls, db: FingerprintDB) -> "TrainingSet":
         """Each DB cell becomes one training row labeled with itself."""
         return cls(db.vectors, np.arange(len(db), dtype=np.int64), db.spec)
-
-
-def argmax_label(probs: ClassProbabilities) -> int:
-    """Label with the largest mass; equal masses go to the lower label."""
-    if not probs:
-        raise ValueError("empty probability mapping")
-    best_label = -1
-    best_mass = -math.inf
-    for label in sorted(probs):
-        if probs[label] > best_mass:
-            best_mass = probs[label]
-            best_label = label
-    return best_label
 
 
 #: Float64 elements of one query chunk's stripe bounds and of one piece of candidate rows in the
@@ -581,25 +566,31 @@ class VoteWeights:
         if self.w_knn < 0.0 or self.w_tree < 0.0 or self.w_knn + self.w_tree <= 0.0:
             raise ValueError(f"weights must be >= 0 with a positive sum, got {self}")
 
+    def tree_can_decide(self, k: int) -> bool:
+        """Whether a tree's masses can change the answer of a vote with a k-neighbour KNN.
 
-def soft_vote(p_knn: ClassProbabilities, p_tree: ClassProbabilities, weights: VoteWeights) -> int:
-    """Label with the largest weighted probability mass across both voters."""
-    combined: ClassProbabilities = {}
-    for label, p in p_knn.items():
-        combined[label] = weights.w_knn * p
-    for label, p in p_tree.items():
-        combined[label] = combined.get(label, 0.0) + weights.w_tree * p
-    return argmax_label(combined)
+        Not when k = 1 and ``w_knn > w_tree``: the nearest label's mass is
+        ``fl(w_knn + t) >= w_knn``, and any other label's at most ``fl(w_tree * p) <= w_tree``,
+        since a tree mass ``p`` is at most 1 and rounding is monotone.
+        """
+        return not (k == 1 and self.w_knn > self.w_tree)
 
 
 class SoftVoteClassifier(_Classifier):
-    """Weighted probability vote between a KNN and a tree classifier, as in ``soft_vote``."""
+    """Weighted probability vote: a label's mass is its KNN mass times ``w_knn`` plus its tree mass
+    times ``w_tree``. A vote whose tree cannot decide (``VoteWeights.tree_can_decide``) may be
+    given no tree; its masses are then the KNN masses times ``w_knn``."""
 
-    def __init__(self, knn: KnnClassifier, tree: TreeClassifier, weights: VoteWeights):
+    def __init__(self, knn: KnnClassifier, tree: TreeClassifier | None, weights: VoteWeights):
+        if tree is None and weights.tree_can_decide(knn.k):
+            raise ValueError(f"a vote with k={knn.k} and weights {weights} needs its tree")
         self.knn = knn
         self.tree = tree
         self.weights = weights
 
     def _masses(self, X: np.ndarray):
-        (qk, lk, pk), (qt, lt, pt) = self.knn._masses(X), self.tree._masses(X)
+        qk, lk, pk = self.knn._masses(X)
+        if self.tree is None:
+            return qk, lk, pk * self.weights.w_knn
+        qt, lt, pt = self.tree._masses(X)
         return _accumulate([(qk, lk, pk * self.weights.w_knn), (qt, lt, pt * self.weights.w_tree)])

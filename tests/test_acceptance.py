@@ -36,7 +36,6 @@ from uwbloc.learners import (
     TrainingSet,
     TreeClassifier,
     VoteWeights,
-    soft_vote,
 )
 from uwbloc.preprocess import CorrectionPolicy, correct_range, mad_filter
 from uwbloc.simulator import (
@@ -47,6 +46,8 @@ from uwbloc.simulator import (
     simulate_campaign,
     simulate_range,
 )
+
+from oracles import soft_vote
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uwbloc import evaluation
 from uwbloc.calibration import ModelKind, REFERENCE_POINTS
 from uwbloc.errors import FileFormatError
 from uwbloc.evaluation import (
@@ -25,6 +26,7 @@ from uwbloc.evaluation import (
 )
 from uwbloc.fingerprint import GridSpec, cell_vertex
 from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, distance
+from uwbloc.learners import TreeClassifier, VoteWeights
 from uwbloc.simulator import IDENTITY_NOISE, NoiseConfig
 
 
@@ -159,7 +161,14 @@ def test_run_ml_augmentation_changes_the_training_set():
     assert r0.entries != r1.entries
 
 
-def test_vote_uses_both_members():
+def test_vote_builds_its_tree_only_when_the_tree_can_decide(monkeypatch):
+    built = []
+
+    def counting_tree(*args, **kwargs):
+        built.append(args)
+        return TreeClassifier(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "TreeClassifier", counting_tree)
     knn = _fast_cfg(classifier="knn", seed=9)
     vote = _fast_cfg(classifier="vote", seed=9)
     rk = run_ml(knn, DEFAULT_ANCHORS, COARSE_GRID)
@@ -167,6 +176,13 @@ def test_vote_uses_both_members():
     assert rv.metadata["classifier"] == "vote"
     assert rv.metadata["vote_weights"] == "3.0:1.0"
     assert rk.metadata.get("vote_weights") is None
+    # the default 3:1 vote at k = 1 is the 1-NN answer, with no tree
+    assert built == []
+    assert rv.entries == rk.entries
+    for changes in (dict(vote_weights=VoteWeights(1.0, 1.0)), dict(knn_k=3)):
+        built.clear()
+        run_ml(_fast_cfg(classifier="vote", seed=9, **changes), DEFAULT_ANCHORS, COARSE_GRID)
+        assert len(built) == 1
 
 
 def test_compare_requires_matching_points():

@@ -17,10 +17,10 @@ from uwbloc.learners import (
     TrainingSet,
     TreeClassifier,
     VoteWeights,
-    argmax_label,
-    soft_vote,
 )
 from uwbloc.fingerprint import LabelOutOfRangeError
+
+from oracles import argmax_label, soft_vote
 
 
 def _train(X, y, spec=None):
@@ -683,3 +683,47 @@ def test_soft_vote_classifier_matches_member_probabilities():
     for qi in range(15):
         assert got[qi] == soft_vote(pk[qi], pt[qi], weights)
         assert clf.predict(RangeTriple(*Q[qi])) == got[qi]
+
+
+def _vote_queries(X):
+    """``_probe_queries`` and rows of NaN and of +-inf, alone and mixed with finite values."""
+    odd = [[np.nan] * 3, [np.inf] * 3, [-np.inf] * 3, [np.inf, -np.inf, np.nan], [X[0, 0], np.inf, X[0, 2]]]
+    return np.vstack([_probe_queries(X), odd])
+
+
+#: (k, weights) of votes whose tree cannot change an answer, and of votes whose tree can
+_TREE_FREE_VOTES = [(1, (3.0, 1.0)), (1, (1.0000000000000002, 1.0)), (1, (1.0, 0.0))]
+_TREE_VOTES = [(1, (1.0, 1.0)), (1, (1.0, 2.0)), (3, (3.0, 1.0))]
+
+
+def _vote_members(name, k, w, max_depth=None):
+    X, y = _TREE_PROBLEMS[name]
+    train = _train(X, y)
+    knn, tree = KnnClassifier(train, k), TreeClassifier(train, max_depth)
+    Q = _vote_queries(X)
+    weights = VoteWeights(*w)
+    pk, pt = knn.predict_proba_batch(Q), tree.predict_proba_batch(Q)
+    return knn, tree, weights, Q, [soft_vote(a, b, weights) for a, b in zip(pk, pt)]
+
+
+@pytest.mark.parametrize("max_depth", [None, 2])
+@pytest.mark.parametrize("k, w", _TREE_FREE_VOTES)
+@pytest.mark.parametrize("name", ["distinct-labels", "repeated-labels", "duplicate-rows"])
+def test_vote_without_its_tree_matches_the_vote_with_it(name, k, w, max_depth):
+    knn, tree, weights, Q, want = _vote_members(name, k, w, max_depth)
+    assert not weights.tree_can_decide(k)
+    assert SoftVoteClassifier(knn, None, weights).predict_batch(Q).tolist() == want
+    assert knn.predict_batch(Q).tolist() == want
+    assert SoftVoteClassifier(knn, tree, weights).predict_batch(Q).tolist() == want
+
+
+@pytest.mark.parametrize("k, w", _TREE_VOTES)
+def test_vote_whose_tree_can_decide_needs_it(k, w):
+    knn, tree, weights, Q, want = _vote_members("repeated-labels", k, w)
+    assert weights.tree_can_decide(k)
+    with pytest.raises(ValueError, match="needs its tree"):
+        SoftVoteClassifier(knn, None, weights)
+    got = SoftVoteClassifier(knn, tree, weights).predict_batch(Q).tolist()
+    assert got == want
+    assert got != knn.predict_batch(Q).tolist()  # the tree does change some answer
+
