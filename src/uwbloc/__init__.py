@@ -20,7 +20,6 @@ from .calibration import (
     REFERENCE_POINTS,
     clean_observation_rows,
     fit_model,
-    fit_pair,
     predict_measured,
     read_calibration,
     write_calibration,
@@ -49,7 +48,6 @@ from .fingerprint import (
     build_db,
     cell_vertex,
     read_db,
-    vertex_to_label,
     write_db,
 )
 from .config import ConfigError, RunConfig, load_config
@@ -71,10 +69,9 @@ from .learners import (
     TreeClassifier,
     VoteWeights,
 )
-from .preprocess import CorrectionPolicy, correct_range, correct_triple, mad_filter, mad_keep_mask
+from .preprocess import CorrectionPolicy, correct_triple, mad_keep_mask
 from .simulator import (
     Campaign,
-    IDENTITY_NOISE,
     NoiseConfig,
     derive_seed,
     measurement_stream,

@@ -36,7 +36,6 @@ __all__ = [
     "LinearRangingEq",
     "ObservationData",
     "CalibrationModel",
-    "fit_pair",
     "fit_model",
     "predict_measured",
     "clean_observation_rows",
@@ -132,22 +131,13 @@ class LinearRangingEq:
             raise NonPositiveSlopeError(f"slope must be positive, got {self.a}")
 
 
-def _check_pair(true1: float, true2: float, *measured: float) -> None:
-    """A line fits only through finite, positive distances and two distinct true distances."""
-    for v in (true1, true2, *measured):
+def _check_pair(true1: float, true2: float) -> None:
+    """A line fits only through two distinct, finite and positive true distances."""
+    for v in (true1, true2):
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"distances must be finite and positive, got {v}")
     if true1 == true2:
         raise DegeneratePairError(f"both points have true distance {true1}")
-
-
-def fit_pair(true1: float, meas1: float, true2: float, meas2: float) -> LinearRangingEq:
-    """Fit the line through two (true, measured) distance pairs."""
-    _check_pair(true1, true2, meas1, meas2)
-    a = (meas2 - meas1) / (true2 - true1)
-    if a <= 0.0:
-        raise NonPositiveSlopeError(f"fitted slope {a} is not positive")
-    return LinearRangingEq(a, meas1 - a * true1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,10 +168,6 @@ class ObservationData:
     @property
     def n_sets(self) -> int:
         return int(self.sets.shape[0])
-
-    def series(self, point_index: int, anchor_index: int) -> np.ndarray:
-        """The cleaned sample series of one (reference point, anchor) pair."""
-        return self.sets[:, point_index, anchor_index]
 
 
 def clean_observation_rows(
@@ -257,9 +243,11 @@ def fit_model(
     over selected sets. A set in which any pair fits a non-positive slope
     is skipped and counted in a warning rather than failing the whole fit.
 
-    All selected sets are fitted at once, with ``fit_pair``'s arithmetic:
-    each anchor's (a, b) is the mean of its pair fits summed left to
-    right, and the final means sum the kept sets in selection order.
+    All selected sets are fitted at once. A pair's line is
+    ``a = (m2 - m1) / (t2 - t1)``, ``b = m1 - a * t1`` (``fit_pair`` in
+    ``tests/oracles.py`` is its scalar reference); each anchor's (a, b) is
+    the mean of its pair fits summed left to right, and the final means
+    sum the kept sets in selection order.
     """
     kind = ModelKind(kind)
     if n_select < 1:
@@ -306,11 +294,12 @@ def fit_model(
 
 def predict_measured(model: CalibrationModel, anchor: str, true_distance: float | np.ndarray):
     """What the tag would report for a true distance (or an array of them) to one anchor."""
-    d = np.asarray(true_distance)
+    d = np.asarray(true_distance, dtype=float)
     if not np.all(np.isfinite(d) & (d >= 0.0)):
         raise ValueError(f"true distance must be finite and >= 0, got {true_distance}")
     eq = model.equation(anchor)
-    return eq.a * true_distance + eq.b
+    measured = eq.a * d + eq.b
+    return float(measured) if measured.ndim == 0 else measured
 
 
 def format_calibration(model: CalibrationModel) -> str:

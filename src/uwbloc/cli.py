@@ -20,6 +20,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from .calibration import (
+    ANCHOR_NAMES,
     MissingReferencePointError,
     ModelKind,
     clean_observation_rows,
@@ -135,7 +136,7 @@ def _cmd_fit(args: argparse.Namespace, cfg: RunConfig) -> int:
     )
     write_calibration(args.out, model)
     print(f"model {kind.value}: kept {obs.n_sets} clean sets")
-    for name in ("A", "B", "C"):
+    for name in ANCHOR_NAMES:
         eq = model.equation(name)
         print(f"  {name}: measured = {eq.a:.6f} * true + {eq.b:.3f}")
     return 0

@@ -199,12 +199,6 @@ class ErrorReport:
     def points(self) -> tuple[PointMM, ...]:
         return tuple(e.point for e in self.entries)
 
-    def entry(self, point: PointMM) -> PointErrors:
-        for e in self.entries:
-            if e.point == point:
-                return e
-        raise KeyError(f"no entry for point {point.as_tuple()}")
-
 
 def _aggregate(
     points: Sequence[PointMM],

@@ -26,7 +26,6 @@ __all__ = [
     "FingerprintDB",
     "cell_vertex",
     "cell_vertices",
-    "vertex_to_label",
     "build_db",
     "write_db",
     "read_db",
@@ -113,19 +112,6 @@ def cell_vertices(spec: GridSpec) -> np.ndarray:
     v[..., 0] = xs
     v[..., 1] = ys[:, None]
     return v.reshape(-1, 2)
-
-
-def vertex_to_label(spec: GridSpec, p: PointMM) -> int:
-    """The label of the cell containing a point.
-
-    Points on the far borders (x = width or y = height) belong to the last
-    cell of their row/column; points outside the area are rejected.
-    """
-    if not p.is_within(spec.width, spec.height):
-        raise OutOfAreaError(f"point {p.as_tuple()} outside {spec.width} x {spec.height} area")
-    col = min(int(p.x // spec.spacing), spec.cols - 1)
-    row = min(int(p.y // spec.spacing), spec.rows - 1)
-    return row * spec.cols + col
 
 
 @dataclass(frozen=True, eq=False)

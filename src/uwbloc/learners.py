@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fingerprint import FingerprintDB, GridSpec, LabelOutOfRangeError
-from .geometry import RangeTriple
 
 __all__ = [
     "EmptyTrainingSetError",
@@ -26,8 +25,6 @@ __all__ = [
     "ForestClassifier",
     "SoftVoteClassifier",
 ]
-
-ClassProbabilities = dict[int, float]
 
 
 class EmptyTrainingSetError(ValueError):
@@ -115,23 +112,6 @@ class _Classifier:
         order = np.lexsort((label, -mass, query))
         return label[order[np.searchsorted(query[order], np.arange(X.shape[0]))]]
 
-    def predict(self, ranges: RangeTriple) -> int:
-        return int(self.predict_batch(np.asarray([ranges.as_tuple()], dtype=float))[0])
-
-
-class _ProbabilisticClassifier(_Classifier):
-    """A classifier whose masses are probabilities, also given as label dicts."""
-
-    def predict_proba_batch(self, X: np.ndarray) -> list[ClassProbabilities]:
-        X = _query_batch(X)
-        out: list[ClassProbabilities] = [{} for _ in range(X.shape[0])]
-        for qi, label, mass in zip(*(a.tolist() for a in self._masses(X))):
-            out[qi][label] = mass
-        return out
-
-    def predict_proba(self, ranges: RangeTriple) -> ClassProbabilities:
-        return self.predict_proba_batch(np.asarray([ranges.as_tuple()], dtype=float))[0]
-
 
 #: Rows per block, at most, of the KNN search's Sort-Tile-Recursive packing.
 _LEAF = 16
@@ -169,7 +149,7 @@ def _padded(first, end, width) -> tuple[np.ndarray, np.ndarray]:
     return items, real
 
 
-class KnnClassifier(_ProbabilisticClassifier):
+class KnnClassifier(_Classifier):
     """Exact k-nearest-neighbor over fingerprint vectors.
 
     Neighbors are ranked by squared Euclidean distance
@@ -351,7 +331,7 @@ def _best_splits(A, XT, code, weight, n_labels, distinct, use, start, seg_size, 
     return f, np.isfinite(best.min(axis=0)), start + np.take_along_axis(hit, f[None, :], axis=0)[0]
 
 
-class _Trees(_ProbabilisticClassifier):
+class _Trees(_Classifier):
     """CART trees (Gini impurity, three range features) grown level by level into flat arrays.
 
     Thresholds are midpoints of consecutive distinct values, and rows with value <= threshold go

@@ -15,8 +15,6 @@ __all__ = [
     "CorrectionPolicy",
     "MAD_SCALE_NORMAL",
     "mad_keep_mask",
-    "mad_filter",
-    "correct_range",
     "correct_range_batch",
     "correct_triple",
 ]
@@ -29,17 +27,6 @@ class EmptySeriesError(ValueError):
     """A sample series has no entries."""
 
 
-def _as_series(values: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("sample series must be one-dimensional")
-    if arr.size == 0:
-        raise EmptySeriesError("sample series is empty")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("sample values must be finite and positive")
-    return arr
-
-
 def mad_keep_mask(values: Sequence[float], k: float = 3.0, scale: float = MAD_SCALE_NORMAL) -> np.ndarray:
     """Boolean mask of the samples that survive the MAD outlier rule.
 
@@ -49,21 +36,17 @@ def mad_keep_mask(values: Sequence[float], k: float = 3.0, scale: float = MAD_SC
     """
     if k <= 0.0 or scale <= 0.0:
         raise ValueError("k and scale must be positive")
-    arr = _as_series(values)
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("sample series must be one-dimensional")
+    if arr.size == 0:
+        raise EmptySeriesError("sample series is empty")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise ValueError("sample values must be finite and positive")
     med = float(np.median(arr))
     dev = np.abs(arr - med)
     cutoff = k * scale * float(np.median(dev))
     return dev <= cutoff
-
-
-def mad_filter(values: Sequence[float], k: float = 3.0, scale: float = MAD_SCALE_NORMAL) -> list[float]:
-    """Drop MAD outliers from a series, preserving order.
-
-    The result is never empty: the median itself always satisfies the rule.
-    """
-    arr = _as_series(values)
-    keep = mad_keep_mask(arr, k, scale)
-    return [float(v) for v in arr[keep]]
 
 
 @dataclass(frozen=True)
@@ -97,11 +80,6 @@ def correct_range_batch(measured: np.ndarray, policy: CorrectionPolicy) -> np.nd
         v = float(arr.ravel()[np.argmax(bad.ravel())])
         raise ValueError(f"measured distance must be finite and positive, got {v}")
     return np.where(arr > policy.threshold, arr * policy.ratio, arr)
-
-
-def correct_range(measured: float, policy: CorrectionPolicy) -> float:
-    """Apply the long-range correction to a single measured distance."""
-    return float(correct_range_batch(np.array([measured], dtype=float), policy)[0])
 
 
 def correct_triple(ranges: RangeTriple, policy: CorrectionPolicy) -> RangeTriple:

@@ -58,7 +58,6 @@ from .geometry import AnchorLayout, PointMM, check_ranges, distances
 
 __all__ = [
     "NoiseConfig",
-    "IDENTITY_NOISE",
     "Campaign",
     "Visits",
     "STAGE_OBSERVATION",
@@ -129,10 +128,6 @@ class NoiseConfig:
             raise ValueError(f"p_outlier must be in [0, 1], got {self.p_outlier}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-
-#: Noise-free pass-through model: measured == true. Handy in tests.
-IDENTITY_NOISE = NoiseConfig(slope=1.0, offset=0.0, sigma=0.0, inflation_factor=1.0)
 
 
 @dataclass(frozen=True, eq=False)

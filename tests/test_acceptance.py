@@ -37,9 +37,8 @@ from uwbloc.learners import (
     TreeClassifier,
     VoteWeights,
 )
-from uwbloc.preprocess import CorrectionPolicy, correct_range, mad_filter
+from uwbloc.preprocess import CorrectionPolicy, correct_range_batch, mad_keep_mask
 from uwbloc.simulator import (
-    IDENTITY_NOISE,
     Campaign,
     NoiseConfig,
     measurement_stream,
@@ -47,7 +46,7 @@ from uwbloc.simulator import (
     simulate_range,
 )
 
-from oracles import soft_vote
+from oracles import IDENTITY_NOISE, probabilities, soft_vote
 
 
 @pytest.fixture
@@ -144,9 +143,9 @@ def test_mad_filter_properties(announce, capsys):
                 values[rng.integers(0, n)] *= rng.uniform(2.0, 5.0)
             if rng.random() < 0.2:
                 values[:] = values[0]  # zero-spread series
-            values = list(values)
-            kept = mad_filter(values, k=3.0)
-            kept_again = mad_filter(values, k=3.0)
+            kept = values[mad_keep_mask(values, k=3.0)].tolist()
+            kept_again = values[mad_keep_mask(values, k=3.0)].tolist()
+            values = values.tolist()
             assert kept == kept_again
             assert kept, "filter must never empty a series"
             med = float(np.median(values))
@@ -171,13 +170,13 @@ def test_correction_inverts_inflation(announce, capsys):
                 continue
             stream = measurement_stream(0, 0, i, 0)
             measured = simulate_range(d, noise, stream)
-            corrected = correct_range(measured, policy)
+            corrected = correct_range_batch([measured], policy)[0]
             assert math.isclose(corrected, d, rel_tol=1e-9)
         for i in range(500):
             d = rng.uniform(1.0, 1000.0)
             stream = measurement_stream(1, 0, i, 0)
             measured = simulate_range(d, noise, stream)
-            assert correct_range(measured, policy) == d
+            assert correct_range_batch([measured], policy)[0] == d
 
 
 @pytest.mark.criterion(6, "classifier cross-checks against independent oracles")
@@ -204,9 +203,8 @@ def test_classifier_oracles(announce, capsys):
                 want = min(
                     mass, key=lambda lb: (-mass[lb], lb)
                 )
-                triple = RangeTriple(*q)
-                assert knn.predict(triple) == want
-                assert knn.predict_proba(triple) == mass
+                assert knn.predict_batch([q])[0] == want
+                assert probabilities(knn, [q])[0] == mass
 
         # a one-tree forest with every feature available and no bootstrap
         # must be the plain tree, bit for bit
@@ -222,9 +220,7 @@ def test_classifier_oracles(announce, capsys):
         queries = probe.uniform(1.0, 3000.0, size=(500, 3))
         assert np.array_equal(tree.predict_batch(queries),
                               forest.predict_batch(queries))
-        for q in queries[:50]:
-            triple = RangeTriple(*q)
-            assert tree.predict_proba(triple) == forest.predict_proba(triple)
+        assert probabilities(tree, queries[:50]) == probabilities(forest, queries[:50])
 
         # weight-scale invariance of the soft vote
         for _ in range(1000):

@@ -16,7 +16,6 @@ from uwbloc.calibration import (
     REFERENCE_POINTS,
     clean_observation_rows,
     fit_model,
-    fit_pair,
     format_calibration,
     parse_calibration,
     predict_measured,
@@ -27,6 +26,8 @@ from uwbloc.errors import FileFormatError
 from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, distance
 from uwbloc.preprocess import CorrectionPolicy
 from uwbloc.simulator import Visits, read_measurements
+
+from oracles import fit_pair
 
 
 def _true_distances():
@@ -98,7 +99,7 @@ def test_clean_groups_and_aligns_sets():
     base[2].append((100.0, 2000.0, 1000.0))  # extra rep at point 2 gets trimmed
     obs = clean_observation_rows(_records_for(REFERENCE_POINTS, base))
     assert obs.n_sets == 5
-    assert obs.series(0, 0).tolist() == [100.0, 101.0, 102.0, 103.0, 104.0]
+    assert obs.sets[:, 0, 0].tolist() == [100.0, 101.0, 102.0, 103.0, 104.0]
 
 
 def test_clean_drops_whole_set_on_any_outlier():
@@ -107,7 +108,7 @@ def test_clean_drops_whole_set_on_any_outlier():
     base[1][3][2] = 9000.0
     obs = clean_observation_rows(_records_for(REFERENCE_POINTS, base))
     assert obs.n_sets == 6
-    assert 103.0 not in obs.series(0, 0).tolist()
+    assert 103.0 not in obs.sets[:, 0, 0].tolist()
 
 
 def test_clean_requires_every_reference_point():
@@ -296,6 +297,8 @@ def test_predict_measured_allows_zero_distance():
     )
     assert predict_measured(model, "A", 0.0) == 5.0
     assert predict_measured(model, "B", 100.0) == 1.1 * 100.0 + 5.0
+    assert type(predict_measured(model, "B", 100.0)) is float
+    assert predict_measured(model, "B", [0.0, 100.0]).tolist() == [5.0, 1.1 * 100.0 + 5.0]
     with pytest.raises(ValueError):
         predict_measured(model, "A", -1.0)
     with pytest.raises(ValueError):

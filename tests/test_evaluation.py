@@ -27,7 +27,9 @@ from uwbloc.evaluation import (
 from uwbloc.fingerprint import GridSpec, cell_vertex
 from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, distance
 from uwbloc.learners import TreeClassifier, VoteWeights
-from uwbloc.simulator import IDENTITY_NOISE, NoiseConfig
+from uwbloc.simulator import NoiseConfig
+
+from oracles import IDENTITY_NOISE
 
 
 COARSE_GRID = GridSpec(1000.0, 2000.0, 250.0)  # 4 x 8 cells, cheap to search
@@ -86,9 +88,6 @@ def test_error_report_accessors():
     entries = (PointErrors(PointMM(1.0, 2.0), 3.0, 4.0),)
     report = ErrorReport(entries, {"k": "v"})
     assert report.points == (PointMM(1.0, 2.0),)
-    assert report.entry(PointMM(1.0, 2.0)).avg_error == 3.0
-    with pytest.raises(KeyError):
-        report.entry(PointMM(9.0, 9.0))
     with pytest.raises(ValueError):
         ErrorReport((), {})
 

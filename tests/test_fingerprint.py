@@ -11,15 +11,13 @@ from uwbloc.fingerprint import (
     GridSpec,
     LabelOutOfRangeError,
     MAX_GRID_CELLS,
-    OutOfAreaError,
     build_db,
     cell_vertex,
     cell_vertices,
     read_db,
-    vertex_to_label,
     write_db,
 )
-from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, distance
+from uwbloc.geometry import DEFAULT_ANCHORS, distance
 
 
 IDENTITY_MODEL = CalibrationModel(
@@ -51,6 +49,7 @@ def test_cell_vertex_known_labels():
     assert cell_vertex(DEFAULT_GRID, 39).as_tuple() == (975.0, 0.0)
     assert cell_vertex(DEFAULT_GRID, 40).as_tuple() == (0.0, 25.0)
     assert cell_vertex(DEFAULT_GRID, 3199).as_tuple() == (975.0, 1975.0)
+    assert cell_vertex(DEFAULT_GRID, 1180).as_tuple() == (500.0, 725.0)  # col 20, row 29
 
 
 def test_cell_vertex_rejects_bad_labels():
@@ -60,36 +59,10 @@ def test_cell_vertex_rejects_bad_labels():
         cell_vertex(DEFAULT_GRID, 3200)
 
 
-def test_vertex_to_label_known_points():
-    assert vertex_to_label(DEFAULT_GRID, PointMM(0.0, 0.0)) == 0
-    assert vertex_to_label(DEFAULT_GRID, PointMM(975.0, 1975.0)) == 3199
-    # interior point: col 20, row 29
-    assert vertex_to_label(DEFAULT_GRID, PointMM(510.0, 730.0)) == 1180
-    assert cell_vertex(DEFAULT_GRID, 1180).as_tuple() == (500.0, 725.0)
-
-
-def test_far_borders_snap_into_the_last_cell():
-    assert vertex_to_label(DEFAULT_GRID, PointMM(1000.0, 2000.0)) == 3199
-    assert vertex_to_label(DEFAULT_GRID, PointMM(1000.0, 0.0)) == 39
-    assert vertex_to_label(DEFAULT_GRID, PointMM(0.0, 2000.0)) == 3160
-
-
-def test_vertex_to_label_rejects_outside_points():
-    with pytest.raises(OutOfAreaError):
-        vertex_to_label(DEFAULT_GRID, PointMM(-1.0, 0.0))
-    with pytest.raises(OutOfAreaError):
-        vertex_to_label(DEFAULT_GRID, PointMM(0.0, 2000.5))
-
-
 def test_cell_vertices_match_cell_vertex():
     for spec in (DEFAULT_GRID, GridSpec(100.0, 150.0, 50.0), GridSpec(0.3, 0.7, 0.1)):
         want = [cell_vertex(spec, label).as_tuple() for label in range(spec.cell_count)]
         assert [tuple(v) for v in cell_vertices(spec).tolist()] == want
-
-
-def test_label_vertex_round_trip():
-    for label in range(DEFAULT_GRID.cell_count):
-        assert vertex_to_label(DEFAULT_GRID, cell_vertex(DEFAULT_GRID, label)) == label
 
 
 def test_build_db_identity_model_predicts_distances():

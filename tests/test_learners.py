@@ -7,7 +7,7 @@ import pytest
 from uwbloc import learners
 from uwbloc.calibration import CalibrationModel, LinearRangingEq, ModelKind
 from uwbloc.fingerprint import GridSpec, build_db
-from uwbloc.geometry import DEFAULT_ANCHORS, RangeTriple
+from uwbloc.geometry import DEFAULT_ANCHORS
 from uwbloc.learners import (
     EmptyTrainingSetError,
     ForestClassifier,
@@ -20,7 +20,7 @@ from uwbloc.learners import (
 )
 from uwbloc.fingerprint import LabelOutOfRangeError
 
-from oracles import argmax_label, soft_vote
+from oracles import argmax_label, probabilities, soft_vote
 
 
 def _train(X, y, spec=None):
@@ -69,16 +69,16 @@ def test_knn_equal_thirds():
         [0, 1, 2, 3],
     )
     knn = KnnClassifier(train, k=3)
-    probs = knn.predict_proba(RangeTriple(1.0, 1.0, 1.0))
+    probs = probabilities(knn, [[1.0, 1.0, 1.0]])[0]
     w = 1.0 / 3.0
     assert probs == {0: w, 1: w, 2: w}
-    assert knn.predict(RangeTriple(1.0, 1.0, 1.0)) == 0
+    assert knn.predict_batch([[1.0, 1.0, 1.0]])[0] == 0
 
 
 def test_knn_distance_tie_goes_to_lower_label():
     train = _train([[10.0, 1.0, 1.0], [1.0, 10.0, 1.0]], [5, 2])
     knn = KnnClassifier(train, k=1)
-    assert knn.predict(RangeTriple(1.0, 1.0, 1.0)) == 2
+    assert knn.predict_batch([[1.0, 1.0, 1.0]])[0] == 2
 
 
 def test_knn_k_bounds():
@@ -105,7 +105,7 @@ def test_knn_matches_exhaustive_oracle():
             probs = {}
             for i in ranked:
                 probs[int(y[i])] = probs.get(int(y[i]), 0.0) + 1.0 / k
-            got = knn.predict_proba_batch(q[None, :])[0]
+            got = probabilities(knn, q[None, :])[0]
             assert got == probs
             assert int(knn.predict_batch(q[None, :])[0]) == argmax_label(probs)
 
@@ -222,7 +222,7 @@ def test_knn_batch_search_matches_per_query_reference(name, k):
         for label in labels:
             probs[int(label)] = probs.get(int(label), 0.0) + 1.0 / k
         ref_probs.append(probs)
-    assert knn.predict_proba_batch(Q) == ref_probs
+    assert probabilities(knn, Q) == ref_probs
     labels = knn.predict_batch(Q)
     assert labels.dtype == np.int64 and labels.shape == (Q.shape[0],)
     assert labels.tolist() == [argmax_label(p) for p in ref_probs]
@@ -291,7 +291,7 @@ def _query_shape_classifiers():
 @pytest.mark.parametrize("bad", [[100.0, 200.0, 300.0], np.ones((2, 2)), np.ones((1, 3, 1)), 5.0])
 def test_batch_methods_reject_anything_but_m_by_3(kind, bad):
     clf = _query_shape_classifiers()[kind]
-    for method in ("predict_batch", "predict_proba_batch", "apply_batch"):
+    for method in ("predict_batch", "apply_batch"):
         if hasattr(clf, method):
             with pytest.raises(ValueError, match=r"shape \(m, 3\)"):
                 getattr(clf, method)(bad)
@@ -302,10 +302,7 @@ def test_batch_methods_take_an_empty_batch(kind):
     clf = _query_shape_classifiers()[kind]
     labels = clf.predict_batch(np.empty((0, 3)))
     assert labels.dtype == np.int64 and labels.shape == (0,)
-    if kind == "vote":
-        assert not hasattr(clf, "predict_proba_batch")
-    else:
-        assert clf.predict_proba_batch(np.empty((0, 3))) == []
+    assert probabilities(clf, np.empty((0, 3))) == []
 
 
 def test_predict_batch_is_the_argmax_of_the_probabilities():
@@ -315,17 +312,17 @@ def test_predict_batch_is_the_argmax_of_the_probabilities():
     Q = rng.integers(1, 6, size=(40, 3)).astype(float)
     for clf in (KnnClassifier(train, k=4), TreeClassifier(train, max_depth=2),
                 ForestClassifier(train, n_trees=5, seed=2)):
-        probs = clf.predict_proba_batch(Q)
+        probs = probabilities(clf, Q)
         assert clf.predict_batch(Q).tolist() == [argmax_label(p) for p in probs]
-        assert [clf.predict(RangeTriple(*q)) for q in Q] == [argmax_label(p) for p in probs]
+        assert [clf.predict_batch([q])[0] for q in Q] == [argmax_label(p) for p in probs]
 
 
 def test_tree_pure_node_is_a_single_leaf():
     train = _train([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [7, 7])
     tree = TreeClassifier(train)
     assert tree.node_count == 1
-    assert tree.predict(RangeTriple(9.0, 9.0, 9.0)) == 7
-    assert tree.predict_proba(RangeTriple(9.0, 9.0, 9.0)) == {7: 1.0}
+    assert tree.predict_batch([[9.0, 9.0, 9.0]])[0] == 7
+    assert probabilities(tree, [[9.0, 9.0, 9.0]])[0] == {7: 1.0}
 
 
 def test_tree_splits_two_classes_at_the_midpoint():
@@ -333,8 +330,8 @@ def test_tree_splits_two_classes_at_the_midpoint():
                    [0, 0, 1, 1])
     tree = TreeClassifier(train)
     assert tree.node_count == 3
-    assert tree.predict(RangeTriple(2.5, 5.0, 5.0)) == 0
-    assert tree.predict(RangeTriple(7.0, 5.0, 5.0)) == 1
+    assert tree.predict_batch([[2.5, 5.0, 5.0]])[0] == 0
+    assert tree.predict_batch([[7.0, 5.0, 5.0]])[0] == 1
 
 
 def test_tree_max_depth_and_min_leaf_stop_growth():
@@ -344,7 +341,7 @@ def test_tree_max_depth_and_min_leaf_stop_growth():
     assert stump.node_count == 3
     chunky = TreeClassifier(_train(X, y), min_leaf=4)
     assert chunky.node_count == 3
-    probs = chunky.predict_proba(RangeTriple(1.0, 1.0, 1.0))
+    probs = probabilities(chunky, [[1.0, 1.0, 1.0]])[0]
     assert probs == {0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25}
 
 
@@ -352,7 +349,7 @@ def test_tree_left_side_takes_values_at_the_threshold():
     train = _train([[1.0, 1.0, 1.0], [3.0, 1.0, 1.0]], [0, 1])
     tree = TreeClassifier(train)
     # threshold is the midpoint 2.0; a query at exactly 2.0 goes left
-    assert tree.predict(RangeTriple(2.0, 1.0, 1.0)) == 0
+    assert tree.predict_batch([[2.0, 1.0, 1.0]])[0] == 0
 
 
 def test_tree_separates_adjacent_float_features():
@@ -361,8 +358,8 @@ def test_tree_separates_adjacent_float_features():
     train = _train([[lo, 1.0, 1.0], [hi, 1.0, 1.0]], [0, 1])
     tree = TreeClassifier(train)
     assert tree.node_count == 3
-    assert tree.predict(RangeTriple(lo, 1.0, 1.0)) == 0
-    assert tree.predict(RangeTriple(hi, 1.0, 1.0)) == 1
+    assert tree.predict_batch([[lo, 1.0, 1.0]])[0] == 0
+    assert tree.predict_batch([[hi, 1.0, 1.0]])[0] == 1
 
 
 def _reference_occurrence_index(codes):
@@ -487,7 +484,7 @@ def test_tree_matches_reference_builder(name, min_leaf, max_depth):
     assert _splits(tree) == _reference_splits(ref)
     Q = _probe_queries(X)
     probs = _reference_proba(ref, Q)
-    assert tree.predict_proba_batch(Q) == probs
+    assert probabilities(tree, Q) == probs
     assert tree.predict_batch(Q).tolist() == [argmax_label(p) for p in probs]
 
 
@@ -588,7 +585,7 @@ def test_tree_batch_and_scalar_predictions_agree():
     Q = rng.uniform(1.0, 100.0, size=(25, 3))
     batch = tree.predict_batch(Q)
     for qi in range(25):
-        assert tree.predict(RangeTriple(*Q[qi])) == batch[qi]
+        assert tree.predict_batch([Q[qi]])[0] == batch[qi]
 
 
 def test_tree_parameter_validation():
@@ -611,10 +608,10 @@ def test_forest_is_deterministic_per_seed():
     f2 = ForestClassifier(_train(X, y), n_trees=10, seed=3)
     f3 = ForestClassifier(_train(X, y), n_trees=10, seed=4)
     assert np.array_equal(f1.predict_batch(Q), f2.predict_batch(Q))
-    assert f1.predict_proba_batch(Q) == f2.predict_proba_batch(Q)
+    assert probabilities(f1, Q) == probabilities(f2, Q)
     # a different seed should disagree somewhere on this noisy problem
     assert not all(
-        a == b for a, b in zip(f1.predict_proba_batch(Q), f3.predict_proba_batch(Q))
+        a == b for a, b in zip(probabilities(f1, Q), probabilities(f3, Q))
     )
 
 
@@ -626,7 +623,7 @@ def test_forest_single_full_tree_equals_plain_tree():
     forest = ForestClassifier(_train(X, y), n_trees=1, features_per_split=3, bootstrap=False)
     Q = rng.uniform(1.0, 100.0, size=(40, 3))
     assert np.array_equal(tree.predict_batch(Q), forest.predict_batch(Q))
-    assert tree.predict_proba_batch(Q) == forest.predict_proba_batch(Q)
+    assert probabilities(tree, Q) == probabilities(forest, Q)
 
 
 def test_forest_probabilities_sum_to_one():
@@ -634,7 +631,7 @@ def test_forest_probabilities_sum_to_one():
     X = rng.uniform(1.0, 100.0, size=(40, 3))
     y = rng.integers(0, 6, size=40)
     forest = ForestClassifier(_train(X, y), n_trees=7, seed=1)
-    for probs in forest.predict_proba_batch(rng.uniform(1.0, 100.0, size=(10, 3))):
+    for probs in probabilities(forest, rng.uniform(1.0, 100.0, size=(10, 3))):
         assert math.isclose(sum(probs.values()), 1.0, rel_tol=1e-12)
 
 
@@ -678,11 +675,11 @@ def test_soft_vote_classifier_matches_member_probabilities():
     clf = SoftVoteClassifier(knn, tree, weights)
     Q = rng.uniform(1.0, 100.0, size=(15, 3))
     got = clf.predict_batch(Q)
-    pk = knn.predict_proba_batch(Q)
-    pt = tree.predict_proba_batch(Q)
+    pk = probabilities(knn, Q)
+    pt = probabilities(tree, Q)
     for qi in range(15):
         assert got[qi] == soft_vote(pk[qi], pt[qi], weights)
-        assert clf.predict(RangeTriple(*Q[qi])) == got[qi]
+        assert clf.predict_batch([Q[qi]])[0] == got[qi]
 
 
 def _vote_queries(X):
@@ -702,7 +699,7 @@ def _vote_members(name, k, w, max_depth=None):
     knn, tree = KnnClassifier(train, k), TreeClassifier(train, max_depth)
     Q = _vote_queries(X)
     weights = VoteWeights(*w)
-    pk, pt = knn.predict_proba_batch(Q), tree.predict_proba_batch(Q)
+    pk, pt = probabilities(knn, Q), probabilities(tree, Q)
     return knn, tree, weights, Q, [soft_vote(a, b, weights) for a, b in zip(pk, pt)]
 
 

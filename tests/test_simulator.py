@@ -14,7 +14,6 @@ from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, distance
 from uwbloc.simulator import (
     DRAW_CHUNK,
     Campaign,
-    IDENTITY_NOISE,
     NoiseConfig,
     Visits,
     STAGE_AUGMENT,
@@ -30,6 +29,8 @@ from uwbloc.simulator import (
     simulate_range_batch,
     write_measurements,
 )
+
+from oracles import IDENTITY_NOISE
 
 
 def test_noise_config_validation():
