@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FileFormatError, parse_number, read_text
+from .errors import ROW_SLICE, FileFormatError, parse_number, parse_rows, read_text
 from .geometry import AnchorLayout, PointMM, check_ranges, distances
 
 __all__ = [
@@ -629,7 +629,9 @@ def write_measurements(path: str, records: list[Visits]) -> None:
     for rec in records:
         x, y = rec.location.as_tuple()
         prefix = f"{x!r},{y!r},"
-        lines += (f"{prefix}{da!r},{db!r},{dc!r}" for da, db, dc in rec.ranges.tolist())
+        # one flat list: a list per reading would set off the garbage collector
+        it = iter(rec.ranges.ravel().tolist())
+        lines += (f"{prefix}{da!r},{db!r},{dc!r}" for da, db, dc in zip(it, it, it))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -637,26 +639,58 @@ def write_measurements(path: str, records: list[Visits]) -> None:
 def read_measurements(path: str) -> list[Visits]:
     """Parse a measurement file into one record per distinct (x, y), in order of first appearance.
 
-    A location's readings keep their file order, wherever its rows fall.
+    A location's readings keep their file order, wherever its rows fall. Lines
+    convert ``ROW_SLICE`` at a time; a slice that does not convert, or holds a
+    bad value, is read again line by line, and its first bad line raises.
     """
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != MEASUREMENT_HEADER:
         raise FileFormatError(f"{path}: expected header '{MEASUREMENT_HEADER}'")
-    groups: dict[tuple[float, float], tuple[PointMM, list[float]]] = {}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    rows = np.empty((len(lines) - 1, 5))
+    n = 0
+    for start in range(1, len(lines), ROW_SLICE):
+        chunk = lines[start:start + ROW_SLICE]
+        block = parse_rows(chunk, 5)
+        if block is not None and np.isfinite(block[:, :2]).all() and (
+                (block[:, 2:] > 0.0) & (block[:, 2:] < math.inf)).all():  # NaN fails too
+            rows[n:n + len(block)] = block
+            n += len(block)
             continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise FileFormatError(f"{path}:{ln}: expected 5 fields, got {len(parts)}")
-        try:
-            x, y, *ranges = (parse_number(p) for p in parts)
-            # PointMM rejects a non-finite coordinate before it can become a key
-            if (x, y) not in groups:
-                groups[(x, y)] = (PointMM(x, y), [])
-            if not all(0.0 < v < math.inf for v in ranges):  # NaN fails too
-                check_ranges(ranges)
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{ln}: {exc}") from exc
-        groups[(x, y)][1].extend(ranges)
-    return [Visits(loc, np.reshape(values, (-1, 3))) for loc, values in groups.values()]
+        for ln, line in enumerate(chunk, start + 1):
+            reading = _reading(path, ln, line)
+            if reading is not None:
+                rows[n] = reading
+                n += 1
+    return _group_by_location(rows[:n])
+
+
+def _reading(path: str, ln: int, line: str) -> list[float] | None:
+    """The five numbers on line ``ln``, or None if it is blank; a bad line raises FileFormatError."""
+    if not line.strip():
+        return None
+    parts = line.split(",")
+    if len(parts) != 5:
+        raise FileFormatError(f"{path}:{ln}: expected 5 fields, got {len(parts)}")
+    try:
+        values = [parse_number(p) for p in parts]
+        PointMM(*values[:2])  # rejects a non-finite coordinate
+        if not all(0.0 < v < math.inf for v in values[2:]):  # NaN fails too
+            check_ranges(values[2:])
+    except ValueError as exc:
+        raise FileFormatError(f"{path}:{ln}: {exc}") from exc
+    return values
+
+
+def _group_by_location(rows: np.ndarray) -> list[Visits]:
+    """One record per distinct (x, y) of ``(n, 5)`` rows, in order of first appearance."""
+    if not len(rows):
+        return []
+    # np.unique compares values, so -0.0 and 0.0 key one location, as in a dict
+    keys = np.ascontiguousarray(rows[:, :2]).view(np.complex128).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    # rows by their location's first appearance, each location's rows in file order
+    ranges = rows[np.argsort(first[inverse.ravel()], kind="stable"), 2:]
+    points = rows[first[order], :2].tolist()
+    per_location = np.split(ranges, np.cumsum(counts[order])[:-1])
+    return [Visits(PointMM(x, y), r) for (x, y), r in zip(points, per_location)]

@@ -5,6 +5,7 @@ edge values; it must either parse the result or raise ``FileFormatError``
 (which the CLI turns into exit code 3), never any other exception.
 """
 
+import os
 import random
 import re
 
@@ -66,6 +67,8 @@ def test_fuzzed_files_raise_only_file_format_error(tmp_path, kind):
     read(path)
     rng = random.Random(f"fuzz-{kind}")
     for _ in range(300):
+        # a fresh file each time: ext4 flushes a truncated file to disk on close, tens of ms
+        os.remove(path)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_mutate(valid, rng))
         try:
