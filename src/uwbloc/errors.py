@@ -1,14 +1,5 @@
 """Exceptions shared across file readers, and the text and number readers they use."""
 
-from __future__ import annotations
-
-from itertools import repeat
-
-import numpy as np
-
-#: Data lines a reader converts at once, which bounds the memory the conversion takes.
-ROW_SLICE = 256
-
 
 class FileFormatError(ValueError):
     """An on-disk artifact (measurements, calibration, DB, report) is malformed."""
@@ -33,30 +24,3 @@ def parse_number(text: str, kind: type = float):
     if "_" in text:
         raise ValueError(f"digit separator in number: {text!r}")
     return kind(text)
-
-
-def parse_rows(lines: list[str], width: int, int_fields: int = 0) -> np.ndarray | None:
-    """The numbers on ``lines`` as an (n, width) array, each read as ``parse_number`` reads it.
-
-    One comma count per line, one "_" check and one ``float`` pass over the
-    joined fields. None when that cannot read every line: a line without
-    exactly ``width`` fields (a blank one too), a field ``parse_number``
-    rejects, or anything but ASCII digits in the first ``int_fields`` fields,
-    where ``int`` and ``float`` could disagree (an int field's entry is its
-    value as a float). The caller then reads the lines one at a time, and so
-    names the first bad one.
-    """
-    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
-        return None
-    text = ",".join(lines)
-    if "_" in text:
-        return None
-    fields = text.split(",")
-    for j in range(int_fields):
-        column = "".join(fields[j::width])
-        if not (column.isascii() and column.isdigit()):
-            return None
-    try:
-        return np.fromiter(map(float, fields), float, count=len(fields)).reshape(-1, width)
-    except ValueError:
-        return None

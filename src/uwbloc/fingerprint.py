@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import ANCHOR_NAMES, CalibrationModel, predict_measured
-from .errors import ROW_SLICE, FileFormatError, parse_number, parse_rows, read_text
+from .errors import FileFormatError, parse_number, read_text
 from .geometry import AnchorLayout, PointMM, distances
 
 __all__ = [
@@ -165,12 +165,7 @@ def write_db(path: str, db: FingerprintDB) -> None:
 
 
 def read_db(path: str) -> FingerprintDB:
-    """Parse a DB file, checking labels arrive complete and in order.
-
-    Lines convert ``ROW_SLICE`` at a time; a slice that does not convert, or
-    breaks the label order or a vertex, is read again line by line, and its
-    first bad line raises.
-    """
+    """Parse a DB file, checking labels arrive complete and in order."""
     lines = read_text(path).splitlines()
     if not lines:
         raise FileFormatError(f"{path}: empty DB file")
@@ -186,48 +181,28 @@ def read_db(path: str) -> FingerprintDB:
     vertices = cell_vertices(spec)
     vectors = np.empty((spec.cell_count, 3), dtype=float)
     seen = 0
-    for start in range(1, len(lines), ROW_SLICE):
-        chunk = lines[start:start + ROW_SLICE]
-        block = parse_rows(chunk, 6, int_fields=1)
-        end = seen + len(chunk)
-        # past the last cell vertices[seen:end] runs short, and the vertex test fails
-        if (block is not None and np.array_equal(block[:, 0], np.arange(seen, end))
-                and np.array_equal(block[:, 1:3], vertices[seen:end])):
-            vectors[seen:end] = block[:, 3:]
-            seen = end
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
             continue
-        for ln, line in enumerate(chunk, start + 1):
-            fingerprint = _db_row(path, ln, line, seen, vertices)
-            if fingerprint is not None:
-                vectors[seen] = fingerprint
-                seen += 1
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise FileFormatError(f"{path}:{ln}: expected 6 fields, got {len(parts)}")
+        try:
+            label = parse_number(parts[0], int)
+            x, y, fa, fb, fc = (parse_number(p) for p in parts[1:])
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{ln}: {exc}") from exc
+        if label != seen:
+            raise FileFormatError(f"{path}:{ln}: expected label {seen}, got {label}")
+        if label >= spec.cell_count:
+            raise FileFormatError(f"{path}:{ln}: grid only has {spec.cell_count} cells")
+        if [x, y] != vertices[label].tolist():
+            raise FileFormatError(f"{path}:{ln}: vertex ({x}, {y}) does not match label {label}")
+        vectors[label] = (fa, fb, fc)
+        seen += 1
     if seen != spec.cell_count:
         raise FileFormatError(f"{path}: {seen} cells found, grid needs {spec.cell_count}")
     try:
         return FingerprintDB(spec, vectors)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-
-
-def _db_row(path: str, ln: int, line: str, seen: int, vertices: np.ndarray) -> list[float] | None:
-    """The fingerprint on line ``ln`` of cell ``seen``, or None if the line is blank.
-
-    A bad line raises FileFormatError.
-    """
-    if not line.strip():
-        return None
-    parts = line.split(",")
-    if len(parts) != 6:
-        raise FileFormatError(f"{path}:{ln}: expected 6 fields, got {len(parts)}")
-    try:
-        label = parse_number(parts[0], int)
-        x, y, *fingerprint = (parse_number(p) for p in parts[1:])
-    except ValueError as exc:
-        raise FileFormatError(f"{path}:{ln}: {exc}") from exc
-    if label != seen:
-        raise FileFormatError(f"{path}:{ln}: expected label {seen}, got {label}")
-    if label >= len(vertices):
-        raise FileFormatError(f"{path}:{ln}: grid only has {len(vertices)} cells")
-    if [x, y] != vertices[label].tolist():
-        raise FileFormatError(f"{path}:{ln}: vertex ({x}, {y}) does not match label {label}")
-    return fingerprint

@@ -49,11 +49,12 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ROW_SLICE, FileFormatError, parse_number, parse_rows, read_text
+from .errors import FileFormatError, parse_number, read_text
 from .geometry import AnchorLayout, PointMM, check_ranges, distances
 
 __all__ = [
@@ -83,6 +84,9 @@ DRAW_CHUNK = 4096
 
 # An outlier multiplies the reading by a uniform draw from this range.
 OUTLIER_MAGNITUDE = (1.5, 3.0)
+
+# Measurement-file lines read_measurements converts at once, which bounds the conversion's memory.
+ROW_SLICE = 256
 
 # Stage tags for deriving independent seed streams from one master seed.
 STAGE_OBSERVATION = 0
@@ -650,7 +654,7 @@ def read_measurements(path: str) -> list[Visits]:
     n = 0
     for start in range(1, len(lines), ROW_SLICE):
         chunk = lines[start:start + ROW_SLICE]
-        block = parse_rows(chunk, 5)
+        block = _parse_rows(chunk)
         if block is not None and np.isfinite(block[:, :2]).all() and (
                 (block[:, 2:] > 0.0) & (block[:, 2:] < math.inf)).all():  # NaN fails too
             rows[n:n + len(block)] = block
@@ -662,6 +666,25 @@ def read_measurements(path: str) -> list[Visits]:
                 rows[n] = reading
                 n += 1
     return _group_by_location(rows[:n])
+
+
+def _parse_rows(lines: list[str]) -> np.ndarray | None:
+    """The numbers on ``lines`` as an (n, 5) array, each read as ``parse_number`` reads it.
+
+    One comma count per line, one "_" check and one ``float`` pass over the
+    joined fields. None when that cannot read every line: a line without
+    exactly five fields (a blank one too) or a field ``parse_number`` rejects.
+    """
+    if list(map(str.count, lines, repeat(","))).count(4) != len(lines):
+        return None
+    text = ",".join(lines)
+    if "_" in text:
+        return None
+    fields = text.split(",")
+    try:
+        return np.fromiter(map(float, fields), float, count=len(fields)).reshape(-1, 5)
+    except ValueError:
+        return None
 
 
 def _reading(path: str, ln: int, line: str) -> list[float] | None:

@@ -1,9 +1,10 @@
 """Scalar reference forms of package rules, for tests only.
 
 The package works on arrays: it predicts through ``(query, label, mass)``
-arrays, fits every calibration pair of every set at once and converts data
-files a slice of lines at a time. These are the same rules written over one
-query's ``{label: mass}`` dict, one pair of distances or one line of a file.
+arrays, fits every calibration pair of every set at once and converts a
+measurement file a slice of lines at a time. These are the same rules written
+over one query's ``{label: mass}`` dict, one pair of distances or one line of
+a file.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from uwbloc.calibration import DegeneratePairError, LinearRangingEq, NonPositiveSlopeError
 from uwbloc.errors import FileFormatError, parse_number, read_text
-from uwbloc.fingerprint import FingerprintDB, GridSpec, cell_vertices
 from uwbloc.geometry import PointMM, check_ranges
 from uwbloc.learners import VoteWeights
 from uwbloc.simulator import MEASUREMENT_HEADER, NoiseConfig, Visits
@@ -93,47 +93,3 @@ def read_measurements(path: str) -> list[Visits]:
             raise FileFormatError(f"{path}:{ln}: {exc}") from exc
         groups[(x, y)][1].extend(ranges)
     return [Visits(loc, np.reshape(values, (-1, 3))) for loc, values in groups.values()]
-
-
-def read_db(path: str) -> FingerprintDB:
-    """``fingerprint.read_db`` one line at a time."""
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise FileFormatError(f"{path}: empty DB file")
-    head = lines[0].split(",")
-    if len(head) != 3:
-        raise FileFormatError(f"{path}:1: expected 'spacing,width,height'")
-    try:
-        spacing, width, height = (parse_number(v) for v in head)
-        spec = GridSpec(width=width, height=height, spacing=spacing)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}:1: {exc}") from exc
-
-    vertices = cell_vertices(spec)
-    vectors = np.empty((spec.cell_count, 3), dtype=float)
-    seen = 0
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise FileFormatError(f"{path}:{ln}: expected 6 fields, got {len(parts)}")
-        try:
-            label = parse_number(parts[0], int)
-            x, y, fa, fb, fc = (parse_number(p) for p in parts[1:])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{ln}: {exc}") from exc
-        if label != seen:
-            raise FileFormatError(f"{path}:{ln}: expected label {seen}, got {label}")
-        if label >= spec.cell_count:
-            raise FileFormatError(f"{path}:{ln}: grid only has {spec.cell_count} cells")
-        if [x, y] != vertices[label].tolist():
-            raise FileFormatError(f"{path}:{ln}: vertex ({x}, {y}) does not match label {label}")
-        vectors[label] = (fa, fb, fc)
-        seen += 1
-    if seen != spec.cell_count:
-        raise FileFormatError(f"{path}: {seen} cells found, grid needs {spec.cell_count}")
-    try:
-        return FingerprintDB(spec, vectors)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc

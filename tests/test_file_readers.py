@@ -1,10 +1,10 @@
-"""The slice-wise data-file readers against their one-line-at-a-time oracles.
+"""The slice-wise measurement reader against its one-line-at-a-time oracle, and the writers' GC pin.
 
-``read_measurements`` and ``read_db`` convert ``ROW_SLICE`` lines at a time
-and re-read a slice line by line only when something in it is off. On every
-file, valid or not, they must return what the per-line readers in
-``tests/oracles.py`` return, or raise the same exception with the same
-message; and they must not cost more memory or set off the garbage collector.
+``read_measurements`` converts ``ROW_SLICE`` lines at a time and re-reads a
+slice line by line only when something in it is off. On every file, valid or
+not, it must return what the per-line reader in ``tests/oracles.py`` returns,
+or raise the same exception with the same message, and it must not cost more
+memory. Neither writer may set off the garbage collector.
 """
 
 import gc
@@ -17,38 +17,30 @@ import pytest
 from test_file_fuzz import MODEL, _mutate
 
 from uwbloc.config import load_config
-from uwbloc.errors import ROW_SLICE
-from uwbloc.fingerprint import GridSpec, build_db, read_db, write_db
+from uwbloc.fingerprint import GridSpec, build_db, write_db
 from uwbloc.geometry import DEFAULT_ANCHORS
-from uwbloc.simulator import MEASUREMENT_HEADER, read_measurements, simulate_campaign, write_measurements
+from uwbloc.simulator import MEASUREMENT_HEADER, ROW_SLICE, read_measurements, simulate_campaign, write_measurements
 
-READERS = {"measurements": (read_measurements, oracles.read_measurements), "db": (read_db, oracles.read_db)}
-
-# grid of 40 x 20 cells: 800 DB lines, four slices
-SMALL_GRID = GridSpec(1000.0, 500.0, 25.0)
 READING = "560.1,1520.7,905.3"
 
 
 def _outcome(read, path):
     """What ``read`` makes of ``path``, in a form two readers can be compared by."""
     try:
-        result = read(path)
+        records = read(path)
     except Exception as exc:  # the exception is the outcome compared
         return type(exc), str(exc)
-    if isinstance(result, list):
-        # repr keeps the sign of a zero, which PointMM equality ignores
-        return [(repr(r.location.x), repr(r.location.y), r.ranges.shape, r.ranges.tobytes()) for r in result]
-    return result.spec, result.vectors.tobytes()
+    # repr keeps the sign of a zero, which PointMM equality ignores
+    return [(repr(r.location.x), repr(r.location.y), r.ranges.shape, r.ranges.tobytes()) for r in records]
 
 
-def _same_outcome(tmp_path, kind, text):
-    path = tmp_path / f"{kind}.csv"
+def _same_outcome(tmp_path, text):
+    path = tmp_path / "measurements.csv"
     # a fresh file each time: ext4 flushes a truncated file to disk on close, tens of ms
     path.unlink(missing_ok=True)
     path.write_bytes(text.encode("utf-8"))
-    new, oracle = READERS[kind]
-    got = _outcome(new, str(path))
-    assert got == _outcome(oracle, str(path))
+    got = _outcome(read_measurements, str(path))
+    assert got == _outcome(oracles.read_measurements, str(path))
     return got
 
 
@@ -66,28 +58,14 @@ def _measurement_text(n_rows):
     return "\n".join(rows) + "\n"
 
 
-def _db_text(tmp_path, spec):
-    path = str(tmp_path / "valid-db.csv")
-    write_db(path, build_db(MODEL, spec, DEFAULT_ANCHORS))
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _valid_text(tmp_path, kind, size):
-    if kind == "measurements":
-        return _measurement_text(3 if size == "small" else 3 * ROW_SLICE + 17)
-    return _db_text(tmp_path, GridSpec(50.0, 100.0, 25.0) if size == "small" else SMALL_GRID)
-
-
-@pytest.mark.parametrize("size", ["small", "multi-slice"])
-@pytest.mark.parametrize("kind", sorted(READERS))
-def test_mutated_files_read_as_the_oracle_reads_them(tmp_path, kind, size):
-    valid = _valid_text(tmp_path, kind, size)
-    assert not _failed(_same_outcome(tmp_path, kind, valid))
-    rng = random.Random(f"differential-{kind}-{size}")
+@pytest.mark.parametrize("n_rows", [3, 3 * ROW_SLICE + 17], ids=["small", "multi-slice"])
+def test_mutated_files_read_as_the_oracle_reads_them(tmp_path, n_rows):
+    valid = _measurement_text(n_rows)
+    assert not _failed(_same_outcome(tmp_path, valid))
+    rng = random.Random(f"differential-measurements-{n_rows}")
     messages = set()
     for _ in range(300):
-        outcome = _same_outcome(tmp_path, kind, _mutate(valid, rng))
+        outcome = _same_outcome(tmp_path, _mutate(valid, rng))
         if _failed(outcome):
             messages.add(outcome[1].split(": ", 1)[1][:20])
     # the mutations reach more than a few kinds of error
@@ -120,7 +98,7 @@ def test_measurement_edge_cases(tmp_path, case):
         text = text.rstrip("\n")
     elif case == "mixed line breaks":
         text = text.replace("\n", "\r", 40).replace("\n", "\u2028", 40)
-    records = _same_outcome(tmp_path, "measurements", text)
+    records = _same_outcome(tmp_path, text)
     assert len(records) == (0 if case == "header only" else 7)
     if case == "zeros":
         assert [r[:2] for r in records[:2]] == [("-0.0", "0.0"), ("375.0", "-0.0")]
@@ -137,18 +115,6 @@ MEASUREMENT_ERRORS = {
     "range": (lambda f: f[:4] + ["-1"], "range must be positive, got -1.0"),
     "nan range": (lambda f: f[:2] + ["nan"] + f[3:], "range must be finite, got nan"),
 }
-DB_ERRORS = {
-    "fields": (lambda f: f + ["1.0"], "expected 6 fields, got 7"),
-    "missing field": (lambda f: f[:5], "expected 6 fields, got 5"),
-    "number": (lambda f: f[:3] + ["abc"] + f[4:], "could not convert string to float: 'abc'"),
-    "int label": (lambda f: [f[0] + ".0"] + f[1:], "invalid literal for int() with base 10: "),
-    "label": (lambda f: [str(int(f[0]) + 1)] + f[1:], "expected label "),
-    "vertex": (lambda f: f[:1] + ["12.5"] + f[2:], "vertex (12.5, "),
-    # only the whole DB's check sees it, after the last line
-    "fingerprint": (lambda f: f[:5] + ["nan"], None),
-}
-
-
 def _edit(lines, index, edit):
     lines[index] = ",".join(edit(lines[index].split(",")))
 
@@ -159,44 +125,16 @@ POSITIONS = {"next line": (5, 6), "one slice": (5, 9), "slice boundary": (ROW_SL
 
 
 @pytest.mark.parametrize("where", sorted(POSITIONS))
-@pytest.mark.parametrize("kind, errors", [("measurements", MEASUREMENT_ERRORS), ("db", DB_ERRORS)])
-def test_earlier_of_two_bad_lines_wins(tmp_path, kind, errors, where):
-    valid = _valid_text(tmp_path, kind, "multi-slice").splitlines()
+def test_earlier_of_two_bad_lines_wins(tmp_path, where):
+    valid = _measurement_text(3 * ROW_SLICE + 17).splitlines()
     early, late = POSITIONS[where]
-    for first, (edit1, message) in errors.items():
-        for edit2, _ in errors.values():
+    for first, (edit1, message) in MEASUREMENT_ERRORS.items():
+        for edit2, _ in MEASUREMENT_ERRORS.values():
             lines = list(valid)
             _edit(lines, early, edit1)
             _edit(lines, late, edit2)
-            _, text = _same_outcome(tmp_path, kind, _join(lines))
-            if message is None:
-                assert text.endswith("fingerprints must be finite and positive") or f":{late + 1}: " in text
-            else:
-                path = tmp_path / f"{kind}.csv"
-                assert text.startswith(f"{path}:{early + 1}: {message}"), (first, text)
-
-
-@pytest.mark.parametrize("case", ["blank lines", "crlf", "unicode label", "signed label", "short", "long",
-                                  "header only", "negative zero vertex"])
-def test_db_edge_cases(tmp_path, case):
-    lines = _db_text(tmp_path, SMALL_GRID).splitlines()
-    if case == "blank lines":
-        lines[ROW_SLICE:ROW_SLICE] = ["", "  "]
-    elif case == "unicode label":
-        fields = lines[ROW_SLICE + 1].split(",")
-        lines[ROW_SLICE + 1] = ",".join(["".join(chr(0x660 + int(c)) for c in fields[0])] + fields[1:])
-    elif case == "signed label":
-        lines[3] = "+" + lines[3]
-    elif case == "short":
-        lines = lines[:-1]
-    elif case == "long":
-        lines.append(lines[-1].replace(lines[-1].split(",")[0], str(SMALL_GRID.cell_count), 1))
-    elif case == "header only":
-        lines = lines[:1]
-    elif case == "negative zero vertex":
-        lines[1] = "0,-0.0," + lines[1].split(",", 2)[2]
-    outcome = _same_outcome(tmp_path, "db", _join(lines, "\r\n" if case == "crlf" else "\n"))
-    assert _failed(outcome) == (case in ("short", "long", "header only")), outcome
+            _, text = _same_outcome(tmp_path, _join(lines))
+            assert text.startswith(f"{tmp_path / 'measurements.csv'}:{early + 1}: {message}"), (first, text)
 
 
 def _dense_files(tmp_path):
@@ -236,10 +174,7 @@ def _peak_bytes(read, path):
         tracemalloc.stop()
 
 
-def test_readers_peak_no_higher_than_the_oracles(tmp_path):
-    db, records, db_path, m_path = _dense_files(tmp_path)
-    write_db(db_path, db)
-    write_measurements(m_path, records)
-    for kind, path in (("db", db_path), ("measurements", m_path)):
-        new, oracle = READERS[kind]
-        assert _peak_bytes(new, path) <= _peak_bytes(oracle, path), kind
+def test_reader_peaks_no_higher_than_the_oracle(tmp_path):
+    _, records, _, path = _dense_files(tmp_path)
+    write_measurements(path, records)
+    assert _peak_bytes(read_measurements, path) <= _peak_bytes(oracles.read_measurements, path)
