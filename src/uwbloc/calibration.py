@@ -253,8 +253,8 @@ def fit_model(
     if n_select < 1:
         raise ValueError(f"n_select must be >= 1, got {n_select}")
 
-    anchor_points = anchors.as_tuple()
-    true_d = np.array([[distance(p, a) for a in anchor_points] for p in obs.points])
+    xy = np.array([p.as_tuple() for p in obs.points])
+    true_d = np.array([distance(xy, a) for a in anchors.as_tuple()]).T
 
     if obs.n_sets >= n_select:
         rng = np.random.default_rng(seed)

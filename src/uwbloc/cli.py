@@ -46,7 +46,6 @@ from .simulator import STAGE_SELECTION, derive_seed, read_measurements, simulate
 
 __all__ = ["main"]
 
-_RATIO_CHOICES = (1.0, 0.9, 0.85, 0.8)
 _MODEL_KINDS = tuple(ModelKind)
 
 
@@ -58,12 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # a flag whose dest is a config key overrides that key
+    # a flag whose dest is a config key overrides that key; its raw string goes
+    # through the key's converter, so it takes no argparse type
     def add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
         p.add_argument("--config", metavar="FILE", help="key = value configuration file")
         if seed:
-            p.add_argument("--seed", dest="run.seed", type=int, metavar="N",
-                           help="override run.seed")
+            p.add_argument("--seed", dest="run.seed", metavar="N", help="override run.seed")
 
     p = sub.add_parser("simulate", help="generate a measurement campaign file")
     add_common(p)
@@ -74,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--model", dest="calibration.kind", choices=[k.value for k in _MODEL_KINDS],
                    help="override calibration.kind")
-    p.add_argument("--ratio", dest="correction.ratio", type=float, choices=_RATIO_CHOICES,
+    p.add_argument("--ratio", dest="correction.ratio", metavar="R",
                    help="override correction.ratio")
     p.add_argument("--out", required=True, metavar="FILE", help="calibration file to write")
 
@@ -91,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in _MODEL_KINDS] + ["none"],
         help="override calibration.kind (none = trilateration baseline)",
     )
-    p.add_argument("--ratio", dest="correction.ratio", type=float, choices=_RATIO_CHOICES,
+    p.add_argument("--ratio", dest="correction.ratio", metavar="R",
                    help="override correction.ratio")
     p.add_argument("--classifier", dest="classifier.kind", choices=CLASSIFIERS,
                    help="override classifier.kind")
@@ -107,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, str]:
-    return {k: str(v) for k, v in vars(args).items() if "." in k and v is not None}
+    return {k: v for k, v in vars(args).items() if "." in k and v is not None}
 
 
 def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:

@@ -31,8 +31,8 @@ from .calibration import (
     fit_model,
 )
 from .errors import FileFormatError, parse_number, read_text
-from .fingerprint import FingerprintDB, GridSpec, OutOfAreaError, build_db, cell_vertices
-from .geometry import AnchorLayout, PointMM, check_ranges, distances, trilaterate_batch
+from .fingerprint import FingerprintDB, GridSpec, OutOfAreaError, build_db, cell_vertex, cell_vertices
+from .geometry import AnchorLayout, PointMM, check_ranges, distance, trilaterate
 from .learners import (
     ForestClassifier,
     KnnClassifier,
@@ -56,8 +56,6 @@ from .simulator import (
 )
 
 # Not called here: bench/tracing.py instruments these names on this module.
-from .fingerprint import cell_vertex
-from .geometry import distance, trilaterate
 from .preprocess import correct_triple
 from .simulator import measurement_stream, simulate_range
 
@@ -229,13 +227,13 @@ def run_baseline(cfg: PipelineConfig, anchors: AnchorLayout) -> ErrorReport:
         raise ValueError("baseline run must have model_kind None")
     test_xy = [p.as_tuple() for p in cfg.test_points]
     ranges = _measured_triples(cfg, STAGE_TRIALS, test_xy, cfg.n_trials, anchors)
-    positions = trilaterate_batch(anchors, ranges.reshape(-1, 3)).reshape(ranges.shape[:2] + (2,))
-    per_point = [distances(xy, p) for p, xy in zip(cfg.test_points, positions)]
+    positions = trilaterate(anchors, ranges.reshape(-1, 3)).reshape(ranges.shape[:2] + (2,))
+    per_point = [distance(xy, p) for p, xy in zip(cfg.test_points, positions)]
     metadata = {
         "pipeline": "baseline",
         "seed": str(cfg.seed),
         "n_trials": str(cfg.n_trials),
-        # trilaterate_batch never raises CollinearAnchorsError here: its |det|
+        # trilaterate never raises CollinearAnchorsError here: its |det|
         # is exactly 8x the anchor triangle area, which AnchorLayout keeps > 1e-6
         "failed_trials": "0",
         "correction_ratio": repr(cfg.correction.ratio),
@@ -310,7 +308,7 @@ def run_ml(cfg: PipelineConfig, anchors: AnchorLayout, spec: GridSpec) -> ErrorR
     queries = _measured_triples(cfg, STAGE_TRIALS, test_xy, cfg.n_trials, anchors)
     clf = _build_classifier(cfg, _training_set(cfg, db, anchors))
     labels = clf.predict_batch(queries.reshape(-1, 3)).reshape(queries.shape[:2])
-    per_point = [distances(xy, p) for p, xy in zip(cfg.test_points, cell_vertices(spec)[labels])]
+    per_point = [distance(xy, p) for p, xy in zip(cfg.test_points, cell_vertex(spec, labels))]
 
     metadata = {
         "pipeline": "fingerprint",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .calibration import ANCHOR_NAMES, CalibrationModel, predict_measured
 from .errors import FileFormatError, parse_number, read_text
-from .geometry import AnchorLayout, PointMM, distances
+from .geometry import AnchorLayout, distance
 
 __all__ = [
     "LabelOutOfRangeError",
@@ -91,13 +91,13 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
-def cell_vertex(spec: GridSpec, label: int) -> PointMM:
-    """The lower-left vertex of a cell, i.e. the position a label stands for."""
-    if not (0 <= label < spec.cell_count):
-        raise LabelOutOfRangeError(f"label {label} outside [0, {spec.cell_count})")
-    col = label % spec.cols
-    row = label // spec.cols
-    return PointMM(col * spec.spacing, row * spec.spacing)
+def cell_vertex(spec: GridSpec, labels: int | np.ndarray) -> np.ndarray:
+    """The lower-left vertex of each cell, i.e. the (x, y) position a label stands for."""
+    labels = np.asarray(labels)
+    off_grid = labels[(labels < 0) | (labels >= spec.cell_count)]  # in row-major order
+    if off_grid.size:
+        raise LabelOutOfRangeError(f"label {off_grid[0]} outside [0, {spec.cell_count})")
+    return cell_vertices(spec)[labels]
 
 
 def _grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +106,7 @@ def _grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cell_vertices(spec: GridSpec) -> np.ndarray:
-    """``cell_vertex`` of every label at once: row ``label`` of a (cell_count, 2) array."""
+    """Every cell's vertex: row ``label`` of a (cell_count, 2) array."""
     xs, ys = _grid_axes(spec)
     v = np.empty((spec.rows, spec.cols, 2))  # filled in place, to keep peak memory down
     v[..., 0] = xs
@@ -143,7 +143,7 @@ def build_db(model: CalibrationModel, spec: GridSpec, anchors: AnchorLayout) -> 
     vertices = cell_vertices(spec)
     vectors = np.empty((spec.cell_count, 3))  # filled in place, to keep peak memory down
     for ai, (name, a) in enumerate(zip(ANCHOR_NAMES, anchors.as_tuple())):
-        vectors[:, ai] = predict_measured(model, name, np.array(distances(vertices, a)))
+        vectors[:, ai] = predict_measured(model, name, np.array(distance(vertices, a)))
     return FingerprintDB(spec, np.maximum(vectors, DB_PREDICTION_FLOOR, out=vectors))
 
 

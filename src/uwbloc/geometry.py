@@ -19,11 +19,9 @@ __all__ = [
     "RangeTriple",
     "DEFAULT_ANCHORS",
     "distance",
-    "distances",
     "triangle_area",
     "check_ranges",
     "trilaterate",
-    "trilaterate_batch",
 ]
 
 # Anchor triangles flatter than this (mm^2) are rejected as collinear.
@@ -57,13 +55,8 @@ class PointMM:
         return (self.x, self.y)
 
 
-def distance(p: PointMM, q: PointMM) -> float:
-    """Euclidean distance between two points, in mm."""
-    return math.hypot(p.x - q.x, p.y - q.y)
-
-
-def distances(xy: np.ndarray, p: PointMM) -> list[float]:
-    """``distance`` from each row of an (n, 2) array to ``p``, bit for bit."""
+def distance(xy: np.ndarray, p: PointMM) -> list[float]:
+    """Euclidean distance from each row of an (n, 2) array to ``p``, in mm."""
     # math.hypot, not np.hypot: the two differ in the last bit on some inputs
     return list(map(math.hypot, (xy[:, 0] - p.x).tolist(), (xy[:, 1] - p.y).tolist()))
 
@@ -156,7 +149,7 @@ def check_ranges(ranges: np.ndarray) -> None:
         _check_range(float(flat[np.argmax(bad)]))
 
 
-def trilaterate_batch(anchors: AnchorLayout, ranges: np.ndarray) -> np.ndarray:
+def trilaterate(anchors: AnchorLayout, ranges: np.ndarray) -> np.ndarray:
     """Solve for the positions implied by rows of anchor distances.
 
     ``ranges`` is (n, 3), columns A, B and C; the result is (n, 2), columns
@@ -193,8 +186,3 @@ def trilaterate_batch(anchors: AnchorLayout, ranges: np.ndarray) -> np.ndarray:
         raise ValueError(f"coordinates must be finite, got ({x}, {y})")
     return xy
 
-
-def trilaterate(anchors: AnchorLayout, ranges: RangeTriple) -> PointMM:
-    """Solve for the position implied by one range triple (see trilaterate_batch)."""
-    x, y = trilaterate_batch(anchors, np.array([ranges.as_tuple()])).tolist()[0]
-    return PointMM(x, y)

@@ -1,10 +1,11 @@
 """Scalar reference forms of package rules, for tests only.
 
 The package works on arrays: it predicts through ``(query, label, mass)``
-arrays, fits every calibration pair of every set at once and converts a
+arrays, fits every calibration pair of every set at once, measures distances
+and maps labels to grid vertices an array at a time, and converts a
 measurement file a slice of lines at a time. These are the same rules written
-over one query's ``{label: mass}`` dict, one pair of distances or one line of
-a file.
+over one query's ``{label: mass}`` dict, one pair of distances, one pair of
+points, one grid label or one line of a file.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from uwbloc.calibration import DegeneratePairError, LinearRangingEq, NonPositiveSlopeError
 from uwbloc.errors import FileFormatError, parse_number, read_text
+from uwbloc.fingerprint import GridSpec
 from uwbloc.geometry import PointMM, check_ranges
 from uwbloc.learners import VoteWeights
 from uwbloc.simulator import MEASUREMENT_HEADER, NoiseConfig, Visits
@@ -36,6 +38,18 @@ def fit_pair(true1: float, meas1: float, true2: float, meas2: float) -> LinearRa
     if a <= 0.0:
         raise NonPositiveSlopeError(f"fitted slope {a} is not positive")
     return LinearRangingEq(a, meas1 - a * true1)
+
+
+def distance(p: PointMM, q: PointMM) -> float:
+    """Euclidean distance between two points, in mm (``geometry.distance`` for one pair)."""
+    return math.hypot(p.x - q.x, p.y - q.y)
+
+
+def cell_vertex(spec: GridSpec, label: int) -> PointMM:
+    """The lower-left vertex of one cell (``fingerprint.cell_vertex`` for one label)."""
+    col = label % spec.cols
+    row = label // spec.cols
+    return PointMM(col * spec.spacing, row * spec.spacing)
 
 
 def probabilities(clf, X) -> list[ClassProbabilities]:

@@ -4,6 +4,7 @@
 name, so a name it lists must keep resolving on its module.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -32,9 +33,12 @@ MODULES = [
 #: Scalar and dict-valued twins of array paths, taken out of the package.
 REMOVED = (
     "fit_pair", "mad_filter", "correct_range", "vertex_to_label", "IDENTITY_NOISE",
-    "ClassProbabilities", "_ProbabilisticClassifier",
+    "ClassProbabilities", "_ProbabilisticClassifier", "trilaterate_batch", "distances",
 )
 REMOVED_METHODS = ("predict", "predict_proba", "predict_proba_batch")
+
+#: Names a module imports from the package only so that the tracer can rebind them there.
+TRACER_ONLY_IMPORTS = {"evaluation.py": {"correct_triple", "measurement_stream", "simulate_range"}}
 
 
 def _tracing():
@@ -81,3 +85,17 @@ def test_every_name_the_tracer_rebinds_resolves():
     missing = [f"{module.__name__}.{name}" for module, names in targets for name in names
                if not callable(getattr(module, name, None))]
     assert missing == []
+
+
+def test_every_package_import_is_used_or_tracer_only():
+    unused = {}
+    for path in sorted(Path(uwbloc.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = imported - used
+    assert unused == TRACER_ONLY_IMPORTS

@@ -23,11 +23,11 @@ from uwbloc.calibration import (
     write_calibration,
 )
 from uwbloc.errors import FileFormatError
-from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, distance
+from uwbloc.geometry import DEFAULT_ANCHORS, PointMM
 from uwbloc.preprocess import CorrectionPolicy
 from uwbloc.simulator import Visits, read_measurements
 
-from oracles import fit_pair
+from oracles import distance, fit_pair
 
 
 def _true_distances():

@@ -209,6 +209,34 @@ def test_bad_weights_flag_is_exit_2(tmp_path, coarse_cfg, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, key_line, error", [
+    (["--seed", "1_0"], "", "run.seed: not an integer: '1_0'"),
+    (["--ratio", "0.8_5"], "", "correction.ratio: not a number: '0.8_5'"),
+    ([], "run.seed = 1_0\n", "run.seed: not an integer: '1_0'"),
+], ids=("seed-flag", "ratio-flag", "seed-key"))
+def test_digit_separator_in_a_flag_is_exit_2_as_in_a_file(tmp_path, capsys, flags, key_line, error):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(COARSE + key_line)
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--config", str(cfg), "--model", "none", *flags,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("uwbloc: config error: ") and err.endswith(f": {error}\n")
+    assert not out.exists()
+
+
+def test_ratio_flag_writes_what_the_ratio_key_writes(tmp_path, coarse_cfg, capsys):
+    cfg = tmp_path / "ratio.cfg"
+    cfg.write_text(COARSE + "correction.ratio = 0.95\n")
+    by_flag, by_key = tmp_path / "flag.csv", tmp_path / "key.csv"
+    assert main(["evaluate", "--config", str(coarse_cfg), "--model", "none", "--ratio", "0.95",
+                 "--out", str(by_flag)]) == 0
+    assert main(["evaluate", "--config", str(cfg), "--model", "none", "--out", str(by_key)]) == 0
+    assert "# correction_ratio = 0.95\n" in by_flag.read_text()
+    assert by_flag.read_bytes() == by_key.read_bytes()
+    capsys.readouterr()
+
+
 def test_malformed_measurements_is_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("wrong,header,entirely\n1,2,3\n")

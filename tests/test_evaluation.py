@@ -24,12 +24,12 @@ from uwbloc.evaluation import (
     run_ml,
     write_report,
 )
-from uwbloc.fingerprint import GridSpec, cell_vertex
-from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, distance
+from uwbloc.fingerprint import GridSpec
+from uwbloc.geometry import DEFAULT_ANCHORS, PointMM
 from uwbloc.learners import TreeClassifier, VoteWeights
 from uwbloc.simulator import NoiseConfig
 
-from oracles import IDENTITY_NOISE
+from oracles import IDENTITY_NOISE, cell_vertex, distance
 
 
 COARSE_GRID = GridSpec(1000.0, 2000.0, 250.0)  # 4 x 8 cells, cheap to search

@@ -17,7 +17,9 @@ from uwbloc.fingerprint import (
     read_db,
     write_db,
 )
-from uwbloc.geometry import DEFAULT_ANCHORS, distance
+from uwbloc.geometry import DEFAULT_ANCHORS
+
+import oracles
 
 
 IDENTITY_MODEL = CalibrationModel(
@@ -45,11 +47,13 @@ def test_grid_spec_rejects_non_divisible_area():
 
 
 def test_cell_vertex_known_labels():
-    assert cell_vertex(DEFAULT_GRID, 0).as_tuple() == (0.0, 0.0)
-    assert cell_vertex(DEFAULT_GRID, 39).as_tuple() == (975.0, 0.0)
-    assert cell_vertex(DEFAULT_GRID, 40).as_tuple() == (0.0, 25.0)
-    assert cell_vertex(DEFAULT_GRID, 3199).as_tuple() == (975.0, 1975.0)
-    assert cell_vertex(DEFAULT_GRID, 1180).as_tuple() == (500.0, 725.0)  # col 20, row 29
+    assert cell_vertex(DEFAULT_GRID, 0).tolist() == [0.0, 0.0]
+    assert cell_vertex(DEFAULT_GRID, 39).tolist() == [975.0, 0.0]
+    # an array of labels keeps its shape; 1180 is col 20, row 29
+    labels = np.array([[40, 3199], [39, 1180]])
+    assert cell_vertex(DEFAULT_GRID, labels).tolist() == [
+        [[0.0, 25.0], [975.0, 1975.0]], [[975.0, 0.0], [500.0, 725.0]],
+    ]
 
 
 def test_cell_vertex_rejects_bad_labels():
@@ -57,12 +61,16 @@ def test_cell_vertex_rejects_bad_labels():
         cell_vertex(DEFAULT_GRID, -1)
     with pytest.raises(LabelOutOfRangeError):
         cell_vertex(DEFAULT_GRID, 3200)
+    with pytest.raises(LabelOutOfRangeError, match=r"^label 3200 outside"):
+        cell_vertex(DEFAULT_GRID, np.array([[0, 3199], [3200, -1]]))
 
 
 def test_cell_vertices_match_cell_vertex():
     for spec in (DEFAULT_GRID, GridSpec(100.0, 150.0, 50.0), GridSpec(0.3, 0.7, 0.1)):
-        want = [cell_vertex(spec, label).as_tuple() for label in range(spec.cell_count)]
+        want = [oracles.cell_vertex(spec, label).as_tuple() for label in range(spec.cell_count)]
         assert [tuple(v) for v in cell_vertices(spec).tolist()] == want
+        labels = np.arange(spec.cell_count)
+        assert [tuple(v) for v in cell_vertex(spec, labels).tolist()] == want
 
 
 def test_build_db_identity_model_predicts_distances():
@@ -71,10 +79,10 @@ def test_build_db_identity_model_predicts_distances():
     anchor_points = DEFAULT_ANCHORS.as_tuple()
     rng = np.random.default_rng(2)
     for label in rng.integers(0, 3200, size=64):
-        v = cell_vertex(DEFAULT_GRID, int(label))
+        v = oracles.cell_vertex(DEFAULT_GRID, int(label))
         got = db.vectors[int(label)]
         for ai in range(3):
-            want = max(distance(v, anchor_points[ai]), DB_PREDICTION_FLOOR)
+            want = max(oracles.distance(v, anchor_points[ai]), DB_PREDICTION_FLOOR)
             assert got[ai] == want
 
 
@@ -139,7 +147,7 @@ def test_read_db_rejects_malformed_files(tmp_path):
     spec = GridSpec(50.0, 50.0, 25.0)
     lines = ["25.0,50.0,50.0"]
     for label in (0, 2, 1, 3):
-        v = cell_vertex(spec, label)
+        v = oracles.cell_vertex(spec, label)
         lines.append(f"{label},{v.x!r},{v.y!r},10.0,10.0,10.0")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError, match="expected label"):

@@ -14,8 +14,9 @@ from uwbloc.geometry import (
     check_ranges,
     triangle_area,
     trilaterate,
-    trilaterate_batch,
 )
+
+import oracles
 
 
 def test_point_rejects_non_finite():
@@ -34,8 +35,24 @@ def test_point_is_within_includes_borders():
 
 def test_distance_known_value():
     # 800^2 + 1800^2 = 3880000
-    d = distance(PointMM(100.0, 100.0), PointMM(900.0, 1900.0))
+    (d,) = distance(np.array([[100.0, 100.0]]), PointMM(900.0, 1900.0))
     assert math.isclose(d, math.sqrt(3880000.0), rel_tol=1e-12)
+    assert distance(np.empty((0, 2)), PointMM(0.0, 0.0)) == []
+
+
+def test_distance_matches_the_hypot_pair_oracle_bit_for_bit():
+    # what the pipelines measure: grid vertices, test points and trilaterated
+    # positions (some outside the area) against anchors and test points
+    rng = np.random.default_rng(5)
+    xy = np.vstack([
+        np.stack(np.meshgrid(np.arange(41) * 25.0, np.arange(81) * 25.0), axis=-1).reshape(-1, 2),
+        rng.uniform((-500.0, -500.0), (1500.0, 2500.0), size=(2000, 2)),
+        [[250.0, 1500.0], [500.0, 0.0], [1e-300, -0.0]],
+    ])
+    for p in (*DEFAULT_ANCHORS.as_tuple(), PointMM(250.0, 1500.0), PointMM(333.3, 1e-9)):
+        want = [oracles.distance(PointMM(x, y), p) for x, y in xy.tolist()]
+        got = distance(xy, p)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
 
 def test_triangle_area_right_triangle():
@@ -86,36 +103,37 @@ def test_range_triple_validation():
     assert RangeTriple(1.0, 2.0, 3.0).as_tuple() == (1.0, 2.0, 3.0)
 
 
+def _true_ranges(xy):
+    """(n, 3) distances from each row of ``xy`` to the default anchors A, B and C."""
+    return np.column_stack([distance(xy, a) for a in DEFAULT_ANCHORS.as_tuple()])
+
+
 def test_trilaterate_hand_checked_case():
     # A(0,0), B(0,10), C(10,0), tag at (3,4): the 2x2 system solves exactly.
     layout = AnchorLayout(PointMM(0.0, 0.0), PointMM(0.0, 10.0), PointMM(10.0, 0.0))
-    ranges = RangeTriple(5.0, math.sqrt(45.0), math.sqrt(65.0))
-    est = trilaterate(layout, ranges)
-    assert math.isclose(est.x, 3.0, abs_tol=1e-9)
-    assert math.isclose(est.y, 4.0, abs_tol=1e-9)
+    ranges = (5.0, math.sqrt(45.0), math.sqrt(65.0))
+    (est,) = trilaterate(layout, [ranges]).tolist()
+    assert est == list(_reference_trilaterate(layout, *ranges))
+    assert math.isclose(est[0], 3.0, abs_tol=1e-9)
+    assert math.isclose(est[1], 4.0, abs_tol=1e-9)
 
 
 def test_trilaterate_recovers_random_points():
     rng = np.random.default_rng(11)
-    anchor_points = DEFAULT_ANCHORS.as_tuple()
-    for _ in range(50):
-        p = PointMM(float(rng.uniform(1.0, 999.0)), float(rng.uniform(1.0, 1999.0)))
-        ranges = RangeTriple(*(distance(p, a) for a in anchor_points))
-        est = trilaterate(DEFAULT_ANCHORS, ranges)
-        assert distance(est, p) < 1e-9
+    xy = rng.uniform((1.0, 1.0), (999.0, 1999.0), size=(50, 2))
+    est = trilaterate(DEFAULT_ANCHORS, _true_ranges(xy))
+    assert np.hypot(*(est - xy).T).max() < 1e-9
 
 
 def test_trilaterate_result_is_not_clamped():
     # ranges consistent with a point outside the 1m x 2m area
-    p = PointMM(1500.0, 2500.0)
-    ranges = RangeTriple(*(distance(p, a) for a in DEFAULT_ANCHORS.as_tuple()))
-    est = trilaterate(DEFAULT_ANCHORS, ranges)
-    assert est.x > 1000.0 and est.y > 2000.0
+    x, y = trilaterate(DEFAULT_ANCHORS, _true_ranges(np.array([[1500.0, 2500.0]])))[0]
+    assert x > 1000.0 and y > 2000.0
 
 
 def test_trilaterate_rejects_non_finite_ranges():
     with pytest.raises(NonFiniteRangeError):
-        RangeTriple(math.inf, 100.0, 100.0)
+        trilaterate(DEFAULT_ANCHORS, [[math.inf, 100.0, 100.0]])
 
 
 def _reference_trilaterate(anchors, da, db, dc):
@@ -128,23 +146,23 @@ def _reference_trilaterate(anchors, da, db, dc):
     return (r1 * m22 - m12 * r2) / det, (m11 * r2 - r1 * m21) / det
 
 
-def test_trilaterate_batch_matches_the_per_triple_solver_bit_for_bit():
+def test_trilaterate_matches_the_per_triple_solver_bit_for_bit():
     rng = np.random.default_rng(3)
     layout = AnchorLayout(PointMM(-3.5, 7.25), PointMM(40.0, 2300.0), PointMM(1100.0, -15.0))
     ranges = rng.uniform(1.0, 3000.0, size=(500, 3))
-    got = trilaterate_batch(layout, ranges)
+    got = trilaterate(layout, ranges)
     want = np.array([_reference_trilaterate(layout, *row) for row in ranges.tolist()])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert trilaterate_batch(layout, np.empty((0, 3))).shape == (0, 2)
+    assert trilaterate(layout, np.empty((0, 3))).shape == (0, 2)
 
 
-def test_trilaterate_batch_rejects_bad_rows():
+def test_trilaterate_rejects_bad_rows():
     with pytest.raises(NonFiniteRangeError, match="got nan"):
-        trilaterate_batch(DEFAULT_ANCHORS, [[1.0, 2.0, 3.0], [4.0, np.nan, np.inf]])
+        trilaterate(DEFAULT_ANCHORS, [[1.0, 2.0, 3.0], [4.0, np.nan, np.inf]])
     with pytest.raises(ValueError, match="coordinates must be finite"):
-        trilaterate_batch(DEFAULT_ANCHORS, [[1.0, 2.0, 3.0], [1e200, 1.0, 1.0]])
+        trilaterate(DEFAULT_ANCHORS, [[1.0, 2.0, 3.0], [1e200, 1.0, 1.0]])
     with pytest.raises(ValueError, match="shape"):
-        trilaterate_batch(DEFAULT_ANCHORS, [1.0, 2.0, 3.0])
+        trilaterate(DEFAULT_ANCHORS, [1.0, 2.0, 3.0])
 
 
 def test_check_ranges_raises_what_range_triple_raises_for_the_first_bad_entry():

@@ -10,7 +10,7 @@ import pytest
 
 from uwbloc import simulator
 from uwbloc.errors import FileFormatError
-from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, distance
+from uwbloc.geometry import DEFAULT_ANCHORS, PointMM
 from uwbloc.simulator import (
     DRAW_CHUNK,
     Campaign,
@@ -30,7 +30,7 @@ from uwbloc.simulator import (
     write_measurements,
 )
 
-from oracles import IDENTITY_NOISE
+from oracles import IDENTITY_NOISE, distance
 
 
 def test_noise_config_validation():
