@@ -32,8 +32,10 @@ from .evaluation import (
     PointErrors,
     TEST_POINTS,
     compare,
+    fit_calibration,
     load_reference_report,
     list_reference_reports,
+    observation_campaign,
     read_report,
     run_baseline,
     run_ml,

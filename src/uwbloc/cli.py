@@ -4,7 +4,11 @@ Five subcommands cover the pipeline: ``simulate`` writes a measurement
 campaign, ``fit`` turns measurements into a ranging calibration,
 ``build-db`` predicts the fingerprint grid from a calibration,
 ``evaluate`` runs a full error evaluation (baseline or fingerprint), and
-``compare`` lays finished reports side by side.
+``compare`` lays finished reports side by side. ``simulate`` then ``fit``
+run ``observation_campaign`` and ``fit_calibration``, the stages ``run_ml``
+composes, so with ``campaign.locations`` at the reference points and
+``campaign.reps`` = ``calibration.obs_sets`` they write the calibration
+that ``evaluate`` fits in process.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 malformed input
 data file, 4 pipeline, I/O or memory failure. Given the same configuration and
@@ -23,8 +27,6 @@ from .calibration import (
     ANCHOR_NAMES,
     MissingReferencePointError,
     ModelKind,
-    clean_observation_rows,
-    fit_model,
     read_calibration,
     write_calibration,
 )
@@ -33,6 +35,7 @@ from .errors import FileFormatError
 from .evaluation import (
     CLASSIFIERS,
     compare,
+    fit_calibration,
     format_comparison,
     format_report,
     read_report,
@@ -42,7 +45,11 @@ from .evaluation import (
     write_report,
 )
 from .fingerprint import build_db, write_db
-from .simulator import STAGE_SELECTION, derive_seed, read_measurements, simulate_campaign, write_measurements
+from .simulator import read_measurements, simulate_campaign, write_measurements
+
+# Not called here: bench/tracing.py instruments these names on this module.
+from .calibration import clean_observation_rows, fit_model
+from .simulator import derive_seed
 
 __all__ = ["main"]
 
@@ -118,23 +125,11 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _cmd_fit(args: argparse.Namespace, cfg: RunConfig) -> int:
     pcfg = cfg.pipeline()
-    kind = pcfg.model_kind
-    if kind is None:
+    if pcfg.model_kind is None:
         raise ConfigError("calibration.kind is none; nothing to fit")
-    obs = clean_observation_rows(
-        read_measurements(args.measurements),
-        pcfg.reference_points,
-        mad_k=pcfg.mad_k,
-        mad_scale=pcfg.mad_scale,
-        policy=pcfg.correction,
-    )
-    model = fit_model(
-        kind, obs, cfg.anchors(),
-        n_select=pcfg.n_select,
-        seed=derive_seed(pcfg.seed, STAGE_SELECTION),
-    )
+    obs, model = fit_calibration(pcfg, read_measurements(args.measurements), cfg.anchors())
     write_calibration(args.out, model)
-    print(f"model {kind.value}: kept {obs.n_sets} clean sets")
+    print(f"model {model.kind.value}: kept {obs.n_sets} clean sets")
     for name in ANCHOR_NAMES:
         eq = model.equation(name)
         print(f"  {name}: measured = {eq.a:.6f} * true + {eq.b:.3f}")
@@ -187,15 +182,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         cfg = load_config(getattr(args, "config", None), _overrides(args))
-        if args.command == "simulate":
-            return _cmd_simulate(args, cfg)
-        if args.command == "fit":
-            return _cmd_fit(args, cfg)
-        if args.command == "build-db":
-            return _cmd_build_db(args, cfg)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args, cfg)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        run = {"simulate": _cmd_simulate, "fit": _cmd_fit, "build-db": _cmd_build_db,
+               "evaluate": _cmd_evaluate}[args.command]
+        return run(args, cfg)
     except ConfigError as exc:
         print(f"uwbloc: config error: {exc}", file=sys.stderr)
         return 2

@@ -14,18 +14,18 @@ and hashing), and builds the domain objects the pipeline consumes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Mapping
 
 from .calibration import REFERENCE_POINTS, ModelKind
 from .errors import FileFormatError, parse_number, read_text
-from .evaluation import CLASSIFIERS, TEST_POINTS, PipelineConfig
+from .evaluation import CLASSIFIERS, TEST_POINTS, PipelineConfig, observation_campaign
 from .fingerprint import DEFAULT_GRID, GridSpec
 from .geometry import DEFAULT_ANCHORS, AnchorLayout, PointMM
 from .learners import VoteWeights
 from .preprocess import CorrectionPolicy
-from .simulator import Campaign, NoiseConfig, STAGE_OBSERVATION, derive_seed
+from .simulator import NoiseConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config_text", "resolve_config"]
 
@@ -292,16 +292,11 @@ class RunConfig:
     def pipeline(self) -> PipelineConfig:
         return self._pipeline
 
-    def campaign(self) -> Campaign:
-        """Measurement campaign for the simulate command.
-
-        Uses the observation-stage seed, so a simulated file re-fed into
-        the fit command reproduces the in-pipeline observation campaign
-        when locations and reps line up.
-        """
-        v, p = self.values, self._pipeline
-        noise = replace(p.noise, seed=derive_seed(p.seed, STAGE_OBSERVATION))
-        return Campaign(v["campaign.locations"], v["campaign.reps"], self._anchors, noise)
+    def campaign(self):
+        """The simulate command's ``observation_campaign`` at ``campaign.locations``."""
+        v = self.values
+        return observation_campaign(
+            self._pipeline, self._anchors, v["campaign.locations"], v["campaign.reps"])
 
     # canonical form ---------------------------------------------------
 
@@ -393,9 +388,12 @@ def load_config(
         except (OSError, FileFormatError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         raw = parse_config_text(text, origin=path)
-    if overrides:
-        for key, value in overrides.items():
-            if key not in _SCHEMA:
-                raise ConfigError(f"<override>: unknown key {key!r}")
-            raw[key] = value
+    for key, value in (overrides or {}).items():
+        if key not in _SCHEMA:
+            raise ConfigError(f"<override>: unknown key {key!r}")
+        try:  # converted here too, so that a bad value is blamed on the flag
+            _SCHEMA[key][0](value)
+        except ValueError as exc:
+            raise ConfigError(f"<override>: {key}: {exc}") from None
+        raw[key] = value
     return resolve_config(raw, origin=origin)

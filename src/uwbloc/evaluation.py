@@ -8,6 +8,13 @@ pipeline first fits a calibration model from a simulated reference-point
 campaign, predicts a fingerprint DB over the grid, and classifies each
 visit into a cell.
 
+``run_ml`` composes two stage functions that the CLI calls too:
+``observation_campaign`` (the ``simulate`` command) and
+``fit_calibration`` (the ``fit`` command). So ``simulate`` with
+``campaign.locations`` set to the reference points and ``campaign.reps``
+to ``calibration.obs_sets``, then ``fit``, writes exactly the equations
+that ``run_ml`` records as ``eq_A``..``eq_C``.
+
 All randomness flows from ``PipelineConfig.seed``; observation campaign,
 model-fit set selection, forest training, and test trials each use a
 derived stage seed, so the two pipelines see identical test measurements.
@@ -19,14 +26,16 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .calibration import (
     REFERENCE_POINTS,
     ANCHOR_NAMES,
+    CalibrationModel,
     ModelKind,
+    ObservationData,
     clean_observation_rows,
     fit_model,
 )
@@ -50,6 +59,7 @@ from .simulator import (
     STAGE_OBSERVATION,
     STAGE_SELECTION,
     STAGE_TRIALS,
+    Visits,
     derive_seed,
     simulate_campaign,
     simulate_visits,
@@ -68,6 +78,8 @@ __all__ = [
     "ErrorReport",
     "ComparisonColumn",
     "ComparisonTable",
+    "observation_campaign",
+    "fit_calibration",
     "run_baseline",
     "run_ml",
     "compare",
@@ -154,10 +166,6 @@ class PipelineConfig:
         return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:16]
 
 
-def _round5(v: float) -> float:
-    return round(float(v), 5)
-
-
 @dataclass(frozen=True)
 class PointErrors:
     """Aggregated positioning error at one test point (mm, 5 decimals).
@@ -198,19 +206,6 @@ class ErrorReport:
         return tuple(e.point for e in self.entries)
 
 
-def _aggregate(
-    points: Sequence[PointMM],
-    errors_per_point: Sequence[Sequence[float]],
-    metadata: dict[str, str],
-) -> ErrorReport:
-    entries = []
-    for p, errs in zip(points, errors_per_point):
-        if len(errs) == 0:
-            raise ValueError(f"every trial failed at point {p.as_tuple()}")
-        entries.append(PointErrors(p, _round5(sum(errs) / len(errs)), _round5(max(errs))))
-    return ErrorReport(tuple(entries), metadata)
-
-
 def _measured_triples(
     cfg: PipelineConfig, stage: int, xy: np.ndarray | Sequence[tuple[float, float]], reps: int,
     anchors: AnchorLayout,
@@ -221,25 +216,67 @@ def _measured_triples(
     return correct_range_batch(ranges, cfg.correction)
 
 
+def observation_campaign(
+    cfg: PipelineConfig, anchors: AnchorLayout, locations: tuple[PointMM, ...], reps: int,
+) -> Campaign:
+    """``reps`` visits to each of ``locations``, drawn from the observation-stage seed."""
+    return Campaign(locations, reps, anchors,
+                    replace(cfg.noise, seed=derive_seed(cfg.seed, STAGE_OBSERVATION)))
+
+
+def fit_calibration(
+    cfg: PipelineConfig, records: list[Visits], anchors: AnchorLayout,
+) -> tuple[ObservationData, CalibrationModel]:
+    """Clean ``records`` at the reference points, then fit ``cfg.model_kind`` from them."""
+    obs = clean_observation_rows(
+        records,
+        cfg.reference_points,
+        mad_k=cfg.mad_k,
+        mad_scale=cfg.mad_scale,
+        policy=cfg.correction,
+    )
+    model = fit_model(
+        cfg.model_kind, obs, anchors,
+        n_select=cfg.n_select,
+        seed=derive_seed(cfg.seed, STAGE_SELECTION),
+    )
+    return obs, model
+
+
+def _score(
+    cfg: PipelineConfig, anchors: AnchorLayout, locate: Callable[[np.ndarray], np.ndarray],
+    metadata: Mapping[str, str],
+) -> ErrorReport:
+    """Draw the test visits, position them with ``locate`` and report each point's errors.
+
+    ``locate`` maps (n, 3) range triples to (n, 2) positions. It runs after
+    the draws, so their scratch memory is freed before it builds anything.
+    """
+    test_xy = [p.as_tuple() for p in cfg.test_points]
+    queries = _measured_triples(cfg, STAGE_TRIALS, test_xy, cfg.n_trials, anchors)
+    positions = locate(queries.reshape(-1, 3)).reshape(queries.shape[:2] + (2,))
+    entries = []
+    for p, xy in zip(cfg.test_points, positions):
+        errs = distance(xy, p)
+        entries.append(PointErrors(p, round(sum(errs) / len(errs), 5), round(max(errs), 5)))
+    return ErrorReport(tuple(entries), {
+        "pipeline": "baseline" if cfg.model_kind is None else "fingerprint",
+        "seed": str(cfg.seed),
+        "n_trials": str(cfg.n_trials),
+        # a classifier labels every query, and trilaterate never raises CollinearAnchorsError:
+        # its |det| is exactly 8x the anchor triangle area, which AnchorLayout keeps > 1e-6
+        "failed_trials": "0",
+        "correction_ratio": repr(cfg.correction.ratio),
+        "params_hash": cfg.params_hash(),
+        **metadata,
+    })
+
+
 def run_baseline(cfg: PipelineConfig, anchors: AnchorLayout) -> ErrorReport:
     """Trilateration-only evaluation; the reference everything else beats."""
     if cfg.model_kind is not None:
         raise ValueError("baseline run must have model_kind None")
-    test_xy = [p.as_tuple() for p in cfg.test_points]
-    ranges = _measured_triples(cfg, STAGE_TRIALS, test_xy, cfg.n_trials, anchors)
-    positions = trilaterate(anchors, ranges.reshape(-1, 3)).reshape(ranges.shape[:2] + (2,))
-    per_point = [distance(xy, p) for p, xy in zip(cfg.test_points, positions)]
-    metadata = {
-        "pipeline": "baseline",
-        "seed": str(cfg.seed),
-        "n_trials": str(cfg.n_trials),
-        # trilaterate never raises CollinearAnchorsError here: its |det|
-        # is exactly 8x the anchor triangle area, which AnchorLayout keeps > 1e-6
-        "failed_trials": "0",
-        "correction_ratio": repr(cfg.correction.ratio),
-        "params_hash": cfg.params_hash(),
-    }
-    return _aggregate(cfg.test_points, per_point, metadata)
+    return _score(cfg, anchors, lambda X: trilaterate(anchors, X), {})
 
 
 def _training_set(cfg: PipelineConfig, db: FingerprintDB, anchors: AnchorLayout) -> TrainingSet:
@@ -279,53 +316,26 @@ def run_ml(cfg: PipelineConfig, anchors: AnchorLayout, spec: GridSpec) -> ErrorR
     """Full fingerprint pipeline: observe, fit, build DB, train, evaluate."""
     if cfg.model_kind is None:
         raise ValueError("fingerprint run needs a model kind; use run_baseline for none")
-    for p in cfg.test_points:
-        if not p.is_within(spec.width, spec.height):
-            raise OutOfAreaError(f"test point {p.as_tuple()} outside the grid area")
+    for group, points in (("test", cfg.test_points), ("reference", cfg.reference_points)):
+        for p in points:
+            if not p.is_within(spec.width, spec.height):
+                raise OutOfAreaError(f"{group} point {p.as_tuple()} outside the grid area")
 
-    for p in cfg.reference_points:
-        if not p.is_within(spec.width, spec.height):
-            raise OutOfAreaError(f"reference point {p.as_tuple()} outside the grid area")
-
-    obs_noise = replace(cfg.noise, seed=derive_seed(cfg.seed, STAGE_OBSERVATION))
-    campaign = Campaign(cfg.reference_points, cfg.obs_sets, anchors, obs_noise)
-    obs = clean_observation_rows(
-        simulate_campaign(campaign),
-        cfg.reference_points,
-        mad_k=cfg.mad_k,
-        mad_scale=cfg.mad_scale,
-        policy=cfg.correction,
-    )
-    model = fit_model(
-        cfg.model_kind, obs, anchors,
-        n_select=cfg.n_select,
-        seed=derive_seed(cfg.seed, STAGE_SELECTION),
-    )
+    campaign = observation_campaign(cfg, anchors, cfg.reference_points, cfg.obs_sets)
+    _, model = fit_calibration(cfg, simulate_campaign(campaign), anchors)
     db = build_db(model, spec, anchors)
-    # drawn before training, so that the draws' scratch memory and the
-    # classifier are never held at the same time
-    test_xy = [p.as_tuple() for p in cfg.test_points]
-    queries = _measured_triples(cfg, STAGE_TRIALS, test_xy, cfg.n_trials, anchors)
-    clf = _build_classifier(cfg, _training_set(cfg, db, anchors))
-    labels = clf.predict_batch(queries.reshape(-1, 3)).reshape(queries.shape[:2])
-    per_point = [distance(xy, p) for p, xy in zip(cfg.test_points, cell_vertex(spec, labels))]
 
-    metadata = {
-        "pipeline": "fingerprint",
-        "model": cfg.model_kind.value,
-        "classifier": cfg.classifier,
-        "seed": str(cfg.seed),
-        "n_trials": str(cfg.n_trials),
-        "failed_trials": "0",
-        "correction_ratio": repr(cfg.correction.ratio),
-        "params_hash": cfg.params_hash(),
-    }
+    def locate(queries: np.ndarray) -> np.ndarray:
+        clf = _build_classifier(cfg, _training_set(cfg, db, anchors))
+        return cell_vertex(spec, clf.predict_batch(queries))
+
+    metadata = {"model": cfg.model_kind.value, "classifier": cfg.classifier}
     for name in ANCHOR_NAMES:
         eq = model.equation(name)
         metadata[f"eq_{name}"] = f"{eq.a!r},{eq.b!r}"
     if cfg.classifier == "vote":
         metadata["vote_weights"] = f"{cfg.vote_weights.w_knn!r}:{cfg.vote_weights.w_tree!r}"
-    return _aggregate(cfg.test_points, per_point, metadata)
+    return _score(cfg, anchors, locate, metadata)
 
 
 # -- comparison -------------------------------------------------------------

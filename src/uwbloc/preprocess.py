@@ -34,7 +34,7 @@ def mad_keep_mask(values: Sequence[float], k: float = 3.0, scale: float = MAD_SC
     median absolute deviation from the median. The rule is a pure
     inequality: a zero MAD keeps only values exactly equal to the median.
     """
-    if k <= 0.0 or scale <= 0.0:
+    if not (0.0 < k < np.inf and 0.0 < scale < np.inf):
         raise ValueError("k and scale must be positive")
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:

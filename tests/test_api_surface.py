@@ -38,7 +38,10 @@ REMOVED = (
 REMOVED_METHODS = ("predict", "predict_proba", "predict_proba_batch")
 
 #: Names a module imports from the package only so that the tracer can rebind them there.
-TRACER_ONLY_IMPORTS = {"evaluation.py": {"correct_triple", "measurement_stream", "simulate_range"}}
+TRACER_ONLY_IMPORTS = {
+    "cli.py": {"clean_observation_rows", "derive_seed", "fit_model"},
+    "evaluation.py": {"correct_triple", "measurement_stream", "simulate_range"},
+}
 
 
 def _tracing():

@@ -12,7 +12,10 @@ import sys
 import pytest
 
 from uwbloc import cli
+from uwbloc.calibration import REFERENCE_POINTS
 from uwbloc.cli import main
+from uwbloc.config import load_config
+from uwbloc.evaluation import run_ml
 
 
 COARSE = """\
@@ -141,6 +144,25 @@ def test_simulate_fit_build_db_flow(tmp_path, coarse_cfg):
     assert len(db.read_text().splitlines()) == 1 + 32
 
 
+@pytest.mark.parametrize("seed", ("0", "7"))
+@pytest.mark.parametrize("model", ("one", "four"))
+def test_simulate_then_fit_writes_the_calibration_run_ml_fits(tmp_path, capsys, model, seed):
+    # the reference-point campaign of run_ml, written by simulate and read by fit
+    refs = ";".join(f"{p.x!r},{p.y!r}" for p in REFERENCE_POINTS)
+    reps = load_config(None).pipeline().obs_sets
+    cfg = tmp_path / "ref.cfg"
+    cfg.write_text(f"grid.spacing = 250\ncampaign.locations = {refs}\ncampaign.reps = {reps}\n")
+    meas, cal = tmp_path / "meas.csv", tmp_path / "cal.csv"
+    assert main(["simulate", "--config", str(cfg), "--seed", seed, "--out", str(meas)]) == 0
+    assert main(["fit", str(meas), "--config", str(cfg), "--seed", seed, "--model", model,
+                 "--out", str(cal)]) == 0
+    capsys.readouterr()
+    run = load_config(str(cfg), {"run.seed": seed, "calibration.kind": model})
+    report = run_ml(run.pipeline(), run.anchors(), run.grid())
+    assert cal.read_text().splitlines() == [f"kind,{model}"] + [
+        f"{name},{report.metadata[f'eq_{name}']}" for name in "ABC"]
+
+
 def test_noiseless_identity_pipeline_pins_grid_error(tmp_path):
     cfg = tmp_path / "ident.cfg"
     cfg.write_text(NOISELESS)
@@ -220,8 +242,9 @@ def test_digit_separator_in_a_flag_is_exit_2_as_in_a_file(tmp_path, capsys, flag
     out = tmp_path / "r.csv"
     assert main(["evaluate", "--config", str(cfg), "--model", "none", *flags,
                  "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("uwbloc: config error: ") and err.endswith(f": {error}\n")
+    # a bad flag value is the flag's fault, not the config file's
+    origin = "<override>" if flags else str(cfg)
+    assert capsys.readouterr().err == f"uwbloc: config error: {origin}: {error}\n"
     assert not out.exists()
 
 

@@ -113,3 +113,16 @@ def test_overrides_count_as_explicitly_set(tmp_path):
     # an override equal to the default still clashes with the baseline
     with pytest.raises(ConfigError, match="classifier.k"):
         load_config(None, {"calibration.kind": "none", "classifier.k": "1"})
+
+
+@pytest.mark.parametrize("with_file", (False, True), ids=("no-file", "file"))
+@pytest.mark.parametrize("key, value, error", [
+    ("run.seed", "1_0", "not an integer: '1_0'"),
+    ("correction.ratio", "2", "ratio must be in (0, 1], got 2.0"),
+])
+def test_a_bad_override_value_is_blamed_on_the_override(tmp_path, with_file, key, value, error):
+    path = tmp_path / "run.cfg"
+    path.write_text("grid.spacing = 50\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path) if with_file else None, {key: value})
+    assert str(info.value) == f"<override>: {key}: {error}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uwbloc import evaluation
-from uwbloc.calibration import ModelKind, REFERENCE_POINTS
+from uwbloc.calibration import InsufficientDataError, ModelKind, REFERENCE_POINTS
 from uwbloc.errors import FileFormatError
 from uwbloc.evaluation import (
     ComparisonTable,
@@ -148,6 +148,15 @@ def test_run_ml_rejects_out_of_area_points():
     cfg = _fast_cfg(test_points=(PointMM(5000.0, 5000.0),))
     with pytest.raises(ValueError):
         run_ml(cfg, DEFAULT_ANCHORS, COARSE_GRID)
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf), ids=("nan", "inf"))
+@pytest.mark.parametrize("setting", ("mad_k", "mad_scale"))
+def test_run_ml_rejects_a_non_finite_mad_setting(setting, value):
+    # NaN passes a plain `<= 0` check, then drops every set as an outlier
+    with pytest.raises(ValueError, match="k and scale must be positive") as info:
+        run_ml(_fast_cfg(**{setting: value}), DEFAULT_ANCHORS, COARSE_GRID)
+    assert not isinstance(info.value, InsufficientDataError)
 
 
 def test_run_ml_augmentation_changes_the_training_set():

@@ -66,6 +66,12 @@ def test_mad_validation():
         mad_keep_mask([1.0, 2.0], k=0.0)
     with pytest.raises(ValueError):
         mad_keep_mask([1.0, 2.0], scale=-1.0)
+    # NaN fails every comparison, so a plain "<= 0" check lets it through
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="k and scale must be positive"):
+            mad_keep_mask([1.0, 2.0], k=bad)
+        with pytest.raises(ValueError, match="k and scale must be positive"):
+            mad_keep_mask([1.0, 2.0], scale=bad)
 
 
 def test_correction_policy_validation():
