@@ -317,7 +317,7 @@ def parse_calibration(text: str, origin: str = "<calibration>") -> CalibrationMo
         raise FileFormatError(f"{origin}: expected 4 lines (kind + 3 anchors), got {len(lines)}")
     head = lines[0].split(",")
     if len(head) != 2 or head[0] != "kind":
-        raise FileFormatError(f"{origin}:1: expected 'kind,<one|two|three|four>'")
+        raise FileFormatError(f"{origin}:1: expected 'kind,<{'|'.join(k.value for k in ModelKind)}>'")
     try:
         kind = ModelKind(head[1])
     except ValueError as exc:

@@ -3,8 +3,9 @@
 Config files are UTF-8 text, one ``section.key = value`` per line, with
 ``#`` comment lines and blank lines ignored. Every key has a default, so
 an empty (or absent) file is a valid full configuration. Unknown keys
-and duplicate keys are rejected with the offending line number; so is
-any value that fails its key's validation.
+and duplicate keys are rejected with the offending line number. A value
+is parsed by its type only; the dataclass field it sets checks its range,
+and a value either rejects is a ConfigError that names the key.
 
 A resolved :class:`RunConfig` knows which keys were set explicitly,
 formats the full resolved configuration canonically (for report metadata
@@ -20,12 +21,12 @@ from typing import Callable, Mapping
 
 from .calibration import REFERENCE_POINTS, ModelKind
 from .errors import FileFormatError, parse_number, read_text
-from .evaluation import CLASSIFIERS, TEST_POINTS, PipelineConfig, observation_campaign
+from .evaluation import TEST_POINTS, PipelineConfig, observation_campaign
 from .fingerprint import DEFAULT_GRID, GridSpec
 from .geometry import DEFAULT_ANCHORS, AnchorLayout, PointMM
 from .learners import VoteWeights
 from .preprocess import CorrectionPolicy
-from .simulator import NoiseConfig
+from .simulator import Campaign, NoiseConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config_text", "resolve_config"]
 
@@ -34,7 +35,7 @@ class ConfigError(ValueError):
     """Invalid configuration: unknown key, bad value, or contradiction."""
 
 
-# -- per-key value conversion ------------------------------------------------
+# -- per-key type parsing ---------------------------------------------------
 
 
 def _to_int(s: str) -> int:
@@ -84,82 +85,20 @@ def _to_weights(s: str) -> VoteWeights:
 
 
 def _to_depth(s: str) -> int | None:
-    if s.strip().lower() == "none":
-        return None
-    v = _to_int(s)
-    if v < 1:
-        raise ValueError(f"depth must be >= 1 or none, got {v}")
-    return v
+    return None if s.strip().lower() == "none" else _to_int(s)
 
 
 def _to_model_kind(s: str) -> ModelKind | None:
     low = s.strip().lower()
-    if low == "none":
-        return None
     try:
-        return ModelKind(low)
+        return None if low == "none" else ModelKind(low)
     except ValueError:
-        raise ValueError(
-            f"expected one of one/two/three/four/none, got {s!r}"
-        ) from None
+        names = "/".join(k.value for k in ModelKind)
+        raise ValueError(f"expected one of {names}/none, got {s!r}") from None
 
 
-def _to_classifier(s: str) -> str:
-    low = s.strip().lower()
-    if low not in CLASSIFIERS:
-        raise ValueError(f"expected one of {'/'.join(CLASSIFIERS)}, got {s!r}")
-    return low
-
-
-def _int_min(minimum: int) -> Callable[[str], int]:
-    def conv(s: str) -> int:
-        v = _to_int(s)
-        if v < minimum:
-            raise ValueError(f"must be >= {minimum}, got {v}")
-        return v
-
-    return conv
-
-
-def _float_min(minimum: float, inclusive: bool = True) -> Callable[[str], float]:
-    def conv(s: str) -> float:
-        v = _to_float(s)
-        if (v < minimum) if inclusive else (v <= minimum):
-            op = ">=" if inclusive else ">"
-            raise ValueError(f"must be {op} {minimum}, got {v}")
-        return v
-
-    return conv
-
-
-def _to_ratio(s: str) -> float:
-    v = _to_float(s)
-    if not 0.0 < v <= 1.0:
-        raise ValueError(f"ratio must be in (0, 1], got {v}")
-    return v
-
-
-def _to_probability(s: str) -> float:
-    v = _to_float(s)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"must be in [0, 1], got {v}")
-    return v
-
-
-def _int_range(lo: int, hi: int) -> Callable[[str], int]:
-    def conv(s: str) -> int:
-        v = _to_int(s)
-        if not lo <= v <= hi:
-            raise ValueError(f"must be in {lo}..{hi}, got {v}")
-        return v
-
-    return conv
-
-
-# campaign.reps, calibration.obs_sets, eval.n_trials and fingerprint.augment
-# count the visits per location of a campaign, and a visit index is one
-# 32-bit word of a draw's key (simulator.simulate_range_batch)
-MAX_REPS = 2**32
+def _to_name(s: str) -> str:
+    return s.strip().lower()
 
 
 # -- canonical value formatting ----------------------------------------------
@@ -181,60 +120,60 @@ def _fmt_value(v: object) -> str:
     return str(v)
 
 
-# key -> (converter, destination). Converters check a single value; cross-key
-# constraints are checked in resolve_config. The destination is the field the
-# key sets: grid.* and anchors.* name fields of GridSpec and AnchorLayout,
-# campaign.* fields of Campaign, anything else a PipelineConfig field.
+# key -> (type parser, destination). A parser reads the value's type only: the
+# field the key sets checks its range, so a key's rules are its field's rules.
+# grid.* and anchors.* name fields of GridSpec and AnchorLayout, campaign.*
+# fields of Campaign, anything else a PipelineConfig field.
 _SCHEMA: dict[str, tuple[Callable[[str], object], str]] = {
-    "run.seed": (_int_min(0), "seed"),
-    "grid.width": (_float_min(0.0, inclusive=False), "grid.width"),
-    "grid.height": (_float_min(0.0, inclusive=False), "grid.height"),
-    "grid.spacing": (_float_min(0.0, inclusive=False), "grid.spacing"),
+    "run.seed": (_to_int, "seed"),
+    "grid.width": (_to_float, "grid.width"),
+    "grid.height": (_to_float, "grid.height"),
+    "grid.spacing": (_to_float, "grid.spacing"),
     "anchors.ax": (_to_float, "anchors.a.x"),
     "anchors.ay": (_to_float, "anchors.a.y"),
     "anchors.bx": (_to_float, "anchors.b.x"),
     "anchors.by": (_to_float, "anchors.b.y"),
     "anchors.cx": (_to_float, "anchors.c.x"),
     "anchors.cy": (_to_float, "anchors.c.y"),
-    "noise.slope": (_float_min(0.0, inclusive=False), "noise.slope"),
+    "noise.slope": (_to_float, "noise.slope"),
     "noise.offset": (_to_float, "noise.offset"),
-    "noise.sigma": (_float_min(0.0), "noise.sigma"),
-    "noise.inflation_threshold": (_float_min(0.0, inclusive=False), "noise.inflation_threshold"),
-    "noise.inflation_factor": (_float_min(1.0), "noise.inflation_factor"),
-    "noise.p_outlier": (_to_probability, "noise.p_outlier"),
-    "correction.threshold": (_float_min(0.0, inclusive=False), "correction.threshold"),
-    "correction.ratio": (_to_ratio, "correction.ratio"),
-    "preprocess.mad_k": (_float_min(0.0, inclusive=False), "mad_k"),
-    "preprocess.mad_scale": (_float_min(0.0, inclusive=False), "mad_scale"),
+    "noise.sigma": (_to_float, "noise.sigma"),
+    "noise.inflation_threshold": (_to_float, "noise.inflation_threshold"),
+    "noise.inflation_factor": (_to_float, "noise.inflation_factor"),
+    "noise.p_outlier": (_to_float, "noise.p_outlier"),
+    "correction.threshold": (_to_float, "correction.threshold"),
+    "correction.ratio": (_to_float, "correction.ratio"),
+    "preprocess.mad_k": (_to_float, "mad_k"),
+    "preprocess.mad_scale": (_to_float, "mad_scale"),
     "calibration.kind": (_to_model_kind, "model_kind"),
-    "calibration.n_select": (_int_min(1), "n_select"),
-    "calibration.obs_sets": (_int_range(1, MAX_REPS), "obs_sets"),
+    "calibration.n_select": (_to_int, "n_select"),
+    "calibration.obs_sets": (_to_int, "obs_sets"),
     "calibration.reference_points": (_to_points, "reference_points"),
-    "classifier.kind": (_to_classifier, "classifier"),
-    "classifier.k": (_int_min(1), "knn_k"),
+    "classifier.kind": (_to_name, "classifier"),
+    "classifier.k": (_to_int, "knn_k"),
     "classifier.max_depth": (_to_depth, "tree_max_depth"),
-    "classifier.min_leaf": (_int_min(1), "tree_min_leaf"),
-    "classifier.trees": (_int_min(1), "forest_trees"),
-    "classifier.features_per_split": (_int_range(1, 3), "forest_features"),
+    "classifier.min_leaf": (_to_int, "tree_min_leaf"),
+    "classifier.trees": (_to_int, "forest_trees"),
+    "classifier.features_per_split": (_to_int, "forest_features"),
     "classifier.bootstrap": (_to_bool, "forest_bootstrap"),
     "classifier.weights": (_to_weights, "vote_weights"),
-    "eval.n_trials": (_int_range(1, MAX_REPS), "n_trials"),
+    "eval.n_trials": (_to_int, "n_trials"),
     "eval.test_points": (_to_points, "test_points"),
-    "campaign.reps": (_int_range(1, MAX_REPS), "campaign.reps"),
+    "campaign.reps": (_to_int, "campaign.reps"),
     "campaign.locations": (_to_points, "campaign.locations"),
-    "fingerprint.augment": (_int_range(0, MAX_REPS), "augment"),
+    "fingerprint.augment": (_to_int, "augment"),
 }
 
 
-# The three keys whose field has no default to read: PipelineConfig's None
-# model kind selects the baseline, and Campaign has no defaults.
-_OWN_DEFAULTS = {
-    "calibration.kind": ModelKind.FOUR,
-    "campaign.reps": 500,
-    "campaign.locations": REFERENCE_POINTS + TEST_POINTS,
+# What the first name of a destination refers to, at the keys' defaults. Those
+# are the fields' defaults, but for calibration.kind (four, where PipelineConfig's
+# None selects the baseline) and the campaign, whose dataclass has none.
+_DEFAULT_ROOTS = {
+    "grid": DEFAULT_GRID,
+    "anchors": DEFAULT_ANCHORS,
+    "campaign": Campaign(REFERENCE_POINTS + TEST_POINTS, 500, DEFAULT_ANCHORS, NoiseConfig()),
+    **vars(PipelineConfig(model_kind=ModelKind.FOUR)),
 }
-# what the first name of a destination refers to, with its defaults
-_DEFAULT_ROOTS = {"grid": DEFAULT_GRID, "anchors": DEFAULT_ANCHORS, **vars(PipelineConfig())}
 
 
 def _field_default(dest: str) -> object:
@@ -242,10 +181,7 @@ def _field_default(dest: str) -> object:
     return reduce(getattr, rest, _DEFAULT_ROOTS[head])
 
 
-_DEFAULTS = {
-    key: _OWN_DEFAULTS[key] if key in _OWN_DEFAULTS else _field_default(dest)
-    for key, (_, dest) in _SCHEMA.items()
-}
+_DEFAULTS = {key: _field_default(dest) for key, (_, dest) in _SCHEMA.items()}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -282,6 +218,7 @@ class RunConfig:
     _grid: GridSpec
     _anchors: AnchorLayout
     _pipeline: PipelineConfig
+    _campaign: Campaign
 
     def grid(self) -> GridSpec:
         return self._grid
@@ -292,11 +229,9 @@ class RunConfig:
     def pipeline(self) -> PipelineConfig:
         return self._pipeline
 
-    def campaign(self):
+    def campaign(self) -> Campaign:
         """The simulate command's ``observation_campaign`` at ``campaign.locations``."""
-        v = self.values
-        return observation_campaign(
-            self._pipeline, self._anchors, v["campaign.locations"], v["campaign.reps"])
+        return self._campaign
 
     # canonical form ---------------------------------------------------
 
@@ -309,52 +244,75 @@ class RunConfig:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def resolve_config(
-    raw: Mapping[str, str], origin: str = "<config>"
-) -> RunConfig:
-    """Convert raw strings, fill defaults, cross-validate, and build the objects."""
-    values: dict[str, object] = {}
+def _build(values: Mapping[str, object]) -> tuple[GridSpec, AnchorLayout, PipelineConfig, Campaign]:
+    """The objects the keys' destinations name, from one value per key."""
     args: dict[str, dict] = {}  # constructor arguments, nested by destination
-    for key, (conv, dest) in _SCHEMA.items():
-        try:
-            values[key] = conv(raw[key]) if key in raw else _DEFAULTS[key]
-        except ValueError as exc:
-            raise ConfigError(f"{origin}: {key}: {exc}") from None
+    for key, (_, dest) in _SCHEMA.items():
         *path, name = dest.split(".")
         node = args
         for part in path:
             node = node.setdefault(part, {})
         node[name] = values[key]
+    grid = GridSpec(**args.pop("grid"))
+    anchors = AnchorLayout(**{n: PointMM(**p) for n, p in args.pop("anchors").items()})
+    campaign = args.pop("campaign")
+    pipeline = PipelineConfig(
+        noise=NoiseConfig(**args.pop("noise")),
+        correction=CorrectionPolicy(**args.pop("correction")),
+        **args,
+    )
+    return grid, anchors, pipeline, observation_campaign(
+        pipeline, anchors, campaign["locations"], campaign["reps"])
+
+
+def _error(values: Mapping[str, object], keys: list[str]) -> str | None:
+    """The error the values of ``keys`` raise, with every other key at its default."""
+    try:
+        _build({**_DEFAULTS, **{k: values[k] for k in keys}})
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _blame(values: Mapping[str, object], explicit: frozenset[str], error: str) -> str:
+    """The key or section a failed build's ``error`` is blamed on.
+
+    That is the first explicitly set key whose value alone raises this error,
+    else the first whose value alone fails at all, else the first section whose
+    explicitly set keys together fail.
+    """
+    keys = [k for k in _SCHEMA if k in explicit]
+    alone = {k: _error(values, [k]) for k in keys}
+    sections = dict.fromkeys(k.partition(".")[0] for k in keys)
+    blamed = ([k for k in keys if alone[k] == error] or [k for k in keys if alone[k]]
+              or [s for s in sections if _error(values, [k for k in keys if k.startswith(s + ".")])])
+    return blamed[0] if blamed else ", ".join(sections)
+
+
+def resolve_config(
+    raw: Mapping[str, str], origin: str = "<config>"
+) -> RunConfig:
+    """Parse raw strings, fill defaults, build the objects, and cross-validate."""
+    values: dict[str, object] = {}
+    for key, (parse, _) in _SCHEMA.items():
+        try:
+            values[key] = parse(raw[key]) if key in raw else _DEFAULTS[key]
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: {key}: {exc}") from None
     explicit = frozenset(raw)
+    try:
+        grid, anchors, pipeline, campaign = _build(values)
+    except ValueError as exc:
+        raise ConfigError(f"{origin}: {_blame(values, explicit, str(exc))}: {exc}") from None
 
     # cross-key constraints
-    try:
-        grid = GridSpec(**args.pop("grid"))
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: grid: {exc}") from None
-    try:
-        anchors = AnchorLayout(**{n: PointMM(**p) for n, p in args.pop("anchors").items()})
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: anchors: {exc}") from None
-
-    refs = values["calibration.reference_points"]
-    if len(refs) != 4:
-        raise ConfigError(
-            f"{origin}: calibration.reference_points: exactly 4 points required, got {len(refs)}"
-        )
-    if len(set(p.as_tuple() for p in refs)) != 4:
-        raise ConfigError(f"{origin}: calibration.reference_points: points must be distinct")
     for group in ("calibration.reference_points", "eval.test_points", "campaign.locations"):
-        pts = values[group]
-        if len(pts) == 0:
-            raise ConfigError(f"{origin}: {group}: at least one point required")
-        for p in pts:
+        for p in values[group]:
             if not p.is_within(grid.width, grid.height):
                 raise ConfigError(
                     f"{origin}: {group}: point {p.as_tuple()} outside the "
                     f"{grid.width} x {grid.height} mm area"
                 )
-
     if values["calibration.kind"] is None:
         clashing = sorted(k for k in explicit if k.startswith("classifier."))
         if clashing:
@@ -362,14 +320,7 @@ def resolve_config(
                 f"{origin}: calibration.kind = none runs the trilateration baseline; "
                 f"classifier settings have no effect: {', '.join(clashing)}"
             )
-
-    del args["campaign"]  # built per call by RunConfig.campaign
-    pipeline = PipelineConfig(
-        noise=NoiseConfig(**args.pop("noise")),
-        correction=CorrectionPolicy(**args.pop("correction")),
-        **args,
-    )
-    return RunConfig(values, explicit, grid, anchors, pipeline)
+    return RunConfig(values, explicit, grid, anchors, pipeline, campaign)
 
 
 def load_config(
@@ -377,8 +328,9 @@ def load_config(
 ) -> RunConfig:
     """Read an optional config file, apply flag overrides, and resolve.
 
-    Override values go through the same per-key validation as file values
-    and count as explicitly set.
+    Override values go through the same checks as file values and count as
+    explicitly set. An error the overrides raise on their own is blamed on
+    ``<override>``.
     """
     raw: dict[str, str] = {}
     origin = path if path is not None else "<defaults>"
@@ -388,12 +340,13 @@ def load_config(
         except (OSError, FileFormatError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         raw = parse_config_text(text, origin=path)
-    for key, value in (overrides or {}).items():
+    overrides = overrides or {}
+    for key in overrides:
         if key not in _SCHEMA:
             raise ConfigError(f"<override>: unknown key {key!r}")
-        try:  # converted here too, so that a bad value is blamed on the flag
-            _SCHEMA[key][0](value)
-        except ValueError as exc:
-            raise ConfigError(f"<override>: {key}: {exc}") from None
-        raw[key] = value
-    return resolve_config(raw, origin=origin)
+    try:
+        return resolve_config({**raw, **overrides}, origin=origin)
+    except ConfigError as exc:
+        error = exc
+    resolve_config(overrides, origin="<override>")  # raises if the flags fail on their own
+    raise error

@@ -50,8 +50,9 @@ from .learners import (
     TreeClassifier,
     VoteWeights,
 )
-from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, correct_range_batch
+from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, check_mad_setting, correct_range_batch
 from .simulator import (
+    MAX_REPS,
     Campaign,
     NoiseConfig,
     STAGE_AUGMENT,
@@ -143,23 +144,28 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.classifier not in CLASSIFIERS:
             raise ValueError(f"classifier must be one of {CLASSIFIERS}, got {self.classifier!r}")
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if len(self.test_points) == 0:
             raise ValueError("at least one test point required")
-        if len(self.reference_points) != 4:
-            raise ValueError(
-                f"exactly 4 reference points required, got {len(self.reference_points)}"
-            )
+        refs = self.reference_points
+        if len(refs) != 4 or len(set(refs)) != 4:
+            raise ValueError(f"exactly 4 distinct reference points required, "
+                             f"got {len(refs)} ({len(set(refs))} distinct)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         for n, v in (("knn_k", self.knn_k), ("tree_min_leaf", self.tree_min_leaf),
-                     ("forest_trees", self.forest_trees), ("obs_sets", self.obs_sets),
-                     ("n_select", self.n_select)):
+                     ("forest_trees", self.forest_trees), ("n_select", self.n_select)):
             if v < 1:
                 raise ValueError(f"{n} must be >= 1, got {v}")
-        if self.augment < 0:
-            raise ValueError("augment must be >= 0")
+        # each counts the visits to one location, and a visit is one word of a draw's key
+        for n, v, lo in (("n_trials", self.n_trials, 1), ("obs_sets", self.obs_sets, 1),
+                         ("augment", self.augment, 0)):
+            if not lo <= v <= MAX_REPS:
+                raise ValueError(f"{n} must be in {lo}..{MAX_REPS}, got {v}")
+        if self.tree_max_depth is not None and self.tree_max_depth < 1:
+            raise ValueError(f"tree_max_depth must be >= 1 or None, got {self.tree_max_depth}")
+        if not 1 <= self.forest_features <= 3:
+            raise ValueError(f"forest_features must be in 1..3, got {self.forest_features}")
+        check_mad_setting(self.mad_k, self.mad_scale)
 
     def params_hash(self) -> str:
         """Stable digest of this configuration, stored in report metadata."""
@@ -398,6 +404,12 @@ def _fmt(v: float | None) -> str:
     return "" if v is None else f"{v:.5f}"
 
 
+def _text_table(rows: list[tuple[str, ...]]) -> str:
+    """Left-aligned columns, two spaces apart, each as wide as its widest cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows) + "\n"
+
+
 def format_report(report: ErrorReport, fmt: str = "delimited") -> str:
     """Render a report as 'delimited' (machine) or 'text' (human) output."""
     if fmt == "delimited":
@@ -415,8 +427,7 @@ def format_report(report: ErrorReport, fmt: str = "delimited") -> str:
                 (f"({e.point.x:g},{e.point.y:g})", f"{e.avg_error:.5f}",
                  "-" if e.max_error is None else f"{e.max_error:.5f}")
             )
-        widths = [max(len(r[i]) for r in rows) for i in range(3)]
-        return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows) + "\n"
+        return _text_table(rows)
     raise ValueError(f"unknown report format {fmt!r}")
 
 
@@ -495,8 +506,7 @@ def format_comparison(table: ComparisonTable, fmt: str = "delimited") -> str:
                     (f"({p.x:g},{p.y:g})", f"{table.baseline_avg[i]:.5f}",
                      f"{cand.avg[i]:.5f}", f"{cand.reduction_pct[i]:.2f}%")
                 )
-        widths = [max(len(r[i]) for r in rows) for i in range(4)]
-        return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows) + "\n"
+        return _text_table(rows)
     raise ValueError(f"unknown comparison format {fmt!r}")
 
 

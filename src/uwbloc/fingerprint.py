@@ -69,8 +69,9 @@ class GridSpec:
             ratio = v / self.spacing
             if not math.isfinite(ratio):
                 raise ValueError(f"{name} {v} over spacing {self.spacing} overflows")
-            if abs(ratio - round(ratio)) > _DIVISIBILITY_TOL * max(1.0, ratio):
-                raise ValueError(f"{name} {v} is not a whole multiple of spacing {self.spacing}")
+            if round(ratio) < 1 or abs(ratio - round(ratio)) > _DIVISIBILITY_TOL * max(1.0, ratio):
+                raise ValueError(
+                    f"{name} {v} is not a positive whole multiple of spacing {self.spacing}")
         if self.cell_count > MAX_GRID_CELLS:
             raise ValueError(f"grid has {self.cell_count} cells, more than {MAX_GRID_CELLS}")
 

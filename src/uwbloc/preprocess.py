@@ -14,6 +14,7 @@ __all__ = [
     "EmptySeriesError",
     "CorrectionPolicy",
     "MAD_SCALE_NORMAL",
+    "check_mad_setting",
     "mad_keep_mask",
     "correct_range_batch",
     "correct_triple",
@@ -27,6 +28,12 @@ class EmptySeriesError(ValueError):
     """A sample series has no entries."""
 
 
+def check_mad_setting(k: float, scale: float) -> None:
+    """Reject a MAD rule whose ``k`` or ``scale`` is not positive and finite."""
+    if not (0.0 < k < np.inf and 0.0 < scale < np.inf):
+        raise ValueError(f"k and scale must be positive and finite, got k={k}, scale={scale}")
+
+
 def mad_keep_mask(values: Sequence[float], k: float = 3.0, scale: float = MAD_SCALE_NORMAL) -> np.ndarray:
     """Boolean mask of the samples that survive the MAD outlier rule.
 
@@ -34,8 +41,7 @@ def mad_keep_mask(values: Sequence[float], k: float = 3.0, scale: float = MAD_SC
     median absolute deviation from the median. The rule is a pure
     inequality: a zero MAD keeps only values exactly equal to the median.
     """
-    if not (0.0 < k < np.inf and 0.0 < scale < np.inf):
-        raise ValueError("k and scale must be positive")
+    check_mad_setting(k, scale)
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError("sample series must be one-dimensional")

@@ -60,6 +60,7 @@ from .geometry import AnchorLayout, PointMM, check_ranges, distance
 __all__ = [
     "NoiseConfig",
     "Campaign",
+    "MAX_REPS",
     "Visits",
     "STAGE_OBSERVATION",
     "STAGE_TRIALS",
@@ -81,6 +82,10 @@ MIN_SIMULATED_RANGE = 1.0
 
 # Keys per chunk in simulate_range_batch, which bounds its working set.
 DRAW_CHUNK = 4096
+
+# A draw's key is (location index, rep, anchor index), each one 32-bit word of its
+# seed's entropy, so a location takes at most this many visits (reps 0 .. 2**32 - 1).
+MAX_REPS = 2**32
 
 # An outlier multiplies the reading by a uniform draw from this range.
 OUTLIER_MAGNITUDE = (1.5, 3.0)
@@ -164,8 +169,8 @@ class Campaign:
     def __post_init__(self) -> None:
         if len(self.locations) == 0:
             raise ValueError("campaign needs at least one location")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        if not 1 <= self.reps <= MAX_REPS:
+            raise ValueError(f"reps must be in 1..{MAX_REPS}, got {self.reps}")
 
 
 def derive_seed(master: int, stage: int) -> int:

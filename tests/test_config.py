@@ -1,10 +1,16 @@
 """Config parsing and resolution: every bad input is a ConfigError naming its key."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from uwbloc.calibration import REFERENCE_POINTS
 from uwbloc.config import _SCHEMA, ConfigError, load_config, parse_config_text, resolve_config
+from uwbloc.evaluation import TEST_POINTS, PipelineConfig
+from uwbloc.fingerprint import DEFAULT_GRID
+from uwbloc.geometry import DEFAULT_ANCHORS
+from uwbloc.simulator import Campaign, NoiseConfig
 
 EDGE_VALUES = ("0", "-1", "5e-324", "1e308", "1e309", "nan", "", "1_0", "none", "0:0")
 
@@ -76,6 +82,49 @@ def test_every_key_has_a_bad_value():
 def test_bad_value_error_names_the_key(key, value):
     with pytest.raises(ConfigError, match=f": {key}: "):
         _resolve(f"{key} = {value}\n")
+
+
+# the objects whose fields a destination's first name refers to, at the keys' defaults
+_ROOTS = {
+    "grid": DEFAULT_GRID,
+    "anchors": DEFAULT_ANCHORS,
+    "campaign": Campaign(REFERENCE_POINTS + TEST_POINTS, 500, DEFAULT_ANCHORS, NoiseConfig()),
+}
+
+
+def _with(obj, path, value):
+    """``obj`` rebuilt, with its constructor's checks, with ``value`` at the field path."""
+    name, *rest = path
+    return replace(obj, **{name: _with(getattr(obj, name), rest, value) if rest else value})
+
+
+def _field_accepts(dest: str, value) -> bool:
+    head, *rest = dest.split(".")
+    try:
+        if head in _ROOTS:
+            _with(_ROOTS[head], rest, value)
+        else:
+            _with(PipelineConfig(), dest.split("."), value)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key", sorted(_SCHEMA))
+def test_a_value_the_type_parser_reads_fails_exactly_when_its_field_does(key):
+    parse, dest = _SCHEMA[key]
+    for text in sorted({*EDGE_VALUES, *BAD_VALUES.values()}):
+        try:
+            value = parse(text)
+        except ValueError:
+            continue
+        try:
+            resolve_config({key: text})
+        except ConfigError as exc:
+            assert not _field_accepts(dest, value), (text, str(exc))
+            assert f": {key}: " in str(exc)
+        else:
+            assert _field_accepts(dest, value), text
 
 
 def test_run_sizes_up_to_two_to_the_32_resolve():

@@ -27,7 +27,7 @@ from uwbloc.evaluation import (
 from uwbloc.fingerprint import GridSpec
 from uwbloc.geometry import DEFAULT_ANCHORS, PointMM
 from uwbloc.learners import TreeClassifier, VoteWeights
-from uwbloc.simulator import NoiseConfig
+from uwbloc.simulator import MAX_REPS, NoiseConfig
 
 from oracles import IDENTITY_NOISE, cell_vertex, distance
 
@@ -73,6 +73,23 @@ def test_pipeline_config_validation():
         PipelineConfig(augment=-1)
     assert PipelineConfig().params_hash() == PipelineConfig().params_hash()
     assert PipelineConfig().params_hash() != PipelineConfig(seed=1).params_hash()
+
+
+# one out-of-range value per rule, each of which a run used to meet only once it
+# reached the field (or allocated for it)
+@pytest.mark.parametrize("field, value, error", [
+    ("n_trials", MAX_REPS + 1, "n_trials must be in 1.."),
+    ("obs_sets", MAX_REPS + 1, "obs_sets must be in 1.."),
+    ("augment", MAX_REPS + 1, "augment must be in 0.."),
+    ("tree_max_depth", 0, "tree_max_depth must be >= 1"),
+    ("forest_features", 4, "forest_features must be in 1..3"),
+    ("reference_points", REFERENCE_POINTS[:3] + REFERENCE_POINTS[:1], "4 distinct"),
+    ("mad_k", math.nan, "k and scale must be positive"),
+    ("mad_scale", -1.0, "k and scale must be positive"),
+])
+def test_pipeline_config_rejects_an_out_of_range_field(field, value, error):
+    with pytest.raises(ValueError, match=error):
+        PipelineConfig(**{field: value})
 
 
 def test_point_errors_validation():

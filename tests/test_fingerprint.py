@@ -44,6 +44,10 @@ def test_grid_spec_rejects_non_divisible_area():
     with pytest.raises(ValueError, match="more than"):  # 2e9 cells, past MAX_GRID_CELLS
         GridSpec(width=1000.0, height=2000.0, spacing=0.001)
     assert GridSpec(width=1000.0, height=2000.0, spacing=1.0).cell_count <= MAX_GRID_CELLS
+    # a side that rounds to 0 cells is within the divisibility tolerance, but no grid
+    for width, spacing in ((5e-324, 25.0), (1e-8, 25.0), (1000.0, 1e308)):
+        with pytest.raises(ValueError, match="positive whole multiple"):
+            GridSpec(width=width, height=2000.0, spacing=spacing)
 
 
 def test_cell_vertex_known_labels():

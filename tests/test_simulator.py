@@ -13,6 +13,7 @@ from uwbloc.errors import FileFormatError
 from uwbloc.geometry import DEFAULT_ANCHORS, PointMM
 from uwbloc.simulator import (
     DRAW_CHUNK,
+    MAX_REPS,
     Campaign,
     NoiseConfig,
     Visits,
@@ -143,6 +144,9 @@ def test_campaign_validation():
         Campaign((), 5, DEFAULT_ANCHORS, IDENTITY_NOISE)
     with pytest.raises(ValueError):
         Campaign((PointMM(1.0, 1.0),), 0, DEFAULT_ANCHORS, IDENTITY_NOISE)
+    # a rep is one 32-bit word of a draw's key
+    with pytest.raises(ValueError, match=f"reps must be in 1..{MAX_REPS}, got {MAX_REPS + 1}"):
+        Campaign((PointMM(1.0, 1.0),), MAX_REPS + 1, DEFAULT_ANCHORS, IDENTITY_NOISE)
 
 
 def test_measurement_file_round_trip(tmp_path):
