@@ -21,9 +21,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import FileFormatError, parse_number, read_text
-from .geometry import AnchorLayout, PointMM, distance
+from .geometry import AnchorLayout, PointMM, check_ranges, distance
 from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, correct_range_batch, mad_keep_mask
-from .simulator import Visits
+from .simulator import Visits, _check_true_distances
 
 __all__ = [
     "DegeneratePairError",
@@ -36,6 +36,7 @@ __all__ = [
     "LinearRangingEq",
     "ObservationData",
     "CalibrationModel",
+    "check_fit_setting",
     "fit_model",
     "predict_measured",
     "clean_observation_rows",
@@ -130,6 +131,10 @@ class LinearRangingEq:
         if self.a <= 0.0:
             raise NonPositiveSlopeError(f"slope must be positive, got {self.a}")
 
+    def as_text(self) -> str:
+        """``a,b`` at full precision, as calibration files and report metadata write it."""
+        return f"{self.a!r},{self.b!r}"
+
 
 def _check_pair(true1: float, true2: float) -> None:
     """A line fits only through two distinct, finite and positive true distances."""
@@ -138,6 +143,15 @@ def _check_pair(true1: float, true2: float) -> None:
             raise ValueError(f"distances must be finite and positive, got {v}")
     if true1 == true2:
         raise DegeneratePairError(f"both points have true distance {true1}")
+
+
+def check_fit_setting(points: tuple[PointMM, ...], n_select: int = 1) -> None:
+    """Reject fit settings no model can be fitted with."""
+    if len(points) != 4 or len(set(points)) != 4:
+        raise ValueError(f"exactly 4 distinct reference points required, "
+                         f"got {len(points)} ({len(set(points))} distinct)")
+    if n_select < 1:
+        raise ValueError(f"n_select must be >= 1, got {n_select}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,15 +168,13 @@ class ObservationData:
     sets: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.points) != 4:
-            raise ValueError(f"exactly 4 reference points required, got {len(self.points)}")
+        check_fit_setting(self.points)
         arr = np.asarray(self.sets, dtype=float)
         if arr.ndim != 3 or arr.shape[1:] != (4, 3):
             raise ValueError(f"sets must have shape (n, 4, 3), got {arr.shape}")
         if arr.shape[0] < 1:
             raise InsufficientDataError("observation data holds no measurement sets")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise ValueError("measured distances must be finite and positive")
+        check_ranges(arr)
         object.__setattr__(self, "sets", arr)
 
     @property
@@ -250,8 +262,7 @@ def fit_model(
     sum the kept sets in selection order.
     """
     kind = ModelKind(kind)
-    if n_select < 1:
-        raise ValueError(f"n_select must be >= 1, got {n_select}")
+    check_fit_setting(obs.points, n_select)
 
     xy = np.array([p.as_tuple() for p in obs.points])
     true_d = np.array([distance(xy, a) for a in anchors.as_tuple()]).T
@@ -295,8 +306,7 @@ def fit_model(
 def predict_measured(model: CalibrationModel, anchor: str, true_distance: float | np.ndarray):
     """What the tag would report for a true distance (or an array of them) to one anchor."""
     d = np.asarray(true_distance, dtype=float)
-    if not np.all(np.isfinite(d) & (d >= 0.0)):
-        raise ValueError(f"true distance must be finite and >= 0, got {true_distance}")
+    _check_true_distances(d)
     eq = model.equation(anchor)
     measured = eq.a * d + eq.b
     return float(measured) if measured.ndim == 0 else measured
@@ -306,8 +316,7 @@ def format_calibration(model: CalibrationModel) -> str:
     """Serialize a model: a kind header, then one full-precision line per anchor."""
     lines = [f"kind,{model.kind.value}"]
     for name in ANCHOR_NAMES:
-        eq = model.equation(name)
-        lines.append(f"{name},{eq.a!r},{eq.b!r}")
+        lines.append(f"{name},{model.equation(name).as_text()}")
     return "\n".join(lines) + "\n"
 
 

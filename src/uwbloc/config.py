@@ -112,7 +112,7 @@ def _fmt_value(v: object) -> str:
     if isinstance(v, ModelKind):
         return v.value
     if isinstance(v, VoteWeights):
-        return f"{v.w_knn!r}:{v.w_tree!r}"
+        return v.as_text()
     if isinstance(v, tuple):  # points
         return ";".join(f"{p.x!r},{p.y!r}" for p in v)
     if isinstance(v, float):

@@ -36,12 +36,13 @@ from .calibration import (
     CalibrationModel,
     ModelKind,
     ObservationData,
+    check_fit_setting,
     clean_observation_rows,
     fit_model,
 )
 from .errors import FileFormatError, parse_number, read_text
 from .fingerprint import FingerprintDB, GridSpec, OutOfAreaError, build_db, cell_vertex, cell_vertices
-from .geometry import AnchorLayout, PointMM, check_ranges, distance, trilaterate
+from .geometry import AnchorLayout, PointMM, distance, trilaterate
 from .learners import (
     ForestClassifier,
     KnnClassifier,
@@ -49,6 +50,7 @@ from .learners import (
     TrainingSet,
     TreeClassifier,
     VoteWeights,
+    check_cart_setting,
 )
 from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, check_mad_setting, correct_range_batch
 from .simulator import (
@@ -146,25 +148,18 @@ class PipelineConfig:
             raise ValueError(f"classifier must be one of {CLASSIFIERS}, got {self.classifier!r}")
         if len(self.test_points) == 0:
             raise ValueError("at least one test point required")
-        refs = self.reference_points
-        if len(refs) != 4 or len(set(refs)) != 4:
-            raise ValueError(f"exactly 4 distinct reference points required, "
-                             f"got {len(refs)} ({len(set(refs))} distinct)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for n, v in (("knn_k", self.knn_k), ("tree_min_leaf", self.tree_min_leaf),
-                     ("forest_trees", self.forest_trees), ("n_select", self.n_select)):
-            if v < 1:
-                raise ValueError(f"{n} must be >= 1, got {v}")
+        if self.knn_k < 1:  # the rest of KnnClassifier's rule, k <= n, needs the DB size
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
         # each counts the visits to one location, and a visit is one word of a draw's key
         for n, v, lo in (("n_trials", self.n_trials, 1), ("obs_sets", self.obs_sets, 1),
                          ("augment", self.augment, 0)):
             if not lo <= v <= MAX_REPS:
                 raise ValueError(f"{n} must be in {lo}..{MAX_REPS}, got {v}")
-        if self.tree_max_depth is not None and self.tree_max_depth < 1:
-            raise ValueError(f"tree_max_depth must be >= 1 or None, got {self.tree_max_depth}")
-        if not 1 <= self.forest_features <= 3:
-            raise ValueError(f"forest_features must be in 1..3, got {self.forest_features}")
+        check_fit_setting(self.reference_points, self.n_select)
+        check_cart_setting(self.tree_max_depth, self.tree_min_leaf, self.forest_trees,
+                           self.forest_features)
         check_mad_setting(self.mad_k, self.mad_scale)
 
     def params_hash(self) -> str:
@@ -218,7 +213,6 @@ def _measured_triples(
 ) -> np.ndarray:
     """Corrected range triples of ``reps`` visits to each (x, y) row of ``xy``, shape (m, reps, 3)."""
     ranges = simulate_visits(xy, anchors, reps, cfg.noise, derive_seed(cfg.seed, stage))
-    check_ranges(ranges)
     return correct_range_batch(ranges, cfg.correction)
 
 
@@ -269,8 +263,7 @@ def _score(
         "pipeline": "baseline" if cfg.model_kind is None else "fingerprint",
         "seed": str(cfg.seed),
         "n_trials": str(cfg.n_trials),
-        # a classifier labels every query, and trilaterate never raises CollinearAnchorsError:
-        # its |det| is exactly 8x the anchor triangle area, which AnchorLayout keeps > 1e-6
+        # a classifier labels every query, and trilaterate solves every row or fails the run
         "failed_trials": "0",
         "correction_ratio": repr(cfg.correction.ratio),
         "params_hash": cfg.params_hash(),
@@ -337,10 +330,9 @@ def run_ml(cfg: PipelineConfig, anchors: AnchorLayout, spec: GridSpec) -> ErrorR
 
     metadata = {"model": cfg.model_kind.value, "classifier": cfg.classifier}
     for name in ANCHOR_NAMES:
-        eq = model.equation(name)
-        metadata[f"eq_{name}"] = f"{eq.a!r},{eq.b!r}"
+        metadata[f"eq_{name}"] = model.equation(name).as_text()
     if cfg.classifier == "vote":
-        metadata["vote_weights"] = f"{cfg.vote_weights.w_knn!r}:{cfg.vote_weights.w_tree!r}"
+        metadata["vote_weights"] = cfg.vote_weights.as_text()
     return _score(cfg, anchors, locate, metadata)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .calibration import ANCHOR_NAMES, CalibrationModel, predict_measured
 from .errors import FileFormatError, parse_number, read_text
-from .geometry import AnchorLayout, distance
+from .geometry import AnchorLayout, check_ranges, distance
 
 __all__ = [
     "LabelOutOfRangeError",
@@ -126,8 +126,7 @@ class FingerprintDB:
         arr = np.asarray(self.vectors, dtype=float)
         if arr.shape != (self.spec.cell_count, 3):
             raise ValueError(f"expected shape {(self.spec.cell_count, 3)}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise ValueError("fingerprints must be finite and positive")
+        check_ranges(arr)
         object.__setattr__(self, "vectors", arr)
 
     def __len__(self) -> int:

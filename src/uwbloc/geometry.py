@@ -141,7 +141,8 @@ def _check_range(v: float) -> None:
 def check_ranges(ranges: np.ndarray) -> None:
     """Reject an array of ranges the way RangeTriple rejects one value.
 
-    The first offending entry in row-major order decides the error.
+    Training vectors, fingerprints, observation sets, MAD samples and measured
+    ranges are all checked here. The first bad entry in row-major order decides the error.
     """
     flat = np.asarray(ranges, dtype=float).ravel()
     bad = ~(np.isfinite(flat) & (flat > 0.0))
@@ -160,7 +161,6 @@ def trilaterate(anchors: AnchorLayout, ranges: np.ndarray) -> np.ndarray:
 
     Raises:
         NonFiniteRangeError: a range is NaN or infinite.
-        CollinearAnchorsError: the linear system is singular.
         ValueError: a solved position is not finite.
     """
     r = np.asarray(ranges, dtype=float)
@@ -170,10 +170,8 @@ def trilaterate(anchors: AnchorLayout, ranges: np.ndarray) -> np.ndarray:
     if nonfinite.any():
         _check_range(float(r.ravel()[np.argmax(nonfinite)]))
 
+    # never singular: |det| is exactly 8x the anchor triangle area, which AnchorLayout keeps > 1e-6
     m11, m12, m21, m22, det, norm_a, norm_b, norm_c = _solver_terms(*anchors.as_tuple())
-    if abs(det) < 1e-9:
-        raise CollinearAnchorsError("anchor geometry yields a singular system")
-
     da, db, dc = r.T
     # overflow ends in a non-finite position, reported below, as Python floats do
     with np.errstate(over="ignore", invalid="ignore"):

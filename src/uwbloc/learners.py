@@ -14,12 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fingerprint import FingerprintDB, GridSpec, LabelOutOfRangeError
+from .geometry import check_ranges
 
 __all__ = [
     "EmptyTrainingSetError",
     "KOutOfRangeError",
     "TrainingSet",
     "VoteWeights",
+    "check_cart_setting",
     "KnnClassifier",
     "TreeClassifier",
     "ForestClassifier",
@@ -53,8 +55,7 @@ class TrainingSet:
             raise ValueError(f"shape mismatch: X {X.shape}, y {y.shape}")
         if X.shape[0] == 0:
             raise EmptyTrainingSetError("training set is empty")
-        if not np.all(np.isfinite(X)) or np.any(X <= 0.0):
-            raise ValueError("training vectors must be finite and positive")
+        check_ranges(X)
         if np.any(y < 0):
             raise LabelOutOfRangeError("labels must be non-negative")
         if self.spec is not None and np.any(y >= self.spec.cell_count):
@@ -343,10 +344,6 @@ class _Trees(_Classifier):
     def _grow(self, train, members, rngs, features_per_split, max_depth, min_leaf) -> None:
         """Grow member i on its (distinct rows, integer weights) ``members[i]``, in batches of about
         ``2 * _CHUNK_ELEMENTS`` slots."""
-        if max_depth is not None and max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1 or None, got {max_depth}")
-        if min_leaf < 1:
-            raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
         parts, start = [], np.cumsum([0] + [r.shape[0] for r, _ in members])[:-1]
         bounds = np.unique(start // (2 * _CHUNK_ELEMENTS), return_index=True)[1].tolist() + [len(members)]
         for a, b in zip(bounds[:-1], bounds[1:]):
@@ -502,10 +499,24 @@ class _Trees(_Classifier):
         return int(self._feature.shape[0])
 
 
+def check_cart_setting(max_depth: int | None, min_leaf: int, n_trees: int = 1,
+                       features_per_split: int = 3) -> None:
+    """Reject CART settings a tree or forest cannot be grown with."""
+    if max_depth is not None and max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1 or None, got {max_depth}")
+    if min_leaf < 1:
+        raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    if not 1 <= features_per_split <= 3:
+        raise ValueError(f"features_per_split must be in 1..3, got {features_per_split}")
+
+
 class TreeClassifier(_Trees):
     """One CART tree over every training row and all three features per split."""
 
     def __init__(self, train: TrainingSet, max_depth: int | None = None, min_leaf: int = 1):
+        check_cart_setting(max_depth, min_leaf)
         self._grow(train, [(np.arange(len(train)), np.ones(len(train), dtype=np.int64))], [None], 3,
                    max_depth, min_leaf)
 
@@ -520,10 +531,7 @@ class ForestClassifier(_Trees):
 
     def __init__(self, train: TrainingSet, n_trees: int = 100, features_per_split: int = 1,
                  max_depth: int | None = None, min_leaf: int = 1, seed: int = 0, bootstrap: bool = True):
-        if n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-        if not (1 <= features_per_split <= 3):
-            raise ValueError(f"features_per_split must be in 1..3, got {features_per_split}")
+        check_cart_setting(max_depth, min_leaf, n_trees, features_per_split)
         self.n_trees = n_trees
         rngs = [np.random.default_rng(seed + i) for i in range(n_trees)]
         n = len(train)
@@ -545,6 +553,10 @@ class VoteWeights:
             raise ValueError("weights must be finite")
         if self.w_knn < 0.0 or self.w_tree < 0.0 or self.w_knn + self.w_tree <= 0.0:
             raise ValueError(f"weights must be >= 0 with a positive sum, got {self}")
+
+    def as_text(self) -> str:
+        """``KNN:TREE`` at full precision, as config values and report metadata write it."""
+        return f"{self.w_knn!r}:{self.w_tree!r}"
 
     def tree_can_decide(self, k: int) -> bool:
         """Whether a tree's masses can change the answer of a vote with a k-neighbour KNN.

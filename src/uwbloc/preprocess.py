@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import RangeTriple
+from .geometry import RangeTriple, check_ranges
 
 __all__ = [
     "EmptySeriesError",
@@ -47,8 +47,7 @@ def mad_keep_mask(values: Sequence[float], k: float = 3.0, scale: float = MAD_SC
         raise ValueError("sample series must be one-dimensional")
     if arr.size == 0:
         raise EmptySeriesError("sample series is empty")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("sample values must be finite and positive")
+    check_ranges(arr)
     med = float(np.median(arr))
     dev = np.abs(arr - med)
     cutoff = k * scale * float(np.median(dev))
@@ -77,14 +76,10 @@ class CorrectionPolicy:
 def correct_range_batch(measured: np.ndarray, policy: CorrectionPolicy) -> np.ndarray:
     """Apply the long-range correction to every measured distance in an array.
 
-    The first entry (in row-major order) that is not finite and positive
-    raises ValueError.
+    The distances must be valid ranges (``check_ranges``).
     """
     arr = np.asarray(measured, dtype=float)
-    bad = ~(np.isfinite(arr) & (arr > 0.0))
-    if bad.any():
-        v = float(arr.ravel()[np.argmax(bad.ravel())])
-        raise ValueError(f"measured distance must be finite and positive, got {v}")
+    check_ranges(arr)
     return np.where(arr > policy.threshold, arr * policy.ratio, arr)
 
 

@@ -185,14 +185,21 @@ def measurement_stream(seed: int, location_index: int, rep: int, anchor_index: i
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _check_true_distances(true_distances: float | np.ndarray) -> None:
+    """Reject the first true distance, in row-major order, that is not finite and >= 0."""
+    d = np.asarray(true_distances, dtype=float).ravel()
+    bad = ~(np.isfinite(d) & (d >= 0.0))
+    if bad.any():
+        raise ValueError(f"true distance must be finite and >= 0, got {float(d[np.argmax(bad)])}")
+
+
 def simulate_range(true_distance: float, noise: NoiseConfig, rng: np.random.Generator) -> float:
     """Draw one measured distance for a given true distance.
 
     Draw order on ``rng`` is fixed: Gaussian disturbance first, then (only
     when ``p_outlier`` > 0) the outlier coin and the outlier magnitude.
     """
-    if not (math.isfinite(true_distance) and true_distance >= 0.0):
-        raise ValueError(f"true distance must be finite and >= 0, got {true_distance}")
+    _check_true_distances(true_distance)
     base = noise.slope * true_distance + noise.offset + rng.normal(0.0, noise.sigma)
     if noise.p_outlier > 0.0:
         if rng.random() < noise.p_outlier:
@@ -559,10 +566,7 @@ def simulate_range_batch(
         raise ValueError("expected non-negative integer")
     if keys.size and keys.max() > _MASK32:
         raise ValueError(f"keys must lie in [0, 2**32), got {keys.max()}")
-    bad = ~(np.isfinite(d) & (d >= 0.0))
-    if bad.any():
-        v = float(d[np.argmax(bad)])
-        raise ValueError(f"true distance must be finite and >= 0, got {v}")
+    _check_true_distances(d)
     out = np.empty(d.size)
     outliers = noise.p_outlier > 0.0
     tables = _ziggurat_tables() if d.size else None  # an empty batch recovers nothing

@@ -305,6 +305,17 @@ def test_predict_measured_allows_zero_distance():
         predict_measured(model, "D", 100.0)
 
 
+def test_predict_measured_names_the_first_bad_distance_of_a_large_array():
+    model = CalibrationModel(
+        ModelKind.ONE, LinearRangingEq(1.1, 5.0), LinearRangingEq(1.1, 5.0), LinearRangingEq(1.1, 5.0)
+    )
+    d = np.full(5000, 250.0)
+    d[2500] = -1.0  # numpy's summary of d would leave this entry out
+    d[4000] = math.nan
+    with pytest.raises(ValueError, match=r"^true distance must be finite and >= 0, got -1\.0$"):
+        predict_measured(model, "A", d)
+
+
 def test_calibration_file_round_trip(tmp_path):
     model = CalibrationModel(
         ModelKind.FOUR,

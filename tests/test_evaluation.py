@@ -81,8 +81,8 @@ def test_pipeline_config_validation():
     ("n_trials", MAX_REPS + 1, "n_trials must be in 1.."),
     ("obs_sets", MAX_REPS + 1, "obs_sets must be in 1.."),
     ("augment", MAX_REPS + 1, "augment must be in 0.."),
-    ("tree_max_depth", 0, "tree_max_depth must be >= 1"),
-    ("forest_features", 4, "forest_features must be in 1..3"),
+    ("tree_max_depth", 0, "max_depth must be >= 1 or None, got 0"),
+    ("forest_features", 4, "features_per_split must be in 1..3, got 4"),
     ("reference_points", REFERENCE_POINTS[:3] + REFERENCE_POINTS[:1], "4 distinct"),
     ("mad_k", math.nan, "k and scale must be positive"),
     ("mad_scale", -1.0, "k and scale must be positive"),

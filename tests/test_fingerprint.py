@@ -174,5 +174,6 @@ def test_read_db_rejects_malformed_files(tmp_path):
         lines = ["25.0,50.0,50.0"] + [f"{i},{x!r},{y!r},10.0,10.0,{bad if i == 2 else '10.0'}"
                                       for i, (x, y) in enumerate(cell_vertices(spec).tolist())]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FileFormatError, match=f"{path}: fingerprints must be finite"):
+        rule = "finite" if bad == "nan" else "positive"
+        with pytest.raises(FileFormatError, match=f"{path}: range must be {rule}, got {float(bad)}$"):
             read_db(str(path))
