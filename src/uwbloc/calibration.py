@@ -21,9 +21,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import FileFormatError, parse_number, read_text
-from .geometry import AnchorLayout, PointMM, check_ranges, distance
+from .geometry import AnchorLayout, PointMM, check_ranges, check_true_distances, distance
 from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, correct_range_batch, mad_keep_mask
-from .simulator import Visits, _check_true_distances
+from .simulator import Visits
 
 __all__ = [
     "DegeneratePairError",
@@ -306,7 +306,7 @@ def fit_model(
 def predict_measured(model: CalibrationModel, anchor: str, true_distance: float | np.ndarray):
     """What the tag would report for a true distance (or an array of them) to one anchor."""
     d = np.asarray(true_distance, dtype=float)
-    _check_true_distances(d)
+    check_true_distances(d)
     eq = model.equation(anchor)
     measured = eq.a * d + eq.b
     return float(measured) if measured.ndim == 0 else measured
@@ -321,19 +321,21 @@ def format_calibration(model: CalibrationModel) -> str:
 
 
 def parse_calibration(text: str, origin: str = "<calibration>") -> CalibrationModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # (file line number, line) of each non-blank line
+    lines = [(ln, line) for ln, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if len(lines) != 4:
         raise FileFormatError(f"{origin}: expected 4 lines (kind + 3 anchors), got {len(lines)}")
-    head = lines[0].split(",")
+    (head_ln, head_line), *anchor_lines = lines
+    head = head_line.split(",")
     if len(head) != 2 or head[0] != "kind":
-        raise FileFormatError(f"{origin}:1: expected 'kind,<{'|'.join(k.value for k in ModelKind)}>'")
+        raise FileFormatError(f"{origin}:{head_ln}: expected 'kind,<{'|'.join(k.value for k in ModelKind)}>'")
     try:
         kind = ModelKind(head[1])
     except ValueError as exc:
-        raise FileFormatError(f"{origin}:1: unknown model kind {head[1]!r}") from exc
+        raise FileFormatError(f"{origin}:{head_ln}: unknown model kind {head[1]!r}") from exc
 
     eqs: dict[str, LinearRangingEq] = {}
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in anchor_lines:
         parts = line.split(",")
         if len(parts) != 3 or parts[0] not in ANCHOR_NAMES:
             raise FileFormatError(f"{origin}:{ln}: expected '<A|B|C>,a,b'")

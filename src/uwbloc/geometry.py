@@ -21,6 +21,7 @@ __all__ = [
     "distance",
     "triangle_area",
     "check_ranges",
+    "check_true_distances",
     "trilaterate",
 ]
 
@@ -150,6 +151,14 @@ def check_ranges(ranges: np.ndarray) -> None:
         _check_range(float(flat[np.argmax(bad)]))
 
 
+def check_true_distances(true_distances: float | np.ndarray) -> None:
+    """Reject the first true distance, in row-major order, that is not finite and >= 0."""
+    d = np.asarray(true_distances, dtype=float).ravel()
+    bad = ~(np.isfinite(d) & (d >= 0.0))
+    if bad.any():
+        raise ValueError(f"true distance must be finite and >= 0, got {float(d[np.argmax(bad)])}")
+
+
 def trilaterate(anchors: AnchorLayout, ranges: np.ndarray) -> np.ndarray:
     """Solve for the positions implied by rows of anchor distances.
 
@@ -161,14 +170,12 @@ def trilaterate(anchors: AnchorLayout, ranges: np.ndarray) -> np.ndarray:
 
     Raises:
         NonFiniteRangeError: a range is NaN or infinite.
-        ValueError: a solved position is not finite.
+        ValueError: a range is not positive, or a solved position is not finite.
     """
     r = np.asarray(ranges, dtype=float)
     if r.ndim != 2 or r.shape[1] != 3:
         raise ValueError(f"expected (n, 3) ranges, got shape {r.shape}")
-    nonfinite = ~np.isfinite(r).ravel()
-    if nonfinite.any():
-        _check_range(float(r.ravel()[np.argmax(nonfinite)]))
+    check_ranges(r)
 
     # never singular: |det| is exactly 8x the anchor triangle area, which AnchorLayout keeps > 1e-6
     m11, m12, m21, m22, det, norm_a, norm_b, norm_c = _solver_terms(*anchors.as_tuple())

@@ -25,16 +25,18 @@ in numpy array arithmetic:
   wi[layer]``. The outlier coin and magnitude then come from the 2nd and 3rd
   raw outputs as ``random()`` does, ``(r >> 11) * 2**-53``;
 - the ~1.5% of keys off that fast path (the tail of layer 0, all of layer
-  1, and ``rabs >= ki``) have their seeded state set on one generator kept
-  per process, which draws as ``simulate_range`` does.
+  1, and ``rabs >= ki``) have their seeded state set on a PCG64 generator
+  that the draw creates for itself (~5 µs), which draws as ``simulate_range``
+  does, so concurrent draws share no state.
 
 numpy does not expose ``ki`` and ``wi``. The first batch draw in a process
 (never the import) reads them off numpy's own generator: with ``inc = 1``
 and ``state = (r - 1) * MULT**-1``, the next raw output is exactly r, so a
 probe at ``rabs = 1`` gives ``wi[layer]``, and ``ki[layer]`` is the least
-``rabs`` whose normal leaves the state more than one step on. That takes
-~15 ms and is then checked against the per-key generator on a fixed key
-set; should the check fail, a ``RuntimeWarning`` says so and every key takes
+``rabs`` whose normal leaves the state more than one step on, which
+Marsaglia & Tsang's formula predicts to within one on every layer that has
+a guess. The tables are then checked against the per-key generator on a
+fixed key set, ~6 ms in all; should the check fail, a ``RuntimeWarning`` says so and every key takes
 the per-key path, which is still bit-exact. A draw costs ~0.2–0.3 µs in
 chunks of 4,096 keys (2 cores, numpy 2.4.6), against ~3.5 µs per key on the
 per-key path and ~35 µs through ``measurement_stream``. A chunk's fixed cost
@@ -46,16 +48,14 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import FileFormatError, parse_number, read_text
-from .geometry import AnchorLayout, PointMM, check_ranges, distance
+from .geometry import AnchorLayout, PointMM, check_ranges, check_true_distances, distance
 
 __all__ = [
     "NoiseConfig",
@@ -89,9 +89,6 @@ MAX_REPS = 2**32
 
 # An outlier multiplies the reading by a uniform draw from this range.
 OUTLIER_MAGNITUDE = (1.5, 3.0)
-
-# Measurement-file lines read_measurements converts at once, which bounds the conversion's memory.
-ROW_SLICE = 256
 
 # Stage tags for deriving independent seed streams from one master seed.
 STAGE_OBSERVATION = 0
@@ -185,21 +182,13 @@ def measurement_stream(seed: int, location_index: int, rep: int, anchor_index: i
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _check_true_distances(true_distances: float | np.ndarray) -> None:
-    """Reject the first true distance, in row-major order, that is not finite and >= 0."""
-    d = np.asarray(true_distances, dtype=float).ravel()
-    bad = ~(np.isfinite(d) & (d >= 0.0))
-    if bad.any():
-        raise ValueError(f"true distance must be finite and >= 0, got {float(d[np.argmax(bad)])}")
-
-
 def simulate_range(true_distance: float, noise: NoiseConfig, rng: np.random.Generator) -> float:
     """Draw one measured distance for a given true distance.
 
     Draw order on ``rng`` is fixed: Gaussian disturbance first, then (only
     when ``p_outlier`` > 0) the outlier coin and the outlier magnitude.
     """
-    _check_true_distances(true_distance)
+    check_true_distances(true_distance)
     base = noise.slope * true_distance + noise.offset + rng.normal(0.0, noise.sigma)
     if noise.p_outlier > 0.0:
         if rng.random() < noise.p_outlier:
@@ -378,16 +367,8 @@ def _pcg64_seeded(seed: int, keys: np.ndarray) -> tuple[tuple, tuple]:
     return _pcg_step(_add128((init_hi, init_lo), inc), inc), inc
 
 
-_GENERATOR_LOCK = threading.Lock()
-
-
-@functools.cache
 def _settable_generator() -> tuple[np.random.Generator, Callable[[int, int], None]]:
-    """A PCG64 generator, and a function that sets its 128-bit (state, inc); one per process.
-
-    Every use sets the whole state first, under ``_GENERATOR_LOCK``, so no
-    use sees what an earlier one left behind.
-    """
+    """A new PCG64 generator, and a function that sets its 128-bit (state, inc)."""
     rng = np.random.Generator(np.random.PCG64(0))
     bit_gen = rng.bit_generator
     full = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
@@ -403,20 +384,19 @@ def _settable_generator() -> tuple[np.random.Generator, Callable[[int, int], Non
 def _draw_per_key(state: tuple, inc: tuple, outliers: bool) -> np.ndarray:
     """numpy's own draws from seeded PCG64 states, one row per state.
 
-    Each state is set on one reused generator, which then draws as
-    ``simulate_range`` does: the standard normal, then (with ``outliers``)
-    the outlier coin and the ``random()`` that ``uniform`` scales into the
-    magnitude.
+    Each state is set in turn on one generator of this call's own, which then
+    draws as ``simulate_range`` does: the standard normal, then (with
+    ``outliers``) the outlier coin and the ``random()`` that ``uniform``
+    scales into the magnitude.
     """
     rng, set_state = _settable_generator()
     halves = [a.tolist() for a in (*state, *inc)]
     draws = []
-    with _GENERATOR_LOCK:
-        for sh, sl, ih, il in zip(*halves):
-            set_state(sh << 64 | sl, ih << 64 | il)
-            draws.append(rng.standard_normal())
-            if outliers:
-                draws += (rng.random(), rng.random())
+    for sh, sl, ih, il in zip(*halves):
+        set_state(sh << 64 | sl, ih << 64 | il)
+        draws.append(rng.standard_normal())
+        if outliers:
+            draws += (rng.random(), rng.random())
     return np.array(draws, dtype=np.float64).reshape(len(halves[0]), 3 if outliers else 1)
 
 
@@ -504,40 +484,37 @@ def _recover_tables() -> tuple[np.ndarray, np.ndarray] | None:
 
     ki, wi = np.zeros(_LAYERS, dtype=np.uint64), np.zeros(_LAYERS)
     top = 1 << _RABS_BITS
-    with _GENERATOR_LOCK:
-        for layer in range(_LAYERS):
-            z, fast = probe(layer, 1)
-            if not fast:
-                # a layer whose fast path is at most rabs == 0, where z is ±0.0 for any wi
-                ki[layer] = int(probe(layer, 0)[1])
-                continue
-            wi[layer] = z
-            # Marsaglia & Tsang: ki[i] = floor(2**52 * x[i-1] / x[i]), wi[i] = x[i] / 2**52
-            guess = None
-            if layer >= 2 and wi[layer - 1] > 0.0:
-                guess = int(wi[layer - 1] / wi[layer] * top)
-            ki[layer] = _least_slow(lambda v: probe(layer, v)[1], 1, top, guess)
+    for layer in range(_LAYERS):
+        z, fast = probe(layer, 1)
+        if not fast:
+            # a layer whose fast path is at most rabs == 0, where z is ±0.0 for any wi
+            ki[layer] = int(probe(layer, 0)[1])
+            continue
+        wi[layer] = z
+        # Marsaglia & Tsang: ki[i] = floor(2**52 * x[i-1] / x[i]), wi[i] = x[i] / 2**52
+        guess = None
+        if layer >= 2 and wi[layer - 1] > 0.0:
+            guess = int(wi[layer - 1] / wi[layer] * top)
+        ki[layer] = _least_slow(lambda v: probe(layer, v)[1], 1, top, guess)
     return (ki, wi) if wi.any() else None
 
 
 def _least_slow(is_fast, lo: int, hi: int, guess: int | None) -> int:
     """The least v in (lo, hi] for which ``is_fast(v)`` is false, with ``is_fast(lo)`` true.
 
-    ``is_fast`` must be monotone and ``hi`` counts as slow unprobed. A guess
-    near the answer costs a few probes; without one, this bisects.
+    ``is_fast`` must be monotone and ``hi`` counts as slow unprobed. Up to
+    three probes walk from the guess toward the answer, which settles a guess
+    one off either way; what is left, or everything without a guess, is bisected.
     """
-    if guess is not None and lo < guess < hi:
-        step = 1
-        if is_fast(guess):
-            lo = guess
-            while lo + step < hi and is_fast(lo + step):
-                lo, step = lo + step, 2 * step
-            hi = min(hi, lo + step)
-        else:
-            hi = guess
-            while hi - step > lo and not is_fast(hi - step):
-                hi, step = hi - step, 2 * step
-            lo = max(lo, hi - step)
+    if guess is not None:
+        v = min(max(guess, lo + 1), hi - 1)  # probe inside (lo, hi) only
+        for _ in range(3):
+            if not lo < v < hi:
+                break
+            if is_fast(v):
+                lo, v = v, v + 1
+            else:
+                hi, v = v, v - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if is_fast(mid):
@@ -566,7 +543,7 @@ def simulate_range_batch(
         raise ValueError("expected non-negative integer")
     if keys.size and keys.max() > _MASK32:
         raise ValueError(f"keys must lie in [0, 2**32), got {keys.max()}")
-    _check_true_distances(d)
+    check_true_distances(d)
     out = np.empty(d.size)
     outliers = noise.p_outlier > 0.0
     tables = _ziggurat_tables() if d.size else None  # an empty batch recovers nothing
@@ -652,48 +629,29 @@ def write_measurements(path: str, records: list[Visits]) -> None:
 def read_measurements(path: str) -> list[Visits]:
     """Parse a measurement file into one record per distinct (x, y), in order of first appearance.
 
-    A location's readings keep their file order, wherever its rows fall. Lines
-    convert ``ROW_SLICE`` at a time; a slice that does not convert, or holds a
-    bad value, is read again line by line, and its first bad line raises.
+    A location's readings keep their file order, wherever its rows fall. The
+    non-blank lines convert in one ``np.loadtxt`` call, which reads a number
+    as ``float`` does or rejects it; a file it rejects, or that holds a bad
+    value, is read again line by line, and its first bad line raises.
     """
-    lines = read_text(path).splitlines()
+    text = read_text(path)
+    # numpy strips U+001F around a number as whitespace, where float rejects it
+    convert = "\x1f" not in text
+    lines = text.splitlines()
+    del text
     if not lines or lines[0].strip() != MEASUREMENT_HEADER:
         raise FileFormatError(f"{path}: expected header '{MEASUREMENT_HEADER}'")
-    rows = np.empty((len(lines) - 1, 5))
-    n = 0
-    for start in range(1, len(lines), ROW_SLICE):
-        chunk = lines[start:start + ROW_SLICE]
-        block = _parse_rows(chunk)
-        if block is not None and np.isfinite(block[:, :2]).all() and (
-                (block[:, 2:] > 0.0) & (block[:, 2:] < math.inf)).all():  # NaN fails too
-            rows[n:n + len(block)] = block
-            n += len(block)
-            continue
-        for ln, line in enumerate(chunk, start + 1):
-            reading = _reading(path, ln, line)
-            if reading is not None:
-                rows[n] = reading
-                n += 1
-    return _group_by_location(rows[:n])
-
-
-def _parse_rows(lines: list[str]) -> np.ndarray | None:
-    """The numbers on ``lines`` as an (n, 5) array, each read as ``parse_number`` reads it.
-
-    One comma count per line, one "_" check and one ``float`` pass over the
-    joined fields. None when that cannot read every line: a line without
-    exactly five fields (a blank one too) or a field ``parse_number`` rejects.
-    """
-    if list(map(str.count, lines, repeat(","))).count(4) != len(lines):
-        return None
-    text = ",".join(lines)
-    if "_" in text:
-        return None
-    fields = text.split(",")
+    data = [line for line in lines[1:] if line.strip()]
     try:
-        return np.fromiter(map(float, fields), float, count=len(fields)).reshape(-1, 5)
+        rows = np.loadtxt(data, delimiter=",", comments=None, ndmin=2) if convert and data else None
     except ValueError:
-        return None
+        rows = None
+    if rows is None or rows.shape[1] != 5 or not (np.isfinite(rows[:, :2]).all() and (
+            (rows[:, 2:] > 0.0) & (rows[:, 2:] < math.inf)).all()):  # NaN fails too
+        readings = (_reading(path, ln, line) for ln, line in enumerate(lines[1:], start=2))
+        rows = np.array([r for r in readings if r is not None]).reshape(-1, 5)
+    del lines, data  # the text of every line, no longer needed while the rows are grouped
+    return _group_by_location(rows)
 
 
 def _reading(path: str, ln: int, line: str) -> list[float] | None:

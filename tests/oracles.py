@@ -3,7 +3,7 @@
 The package works on arrays: it predicts through ``(query, label, mass)``
 arrays, fits every calibration pair of every set at once, measures distances
 and maps labels to grid vertices an array at a time, and converts a
-measurement file a slice of lines at a time. These are the same rules written
+measurement file's lines in one numpy call. These are the same rules written
 over one query's ``{label: mass}`` dict, one pair of distances, one pair of
 points, one grid label or one line of a file.
 """

@@ -345,6 +345,17 @@ def test_parse_calibration_rejects_malformed_text():
         parse_calibration("kind,one\nA,-1.0,0.0\nB,1.0,0.0\nC,1.0,0.0\n")
 
 
+def test_parse_calibration_names_lines_by_their_file_position():
+    # blank lines before the kind line and between anchors still count
+    text = "\n\nkind,four\nA,1.0,2.0\n\n  \nB,x,2.0\nC,1.0,2.0\n"
+    with pytest.raises(FileFormatError, match="^cal.csv:7: could not convert"):
+        parse_calibration(text, "cal.csv")
+    with pytest.raises(FileFormatError, match="^cal.csv:3: unknown model kind 'five'"):
+        parse_calibration(text.replace("four", "five"), "cal.csv")
+    with pytest.raises(FileFormatError, match="^cal.csv:8: expected '<A|B|C>,a,b'"):
+        parse_calibration(text.replace("B,x,2.0\nC,", "B,1.0,2.0\nD,"), "cal.csv")
+
+
 def test_format_calibration_is_exact():
     model = CalibrationModel(
         ModelKind.TWO,

@@ -1,10 +1,11 @@
-"""The slice-wise measurement reader against its one-line-at-a-time oracle, and the writers' GC pin.
+"""The measurement reader against its one-line-at-a-time oracle, and the writers' GC pin.
 
-``read_measurements`` converts ``ROW_SLICE`` lines at a time and re-reads a
-slice line by line only when something in it is off. On every file, valid or
-not, it must return what the per-line reader in ``tests/oracles.py`` returns,
-or raise the same exception with the same message, and it must not cost more
-memory. Neither writer may set off the garbage collector.
+``read_measurements`` converts a file's lines in one ``np.loadtxt`` call and
+reads the whole file again line by line only when numpy rejects it or a value
+is off. On every file, valid or not, it must return what the per-line reader
+in ``tests/oracles.py`` returns, or raise the same exception with the same
+message, and it must not cost more memory. Neither writer may set off the
+garbage collector.
 """
 
 import gc
@@ -19,7 +20,7 @@ from test_file_fuzz import MODEL, _mutate
 from uwbloc.config import load_config
 from uwbloc.fingerprint import GridSpec, build_db, write_db
 from uwbloc.geometry import DEFAULT_ANCHORS
-from uwbloc.simulator import MEASUREMENT_HEADER, ROW_SLICE, read_measurements, simulate_campaign, write_measurements
+from uwbloc.simulator import MEASUREMENT_HEADER, read_measurements, simulate_campaign, write_measurements
 
 READING = "560.1,1520.7,905.3"
 
@@ -58,7 +59,7 @@ def _measurement_text(n_rows):
     return "\n".join(rows) + "\n"
 
 
-@pytest.mark.parametrize("n_rows", [3, 3 * ROW_SLICE + 17], ids=["small", "multi-slice"])
+@pytest.mark.parametrize("n_rows", [3, 785], ids=["small", "multi-slice"])
 def test_mutated_files_read_as_the_oracle_reads_them(tmp_path, n_rows):
     valid = _measurement_text(n_rows)
     assert not _failed(_same_outcome(tmp_path, valid))
@@ -79,18 +80,18 @@ def _join(lines, end="\n"):
 @pytest.mark.parametrize("case", ["interleaved", "zeros", "blank lines", "crlf", "unicode digits",
                                   "header only", "no trailing newline", "mixed line breaks"])
 def test_measurement_edge_cases(tmp_path, case):
-    lines = _measurement_text(2 * ROW_SLICE + 5).splitlines()
+    lines = _measurement_text(517).splitlines()
     if case == "zeros":
         # -0.0 first: the record keeps the first appearance's point
         lines[1:5] = [f"{x},{y},{READING}" for x, y in (("-0.0", "0.0"), ("0.0", "-0.0"),
                                                          ("375.0", "-0.0"), ("375.0", "0.0"))]
     elif case == "blank lines":
         lines[3:3] = ["", "   ", "\t"]
-        lines[ROW_SLICE + 1:ROW_SLICE + 1] = [" "]
+        lines[257:257] = [" "]
         lines.append("")
     elif case == "unicode digits":
         lines[2] = "١٢٥.٠,٢٥٠,560.1,١٥٢٠.٧,905.3"
-        lines[ROW_SLICE + 3] = f"٢٥٠.0,٥٠٠,{READING}"
+        lines[259] = f"٢٥٠.0,٥٠٠,{READING}"
     elif case == "header only":
         lines = lines[:1]
     text = _join(lines, "\r\n" if case == "crlf" else "\n")
@@ -104,10 +105,26 @@ def test_measurement_edge_cases(tmp_path, case):
         assert [r[:2] for r in records[:2]] == [("-0.0", "0.0"), ("375.0", "-0.0")]
 
 
+# numbers numpy's reader might read otherwise than float: signs, padding, bare points,
+# words, hex, a cut exponent, Unicode digits, the digit separator, and U+001F, which
+# numpy strips as whitespace and float does not
+SPELLINGS = ["+1", " 1 ", "\t1", "1.", ".5", "Infinity", "-nan", "0x1p3", "1e", "١٢٥", "1_0",
+             "\x1f1", "1\x1f"]
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS, ids=ascii)
+@pytest.mark.parametrize("column", range(5))
+def test_number_spellings_read_as_the_oracle_reads_them(tmp_path, spelling, column):
+    lines = _measurement_text(20).splitlines()
+    fields = lines[9].split(",")
+    fields[column] = spelling
+    lines[9] = ",".join(fields)
+    _same_outcome(tmp_path, _join(lines))
+
+
 # (line edit, the message it raises): each is caught by a different check
 MEASUREMENT_ERRORS = {
     "fields": (lambda f: f[:4], "expected 5 fields, got 4"),
-    # with a short line in the same slice, the slice still has five fields a line on average
     "extra field": (lambda f: f + ["1.0"], "expected 5 fields, got 6"),
     "number": (lambda f: f[:2] + ["abc"] + f[3:], "could not convert string to float: 'abc'"),
     "separator": (lambda f: f[:3] + ["1_0"] + f[4:], "digit separator in number: '1_0'"),
@@ -119,14 +136,15 @@ def _edit(lines, index, edit):
     lines[index] = ",".join(edit(lines[index].split(",")))
 
 
-# line index pairs (earlier, later): inside one slice, and either side of a slice boundary
-POSITIONS = {"next line": (5, 6), "one slice": (5, 9), "slice boundary": (ROW_SLICE, ROW_SLICE + 1),
-             "later slice": (ROW_SLICE + 7, 2 * ROW_SLICE + 2)}
+# line index pairs (earlier, later): neighbours, a few lines apart and hundreds apart; the
+# keys, which name the tests, recall the 256-line slices an earlier reader converted at once
+POSITIONS = {"next line": (5, 6), "one slice": (5, 9), "slice boundary": (256, 257),
+             "later slice": (263, 514)}
 
 
 @pytest.mark.parametrize("where", sorted(POSITIONS))
 def test_earlier_of_two_bad_lines_wins(tmp_path, where):
-    valid = _measurement_text(3 * ROW_SLICE + 17).splitlines()
+    valid = _measurement_text(785).splitlines()
     early, late = POSITIONS[where]
     for first, (edit1, message) in MEASUREMENT_ERRORS.items():
         for edit2, _ in MEASUREMENT_ERRORS.values():

@@ -165,6 +165,12 @@ def test_trilaterate_rejects_bad_rows():
         trilaterate(DEFAULT_ANCHORS, [1.0, 2.0, 3.0])
 
 
+def test_trilaterate_rejects_non_positive_ranges():
+    # rows that solve to (500, 250) and (-0, -0) are rejected as check_ranges rejects them
+    with pytest.raises(ValueError, match="^range must be positive, got -1000.0$"):
+        trilaterate(DEFAULT_ANCHORS, [[-1000, 2000, 1000], [0, 2000, 1000]])
+
+
 def test_check_ranges_raises_what_range_triple_raises_for_the_first_bad_entry():
     check_ranges(np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(NonFiniteRangeError, match="got inf"):

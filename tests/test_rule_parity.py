@@ -1,7 +1,7 @@
 """Each rule on an input has one home, so every site that applies it raises the same error.
 
 A range array is checked by ``geometry.check_ranges`` wherever it enters the
-package; the CART settings by ``learners.check_cart_setting`` and the fit
+package, and a true distance by ``geometry.check_true_distances``; the CART settings by ``learners.check_cart_setting`` and the fit
 settings by ``calibration.check_fit_setting``, whether a learner, a fit or a
 ``PipelineConfig`` meets them.
 """
@@ -11,12 +11,21 @@ import math
 import numpy as np
 import pytest
 
-from uwbloc.calibration import REFERENCE_POINTS, ModelKind, ObservationData, fit_model
+from uwbloc.calibration import (
+    REFERENCE_POINTS,
+    CalibrationModel,
+    LinearRangingEq,
+    ModelKind,
+    ObservationData,
+    fit_model,
+    predict_measured,
+)
 from uwbloc.evaluation import PipelineConfig
 from uwbloc.fingerprint import FingerprintDB, GridSpec
-from uwbloc.geometry import DEFAULT_ANCHORS, check_ranges
+from uwbloc.geometry import DEFAULT_ANCHORS, check_ranges, check_true_distances, trilaterate
 from uwbloc.learners import ForestClassifier, TrainingSet, TreeClassifier
 from uwbloc.preprocess import CorrectionPolicy, correct_range_batch, mad_keep_mask
+from uwbloc.simulator import NoiseConfig, measurement_stream, simulate_range, simulate_range_batch
 
 # twelve valid ranges with bad entries at (row-major index: value); the first
 # bad entry decides the error even where a later one is of another kind
@@ -39,6 +48,7 @@ RANGE_SITES = {
     "ObservationData": lambda v: ObservationData(REFERENCE_POINTS, v.reshape(1, 4, 3)),
     "mad_keep_mask": mad_keep_mask,
     "correct_range_batch": lambda v: correct_range_batch(v.reshape(4, 3), CorrectionPolicy()),
+    "trilaterate": lambda v: trilaterate(DEFAULT_ANCHORS, v.reshape(4, 3)),
 }
 
 
@@ -55,6 +65,28 @@ def test_every_range_site_raises_what_check_ranges_raises(site, bad):
     values[list(bad)] = list(bad.values())
     want = _error(check_ranges, values)
     got = _error(RANGE_SITES[site], values)
+    assert (type(got), str(got)) == (type(want), str(want))
+
+
+_EQ = LinearRangingEq(1.0, 0.0)
+# every consumer of true distances, given the twelve values
+TRUE_DISTANCE_SITES = {
+    "simulate_range": lambda v: [simulate_range(d, NoiseConfig(), measurement_stream(0, 0, 0, 0))
+                                 for d in v.tolist()],
+    "simulate_range_batch": lambda v: simulate_range_batch(
+        v, np.zeros((v.size, 3), dtype=np.int64), NoiseConfig(), 0),
+    "predict_measured": lambda v: predict_measured(CalibrationModel(ModelKind.ONE, _EQ, _EQ, _EQ), "A", v),
+}
+
+
+@pytest.mark.parametrize("site", sorted(TRUE_DISTANCE_SITES))
+@pytest.mark.parametrize("bad", [{5: math.nan}, {0: math.inf}, {7: -1.0}, {2: -math.inf, 8: math.nan}],
+                         ids=str)
+def test_every_true_distance_site_raises_what_check_true_distances_raises(site, bad):
+    values = np.linspace(0.0, 1100.0, 12)
+    values[list(bad)] = list(bad.values())
+    want = _error(check_true_distances, values)
+    got = _error(TRUE_DISTANCE_SITES[site], values)
     assert (type(got), str(got)) == (type(want), str(want))
 
 

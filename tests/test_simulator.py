@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -305,7 +306,7 @@ def test_batch_kernel_rejects_what_the_single_draw_path_rejects():
 # -- the array path and the per-key path ---------------------------------------
 # simulate_range_batch computes a draw in numpy arithmetic when numpy's
 # ziggurat takes its fast path on the key's first raw output, and draws every
-# other key on a reused generator. The oracle cases above meet such a slow key
+# other key on a generator that the call creates for itself. The oracle cases above meet such a slow key
 # about once in 200, so these make sure both paths run and agree.
 
 
@@ -406,9 +407,9 @@ def test_self_check_rejects_wrong_tables(fresh_tables, monkeypatch):
 
 
 def test_reused_generator_keeps_no_state(fresh_tables, slow_case):
-    # every slow key sets the whole state of one shared generator: draws A, B, A
-    # give A's bits both times, and recovering the tables afterwards, on that
-    # same generator, still passes the self-check
+    # every slow key sets the whole state of its call's generator: draws A, B, A
+    # give A's bits both times, and recovering the tables afterwards still
+    # passes the self-check
     d, keys, kinds = slow_case
     slow = [i for i, kind in enumerate(kinds) if kind is not None]
     a, b = keys[slow[::2]], keys[slow[1::2]]
@@ -425,6 +426,60 @@ def test_reused_generator_keeps_no_state(fresh_tables, slow_case):
         ki, wi = simulator._ziggurat_tables()
         assert ki.any() and wi.any()
         assert _same_bits(simulate_range_batch(d[:300], keys[:300], noise, SLOW_SEED), want)
+
+
+def test_concurrent_batch_draws_keep_the_bits(fresh_tables, slow_case):
+    # four threads draw the slow case three times each at once, switching often,
+    # while the tables are recovered under them: every draw gets the serial run's bits
+    d, keys, _ = slow_case
+    noise = NoiseConfig(p_outlier=0.3)
+    want = simulate_range_batch(d, keys, noise, SLOW_SEED)
+    simulator._ziggurat_tables.cache_clear()
+    start, got = threading.Barrier(4), [[] for _ in range(4)]
+
+    def draw(i):
+        start.wait()
+        got[i] += [simulate_range_batch(d, keys, noise, SLOW_SEED) for _ in range(3)]
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [len(g) for g in got] == [3] * 4
+    assert all(_same_bits(g, want) for draws in got for g in draws)
+
+
+# (threshold, guess) in (1, 2**52]: the guess exact, one off either way, two
+# below, far off either way or missing, and thresholds at both bounds
+LEAST_SLOW_HI = 2**52
+LEAST_SLOW_CASES = [
+    (1000, 1000), (1000, 999), (1000, 1001), (1000, 998), (1000, 10**9), (1000, 3), (1000, None),
+    (2, 2), (2, 1), (2, 3), (2, None),
+    (LEAST_SLOW_HI, LEAST_SLOW_HI - 1), (LEAST_SLOW_HI, LEAST_SLOW_HI), (LEAST_SLOW_HI, 2**60),
+    (LEAST_SLOW_HI, None), (LEAST_SLOW_HI - 1, LEAST_SLOW_HI),
+]
+
+
+@pytest.mark.parametrize("threshold, guess", LEAST_SLOW_CASES)
+def test_least_slow_finds_the_threshold(threshold, guess):
+    probes = []
+
+    def is_fast(v):
+        assert 1 < v < LEAST_SLOW_HI  # lo is known fast and hi counts as slow: neither is probed
+        probes.append(v)
+        return v < threshold
+
+    assert simulator._least_slow(is_fast, 1, LEAST_SLOW_HI, guess) == threshold
+    if guess is not None and abs(guess - threshold) <= 1:
+        assert len(probes) <= 3, probes
+    # the probes narrowed (lo, hi] by monotonicity alone: none repeats
+    assert len(set(probes)) == len(probes)
 
 
 def test_batch_draws_recover_nothing_at_set_up(tmp_path):
