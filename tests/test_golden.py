@@ -6,9 +6,12 @@ is checked rather than assumed. NumPy NEP 19 promises no ``Generator``
 stream stability across versions, so the digests hold for one numpy
 version only and the tests skip on any other.
 
+The node-table digests pin every forest node itself, where a report only
+sees the answers for its queries.
+
 To regenerate after a deliberate contract change, print
-``_digest(case)`` for every case in ``CASES`` and name the change in
-CHANGES.md.
+``_digest(case)`` for every case in ``CASES`` (and ``_table_digest`` for
+every case in ``FOREST_CASES``) and name the change in CHANGES.md.
 """
 
 import hashlib
@@ -17,12 +20,21 @@ import numpy as np
 import pytest
 
 from uwbloc.calibration import ModelKind
-from uwbloc.evaluation import PipelineConfig, format_report, run_baseline, run_ml
-from uwbloc.fingerprint import GridSpec
+from uwbloc.evaluation import (
+    PipelineConfig,
+    _build_classifier,
+    _training_set,
+    fit_calibration,
+    format_report,
+    observation_campaign,
+    run_baseline,
+    run_ml,
+)
+from uwbloc.fingerprint import GridSpec, build_db
 from uwbloc.geometry import DEFAULT_ANCHORS
 from uwbloc.learners import VoteWeights
 from uwbloc.preprocess import CorrectionPolicy
-from uwbloc.simulator import NoiseConfig
+from uwbloc.simulator import NoiseConfig, simulate_campaign
 
 NUMPY_VERSION = "2.4.6"
 
@@ -137,3 +149,51 @@ def test_matrix_is_complete():
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_report_digest(case):
     assert _digest(case) == DIGESTS[case[0]]
+
+
+# 4-member forests on the default 25 mm DB (3,200 cells) at seed 0
+FOREST_CASES = {
+    "forest4": {},
+    "forest4-nobootstrap-f2": dict(forest_bootstrap=False, forest_features=2),
+    "forest4-aug2": dict(augment=2),
+}
+
+TABLE_DIGESTS = {
+    "forest4": "604e05864f4dc9255a335889b5b04d61544629f1264d77864f5fab369ef37c04",
+    "forest4-nobootstrap-f2": "f2c6daaee94da9e8f5e03c50b104afa1326361ed531b8e5bc659edfb5365e473",
+    "forest4-aug2": "a151fc98478784d7fc25ab826396bc0274ab633747b5f8153da1575c816c90ee",
+}
+
+
+def _forest(overrides):
+    """The forest ``run_ml`` trains for the default config with ``overrides``."""
+    cfg = PipelineConfig(model_kind=ModelKind.FOUR, classifier="forest", forest_trees=4, **overrides)
+    campaign = observation_campaign(cfg, DEFAULT_ANCHORS, cfg.reference_points, cfg.obs_sets)
+    _, model = fit_calibration(cfg, simulate_campaign(campaign), DEFAULT_ANCHORS)
+    db = build_db(model, GridSpec(), DEFAULT_ANCHORS)
+    return _build_classifier(cfg, _training_set(cfg, db, DEFAULT_ANCHORS))
+
+
+def _table_digest(clf) -> str:
+    """SHA-256 of the node table: each internal node's id, feature, threshold and left child, each
+    leaf's id and (label, frequency) entries, and the members' roots, floats in hex."""
+    threshold = np.full(clf.node_count, np.nan)
+    threshold[clf._run] = clf._run_key[:-1].imag
+    lines = ["roots " + " ".join(map(str, clf._root.tolist()))]
+    for i, (f, left) in enumerate(zip(clf._feature.tolist(), clf._left.tolist())):
+        if f >= 0:
+            lines.append(f"{i} {f} {threshold[i].hex()} {left}")
+        else:
+            s = slice(clf._offset[i], clf._offset[i + 1])
+            entries = zip(clf._labels[s].tolist(), clf._probs[s].tolist())
+            lines.append(f"{i} leaf " + " ".join(f"{label}:{p.hex()}" for label, p in entries))
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def test_table_matrix_is_complete():
+    assert sorted(TABLE_DIGESTS) == sorted(FOREST_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(FOREST_CASES))
+def test_forest_node_table_digest(name):
+    assert _table_digest(_forest(FOREST_CASES[name])) == TABLE_DIGESTS[name]
