@@ -283,53 +283,44 @@ def _guarded_threshold(lo, hi):
     return np.where(thr >= hi, lo, thr)
 
 
-def _best_splits(A, XT, code, weight, n_labels, distinct, use, start, seg_size, seg_weight, min_leaf):
-    """Each segment's best split: its feature, whether it has one, and its first right-hand slot.
+def _best_splits(A, XT, weight, code, n_labels, use, start, seg_size, min_leaf):
+    """Each segment's best split: its feature, whether it has one, its first right slot, its left weight.
 
-    Per (feature, segment) pair in ``use``, a slot of weight w adds 2*occ*w + w*w to a side's sum
-    of squared class weights; occ is the weight of the earlier (left) or later (right) slots of its
-    label in the segment. With ``distinct`` labels occ is 0 and no slot is sorted by label."""
-    best, hit = np.full(use.shape, np.inf), np.zeros(use.shape, dtype=np.int64)
+    Per (feature, segment) pair in ``use``, a slot of weight w adds 2*occ*w + w*w to the left sum of
+    squared class weights, where occ is the weight of the earlier slots of its label in the pair; a
+    label of weight T in the pair, l of it on the left, adds (T - l)**2 = T*T - 2*T*l + l*l to the
+    right sum. With no ``code`` (no label repeats) occ is 0, T = w, and no slot is sorted by label."""
+    best, (hit, below) = np.full(use.shape, np.inf), np.zeros((2,) + use.shape, dtype=np.int64)
     pairs = np.transpose(np.nonzero(use))
     rows = np.cumsum(seg_size[pairs[:, 1]])  # in chunks of whole pairs, about _CHUNK_ELEMENTS rows each
     cuts = np.searchsorted(rows, np.arange(_CHUNK_ELEMENTS, rows[-1:].sum(), _CHUNK_ELEMENTS))
     for uf, us in (chunk.T for chunk in np.split(pairs, cuts) if chunk.size):
-        size = seg_size[us]
-        fstart = np.cumsum(size) - size
-        fseg = np.repeat(np.arange(uf.shape[0]), size)
-        r = np.arange(fseg.shape[0]) - fstart[fseg]
-        row = uf[fseg]
-        slots = A.ravel()[row * A.shape[1] + start[us][fseg] + r]
+        size, first = seg_size[us], np.cumsum(seg_size[us]) - seg_size[us]
+        r = np.arange(first[-1] + size[-1])
+        slots = A.ravel()[np.repeat(uf * A.shape[1] + start[us] - first, size) + r]
+        v = XT.ravel()[np.repeat(uf * XT.shape[1], size) + slots]
         w = weight[slots]
-        if distinct:
-            inc_l = inc_r = w * w
-        else:
-            key = fseg * n_labels + code[slots]
+        sums = np.stack([w, w * w])  # rows: weight, left increment, T*w
+        if code is not None:
+            key = np.repeat(np.arange(uf.shape[0]), size) * n_labels + code[slots]
             order = np.argsort(key, kind="stable")  # by pair and label, then value
-            key, wo = key[order], w[order]
-            heads = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
-            runs = np.diff(np.append(heads, key.shape[0]))
-            cw = np.cumsum(wo) - wo
-            inc_l, inc_r = np.empty((2, key.shape[0]), dtype=np.int64)
-            inc_l[order] = (2 * (cw - np.repeat(cw[heads], runs)) + wo) * wo
-            inc_r[order] = 2 * np.repeat(np.add.reduceat(wo, heads), runs) * wo - inc_l[order]
-        cum_l = np.cumsum(inc_l)
-        cum_r = cum_l if distinct else np.cumsum(inc_r)
-        left_sumsq = cum_l - inc_l - (cum_l - inc_l)[fstart][fseg]
-        right_sumsq = cum_r[fstart + size - 1][fseg] - cum_r + inc_r
-        nl = np.cumsum(w) - w
-        nl -= nl[fstart][fseg]
-        n = seg_weight[us][fseg]
-        v = XT.ravel()[row * XT.shape[1] + slots]
-        c = np.flatnonzero((nl >= min_leaf) & (n - nl >= min_leaf) & (v != np.roll(v, 1)))
-        nl, n = nl[c].astype(float), n[c]
-        imp = np.full(slots.shape[0], np.inf)
-        imp[c] = 1.0 - (left_sumsq[c] / nl + right_sumsq[c] / (n - nl)) / n
-        # first minimum within a feature, lower feature on ties across features
-        best[uf, us] = np.minimum.reduceat(imp, fstart)
-        hit[uf, us] = np.minimum.reduceat(np.where(imp == best[uf, us][fseg], r, XT.shape[1]), fstart)
-    f = np.argmin(best, axis=0)
-    return f, np.isfinite(best.min(axis=0)), start + np.take_along_axis(hit, f[None, :], axis=0)[0]
+            heads = np.flatnonzero(np.diff(key[order], prepend=-1))
+            wo, runs = w[order], np.diff(np.append(heads, key.shape[0]))
+            occ, tot = np.empty((2, key.shape[0]), dtype=np.int64)
+            occ[order], tot[order] = np.cumsum(wo) - wo, np.repeat(np.add.reduceat(wo, heads), runs)
+            occ[order] -= np.repeat(occ[order][heads], runs)
+            sums = np.stack([w, (2 * occ + w) * w, tot * w])
+        total = np.repeat(np.add.reduceat(sums, first, axis=1), size, axis=1)
+        past = np.cumsum(sums, axis=1) - sums  # over the pair's earlier slots
+        past -= np.repeat(past[:, first], size, axis=1)
+        (nl, sq), tw, n = past[:2], past[-1], total[0]
+        cut = (nl >= min_leaf) & (n - nl >= min_leaf) & np.append(False, v[1:] != v[:-1])  # nl = 0: no cut
+        imp = np.where(cut, 1.0 - (sq / np.maximum(nl, 1) + (total[1] - 2 * tw + sq) / (n - nl)) / n, np.inf)
+        low = np.minimum.reduceat(imp, first)  # and its first place: the first minimum in a feature
+        at = np.minimum.reduceat(np.where(imp == np.repeat(low, size), r, r.shape[0]), first)
+        best[uf, us], hit[uf, us], below[uf, us] = low, at - first, nl[at]
+    f = np.argmin(best, axis=0)  # lower feature on ties across features
+    return f, *(a[f, np.arange(f.shape[0])] for a in (np.isfinite(best), start + hit, below))
 
 
 class _Trees(_Classifier):
@@ -337,9 +328,11 @@ class _Trees(_Classifier):
 
     Thresholds are midpoints of consecutive distinct values, and rows with value <= threshold go
     left. A node is a leaf when it is pure, at ``max_depth``, smaller than 2 * ``min_leaf``, or has
-    no split; leaves keep their label frequencies. Node i splits on ``_feature[i]`` (-1: leaf) into
-    ``_left[i]`` and ``_left[i] + 1``; a leaf's entries are ``_labels/_probs[_offset[i] :
-    _offset[i + 1]]``. Member i's root is node ``_root[i]``."""
+    no split; leaves keep their label frequencies. Node i splits on ``_feature[i]`` (-1: leaf) at
+    ``_threshold[i]`` into ``_left[i]`` and ``_left[i] + 1``; a leaf's entries are ``_labels/_probs[
+    _offset[i] : _offset[i + 1]]``. Member i's root is node ``_root[i]``. The run of right children
+    on node i's feature that i heads has its rising thresholds at ``_steps[_first[i] : _stop[i]]``,
+    then +inf; ``_to`` holds their left children, then the last one's right child."""
 
     def _grow(self, train, members, rngs, features_per_split, max_depth, min_leaf) -> None:
         """Grow member i on its (distinct rows, integer weights) ``members[i]``, in batches of about
@@ -349,9 +342,21 @@ class _Trees(_Classifier):
         for a, b in zip(bounds[:-1], bounds[1:]):
             parts.append(self._grow_batch(train, members[a:b], rngs[a:b], features_per_split,
                                           max_depth or math.inf, min_leaf, sum(p[0].shape[0] for p in parts)))
-        self._feature, self._left, self._labels, self._probs, entries, self._run, run_key, self._root = (
+        self._feature, self._left, self._threshold, self._labels, self._probs, entries, self._root = (
             np.concatenate(p) for p in zip(*parts))
-        self._offset, self._run_key = np.append(0, np.cumsum(entries)), np.append(run_key, np.inf)
+        self._offset, inner = np.append(0, np.cumsum(entries)), np.flatnonzero(self._feature >= 0)
+        head = np.arange(self._feature.shape[0])
+        same = inner[self._feature[self._left[inner] + 1] == self._feature[inner]]
+        head[self._left[same] + 1] = same
+        while np.any(head[head] != head):
+            head = head[head]
+        inner = inner[np.argsort(head[inner], kind="stable")]  # by run, then id: rising thresholds
+        end = np.flatnonzero(np.diff(head[inner], append=-1)) + 1  # just past each run's last node
+        self._steps = np.insert(self._threshold[inner], end, np.inf)
+        self._to = np.insert(self._left[inner], end, self._left[inner[end - 1]] + 1)
+        self._first, self._stop = np.zeros((2, head.shape[0]), dtype=np.int64)
+        run = head[inner[end - 1]]  # the runs' heads; run j has j sentinels before it
+        self._first[run], self._stop[run] = (end - np.diff(end, prepend=0), end) + np.arange(end.shape[0])
 
     @staticmethod
     def _grow_batch(train, members, rngs, features_per_split, cap, min_leaf, first_id):
@@ -359,75 +364,66 @@ class _Trees(_Classifier):
 
         A slot is one distinct row of a member, with its integer weight; sizes, ``min_leaf`` and leaf
         frequencies count weight. Open nodes are segments of one layout of slots; ``A[f]`` holds each
-        segment's slots sorted by feature f, and a split partitions the three rows stably. Under 3
-        features per split, member i draws the subsets of a depth's split attempts in one ``rngs[i]``
-        call."""
+        segment's slots sorted by feature f, and a split partitions the three rows stably: all left
+        children, then all right children. A level's node ids are one range from ``level_id``. Under 3
+        features per split, member i draws a depth's subsets in one ``rngs[i]`` call, in id order."""
         slot_row, weight = (np.concatenate(a) for a in zip(*members))
-        seg_size = np.array([r.shape[0] for r, _ in members])
+        seg_size, seg_weight = np.array([(r.shape[0], w.sum()) for r, w in members]).T
         label_values, codes = np.unique(train.y, return_inverse=True)
-        XT, code, n_labels = np.ascontiguousarray(train.X[slot_row].T), codes[slot_row], label_values.shape[0]
-        n_slots, n_members = slot_row.shape[0], len(members)
-        distinct = n_labels == len(train)  # no label repeats, so no segment holds a label twice
+        XT, n_labels, n_members = np.ascontiguousarray(train.X[slot_row].T), len(label_values), len(members)
+        # with no label repeated, a segment of two slots is not pure and no slot is sorted by label
+        code = None if n_labels == len(train) else codes[slot_row]
         rank = np.argsort(np.argsort(train.X, axis=0, kind="stable"), axis=0)[slot_row].T
         A = np.argsort(rank + np.repeat(np.arange(n_members) * len(train), seg_size), axis=1)
-        feature, left = np.full((2, 2 * n_slots), -1, dtype=np.int64)
-        threshold, leaf_of = np.full(2 * n_slots, math.nan), np.empty(n_slots, dtype=np.int64)
+        feature, left = np.full((2, 2 * len(slot_row)), -1, dtype=np.int64)
+        threshold, leaf_of = np.full(2 * len(slot_row), math.nan), np.empty(len(slot_row), dtype=np.int64)
+        side = np.empty(len(slot_row), dtype=np.int8)  # of an open slot: 0 left, 1 right, 6 or 7 dropped
         # children take ids in their parents' order: a level's ids run member by member, left to right
         nodes = seg_member = np.arange(n_members)
-        next_id, depth = n_members, 0
+        level_id, next_id, depth = 0, n_members, 0
         while nodes.shape[0]:
             start = np.cumsum(seg_size) - seg_size
-            seg = np.repeat(np.arange(nodes.shape[0]), seg_size)
-            lab, seg_weight = code[A[0]], np.add.reduceat(weight[A[0]], start)
-            pure = np.minimum.reduceat(lab, start) == np.maximum.reduceat(lab, start)
-            leaf = pure | (seg_weight < 2 * min_leaf) | (depth >= cap)
+            leaf_of[A[0]] = np.repeat(nodes, seg_size)  # a slot's last open node is its leaf
+            lab = None if code is None else code[A[0]] + np.repeat(np.arange(len(nodes)) * n_labels, seg_size)
+            pure = seg_size == 1 if lab is None else (
+                np.minimum.reduceat(lab, start) == np.maximum.reduceat(lab, start))
+            use = ~pure & (seg_weight >= 2 * min_leaf) & (depth < cap)
             # unit weights only: a slot of weight 2 or more repeats its label
-            peel = ~leaf & (seg_weight == seg_size) & (min_leaf == 1 and features_per_split == 3)
-            if peel.any():
-                key = np.sort((seg * n_labels + lab)[peel[seg]])  # all labels distinct, or no peel
+            peel = use & (seg_weight == seg_size) & (min_leaf == 1 and features_per_split == 3)
+            if peel.any() and lab is not None:  # lab: (segment, label) keys
+                key = np.sort(lab[np.repeat(peel, seg_size)])
                 peel[key[1:][key[1:] == key[:-1]] // n_labels] = False
-            use = np.repeat((~leaf & ~peel)[None, :], 3, axis=0)  # the split attempts, per feature
+            use = np.repeat((use & ~peel)[None, :], 3, axis=0)  # the split attempts, per feature
+            by_id = np.argsort(nodes)  # the segments in node id order
             if features_per_split < 3:
-                att = np.flatnonzero(use[0])[np.argsort(nodes[use[0]])]
+                att = by_id[use[0, by_id]]
                 counts = np.bincount(seg_member[att], minlength=n_members)
                 draws = np.concatenate([rng.random((c, 3)) for rng, c in zip(rngs, counts.tolist())])
-                use[:, att] = (np.argsort(np.argsort(draws, axis=1), axis=1) < features_per_split).T
-            f, split, at = _best_splits(A, XT, code, weight, n_labels, distinct, use, start, seg_size,
-                                        seg_weight, min_leaf)
-            leaf_of[A[0][~split[seg]]] = nodes[seg[~split[seg]]]  # peeled slots get their leaves next
+                use[:, att] = draws.argsort(axis=1, kind="stable").argsort(axis=1).T < features_per_split
+            f, split, at, below = _best_splits(A, XT, weight, code, n_labels, use, start, seg_size, min_leaf)
             if peel.any():
-                next_id = _Trees._peel(XT, A[0][peel[seg]], seg_size[peel], nodes[peel],
+                next_id = _Trees._peel(XT, A[0][np.repeat(peel, seg_size)], seg_size[peel], nodes[peel],
                                        depth, cap, next_id, feature, threshold, left, leaf_of)
-            f, at, split_nodes = f[split], at[split], nodes[split]
-            kids = next_id + 2 * np.argsort(np.argsort(split_nodes))
+            p = np.arange(A.shape[1])
+            side[A.ravel()[np.repeat(f * A.shape[1], seg_size) + p]] = (
+                (p >= np.repeat(at, seg_size)) + np.repeat(6 * ~split, seg_size))
+            kids = next_id - 2 + 2 * np.cumsum(split[by_id])[nodes[split] - level_id]
+            f, at, below, split_nodes, start = f[split], at[split], below[split], nodes[split], start[split]
             feature[split_nodes], left[split_nodes] = f, kids
             threshold[split_nodes] = _guarded_threshold(XT[f, A[f, at - 1]], XT[f, A[f, at]])
-            # stable partition: all left children, then all right children, each row's slots in order
-            side = np.full(n_slots, 2, dtype=np.int8)
-            p = np.flatnonzero(split[seg])
-            side[A[np.repeat(f, seg_size[split]), p]] = p >= np.repeat(at, seg_size[split])
-            side = side[A]
-            A = np.concatenate([A[side == 0].reshape(3, -1), A[side == 1].reshape(3, -1)], axis=1)
+            key = np.argsort((side[A] + np.int8([[0], [2], [4]])).ravel(), kind="stable")  # 2 * row + side
+            A = A.ravel()[key[:3 * seg_size[split].sum()]].reshape(3, -1)
             nodes, seg_member = np.concatenate([kids, kids + 1]), np.tile(seg_member[split], 2)
-            seg_size = np.concatenate([at - start[split], seg_size[split] - at + start[split]])
-            next_id, depth = next_id + 2 * kids.shape[0], depth + 1
+            seg_size = np.concatenate([at - start, seg_size[split] - at + start])
+            seg_weight = np.concatenate([below, seg_weight[split] - below])
+            level_id, next_id, depth = next_id, next_id + 2 * kids.shape[0], depth + 1
         # leaf entries: one per (leaf, label), sorted by leaf, then label; the weights are integers, so
         # each frequency is the same double as a ratio of row counts
-        entries, entry_of = np.unique(leaf_of * n_labels + code, return_inverse=True)
+        entries, entry_of = np.unique(leaf_of * n_labels + codes[slot_row], return_inverse=True)
         leaf, labels = entries // n_labels, label_values[entries % n_labels]
         probs = np.bincount(entry_of, weights=weight) / np.bincount(leaf_of, weight, next_id)[leaf]
-        # a run of right children splitting on their parent's feature has rising thresholds: sorted by
-        # (run head, threshold), the internal nodes let one binary search find where a query leaves it
-        inner = np.flatnonzero(feature[:next_id] >= 0)
-        head = np.arange(next_id)
-        same = inner[feature[left[inner] + 1] == feature[inner]]
-        head[left[same] + 1] = same
-        while np.any(head[head] != head):
-            head = head[head]
-        key = head[inner] + first_id + 1j * threshold[inner]
-        return (feature[:next_id].copy(), left[:next_id] + first_id, labels, probs,
-                np.bincount(leaf, minlength=next_id), inner[np.argsort(key)] + first_id, np.sort(key),
-                first_id + np.arange(n_members))
+        return (feature[:next_id].copy(), left[:next_id] + first_id, threshold[:next_id].copy(), labels,
+                probs, np.bincount(leaf, minlength=next_id), first_id + np.arange(n_members))
 
     @staticmethod
     def _peel(XT, slots, sizes, nodes, depth, cap, next_id, feature, threshold, left, leaf_of) -> int:
@@ -472,17 +468,20 @@ class _Trees(_Classifier):
     def apply_batch(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id reached by each (member, query), member by member."""
         X = _query_batch(X)
+        values = np.where(np.isnan(X), np.inf, X).ravel()  # NaN goes right everywhere, as +inf does
         node = np.repeat(self._root, X.shape[0])
         live = np.flatnonzero(self._feature[node] >= 0)
+        q, nd = live % X.shape[0] * 3, node[live]  # each live (member, query)'s values and run head
         while live.shape[0]:
-            nd = node[live]  # the head of a run
-            x = X[live % X.shape[0], self._feature[nd]]
-            # the run's first node with x <= threshold; NaN goes right everywhere, as +inf does
-            q = np.stack([nd, np.where(np.isnan(x), np.inf, x)], axis=1).view(complex)[:, 0]
-            e = np.searchsorted(self._run_key, q)
-            past = self._run_key[e].real != nd
-            node[live] = nd = self._left[self._run[e - past]] + past
-            live = live[self._feature[nd] >= 0]
+            x, at, end = values[q + self._feature[nd]], self._first[nd], self._stop[nd]
+            # first place with x <= threshold, else the sentinel: power-of-two steps, clamped to the sentinel
+            for step in 1 << np.arange(int((end - at).max() - 1).bit_length())[::-1]:
+                mid = np.minimum(at + step, end)
+                at = np.where(self._steps[mid] < x, mid, at)
+            at += self._steps[at] < x
+            node[live] = nd = self._to[at]
+            keep = np.flatnonzero(self._feature[nd] >= 0)
+            live, q, nd = live[keep], q[keep], nd[keep]
         return node
 
     def _masses(self, X: np.ndarray):

@@ -177,12 +177,10 @@ def _forest(overrides):
 def _table_digest(clf) -> str:
     """SHA-256 of the node table: each internal node's id, feature, threshold and left child, each
     leaf's id and (label, frequency) entries, and the members' roots, floats in hex."""
-    threshold = np.full(clf.node_count, np.nan)
-    threshold[clf._run] = clf._run_key[:-1].imag
     lines = ["roots " + " ".join(map(str, clf._root.tolist()))]
     for i, (f, left) in enumerate(zip(clf._feature.tolist(), clf._left.tolist())):
         if f >= 0:
-            lines.append(f"{i} {f} {threshold[i].hex()} {left}")
+            lines.append(f"{i} {f} {clf._threshold[i].hex()} {left}")
         else:
             s = slice(clf._offset[i], clf._offset[i + 1])
             entries = zip(clf._labels[s].tolist(), clf._probs[s].tolist())

@@ -443,7 +443,8 @@ def _reference_splits(nodes):
 
 def _splits(clf):
     """The (feature, threshold) pairs of the internal nodes, sorted."""
-    return sorted(zip(clf._feature[clf._run].tolist(), clf._run_key[:-1].imag.tolist()))
+    inner = clf._feature >= 0
+    return sorted(zip(clf._feature[inner].tolist(), clf._threshold[inner].tolist()))
 
 
 def _tree_problems():
