@@ -320,6 +320,13 @@ def resolve_config(
                 f"{origin}: calibration.kind = none runs the trilateration baseline; "
                 f"classifier settings have no effect: {', '.join(clashing)}"
             )
+    # the rest of KnnClassifier's rule k <= n: a DB row per grid cell, plus its augmented copies
+    rows = grid.cell_count * (1 + values["fingerprint.augment"])
+    if values["classifier.kind"] in ("knn", "vote") and values["classifier.k"] > rows:
+        raise ConfigError(
+            f"{origin}: classifier.k: k={values['classifier.k']} with {rows} training rows "
+            f"(grid cells x (1 + fingerprint.augment))"
+        )
     return RunConfig(values, explicit, grid, anchors, pipeline, campaign)
 
 

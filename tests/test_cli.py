@@ -210,6 +210,19 @@ def test_classifier_keys_with_no_model_is_exit_2(tmp_path, capsys):
     assert "classifier.k" in capsys.readouterr().err
 
 
+def test_k_above_the_training_rows_is_exit_2_before_any_work(tmp_path, capsys):
+    # 32 cells at 250 mm: KnnClassifier would refuse k only after the simulation, fit and DB
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("grid.spacing = 250\nclassifier.k = 100000\n")
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "classifier.k: k=100000 with 32 training rows" in err
+    assert not out.exists()
+    # the same config with a learner that reads no k runs
+    assert main(["evaluate", "--config", str(cfg), "--classifier", "tree", "--out", str(out)]) == 0
+
+
 def test_missing_config_file_is_exit_2(tmp_path):
     out = str(tmp_path / "r.csv")
     assert main(["evaluate", "--config", str(tmp_path / "nope.cfg"),

@@ -175,3 +175,20 @@ def test_a_bad_override_value_is_blamed_on_the_override(tmp_path, with_file, key
     with pytest.raises(ConfigError) as info:
         load_config(str(path) if with_file else None, {key: value})
     assert str(info.value) == f"<override>: {key}: {error}"
+
+
+@pytest.mark.parametrize("kind", ["knn", "vote"])
+def test_k_above_the_training_rows_is_a_config_error(kind):
+    # 250 mm cells: 4 x 8 = 32 cells; a DB row per cell and per augmented copy
+    coarse = {"grid.spacing": "250", "classifier.kind": kind}
+    for augment, rows in (("0", 32), ("2", 96)):
+        cfg = resolve_config({**coarse, "fingerprint.augment": augment, "classifier.k": str(rows)})
+        assert cfg.pipeline().knn_k == rows
+        with pytest.raises(ConfigError, match=f": classifier.k: k={rows + 1} with {rows} training rows"):
+            resolve_config({**coarse, "fingerprint.augment": augment, "classifier.k": str(rows + 1)})
+
+
+@pytest.mark.parametrize("kind", ["tree", "forest"])
+def test_k_is_not_checked_where_no_knn_reads_it(kind):
+    cfg = resolve_config({"grid.spacing": "250", "classifier.kind": kind, "classifier.k": "100000"})
+    assert cfg.pipeline().knn_k == 100000

@@ -374,12 +374,12 @@ def _reference_occurrence_index(codes):
     return occ
 
 
-def _reference_best_split(X, y, rows, min_leaf):
+def _reference_best_split(X, y, rows, min_leaf, features=range(3)):
     n = rows.shape[0]
     codes = np.unique(y[rows], return_inverse=True)[1]
     totals = np.bincount(codes)
     best_imp, best = math.inf, None
-    for f in range(3):
+    for f in features:
         col = X[rows, f]
         order = np.argsort(col, kind="stable")
         sv, sy = col[order], codes[order]
@@ -402,28 +402,37 @@ def _reference_best_split(X, y, rows, min_leaf):
     return best
 
 
-def _reference_tree(X, y, max_depth=None, min_leaf=1):
-    """The node-at-a-time DFS build that the level-synchronous one replaced,
-    with its generic sweep only: a list of [feature, threshold, left, right,
-    leaf probabilities] per node."""
+def _reference_tree(X, y, max_depth=None, min_leaf=1, rng=None, features_per_split=3):
+    """The node-at-a-time build that the level-synchronous one replaced, with its
+    generic sweep only: a list of [feature, threshold, left, right, leaf
+    probabilities] per node. It goes level by level, a level's nodes in id order
+    (children in their parents' order, left first). Under 3 features per split
+    it draws as a forest member does: one ``rng.random((attempts, 3))`` per
+    depth over that depth's split attempts in id order, each attempt keeping its
+    ``features_per_split`` features of smallest draw (the lower feature on a tie)."""
     nodes = [[-1, math.nan, -1, -1, None]]
-    stack = [(0, np.arange(X.shape[0]), 0)]
-    while stack:
-        nid, rows, depth = stack.pop()
-        yn = y[rows]
-        split = None
-        if not (np.all(yn == yn[0]) or (max_depth is not None and depth >= max_depth)
-                or rows.shape[0] < 2 * min_leaf):
-            split = _reference_best_split(X, y, rows, min_leaf)
-        if split is None:
-            labels, counts = np.unique(yn, return_counts=True)
-            nodes[nid][4] = dict(zip(labels.tolist(), (counts / rows.shape[0]).tolist()))
-            continue
-        f, thr = split
-        mask = X[rows, f] <= thr
-        nodes[nid][:4] = [f, thr, len(nodes), len(nodes) + 1]
-        nodes += [[-1, math.nan, -1, -1, None], [-1, math.nan, -1, -1, None]]
-        stack += [(len(nodes) - 1, rows[~mask], depth + 1), (len(nodes) - 2, rows[mask], depth + 1)]
+    level, depth = [(0, np.arange(X.shape[0]))], 0
+    while level:
+        attempts = [nid for nid, rows in level
+                    if not (np.all(y[rows] == y[rows[0]]) or (max_depth is not None and depth >= max_depth)
+                            or rows.shape[0] < 2 * min_leaf)]
+        features = dict.fromkeys(attempts, range(3))
+        if features_per_split < 3:
+            for nid, draw in zip(attempts, rng.random((len(attempts), 3)).tolist()):
+                features[nid] = sorted(sorted(range(3), key=lambda f: (draw[f], f))[:features_per_split])
+        below = []
+        for nid, rows in level:
+            split = _reference_best_split(X, y, rows, min_leaf, features[nid]) if nid in features else None
+            if split is None:
+                labels, counts = np.unique(y[rows], return_counts=True)
+                nodes[nid][4] = dict(zip(labels.tolist(), (counts / rows.shape[0]).tolist()))
+                continue
+            f, thr = split
+            mask = X[rows, f] <= thr
+            nodes[nid][:4] = [f, thr, len(nodes), len(nodes) + 1]
+            below += [(len(nodes), rows[mask]), (len(nodes) + 1, rows[~mask])]
+            nodes += [[-1, math.nan, -1, -1, None], [-1, math.nan, -1, -1, None]]
+        level, depth = below, depth + 1
     return nodes
 
 
@@ -468,10 +477,11 @@ _TREE_PROBLEMS = _tree_problems()
 
 
 def _probe_queries(X):
-    """The rows, the midpoints of consecutive rows, random points in their box, and rows with a NaN."""
+    """The rows, the midpoints of consecutive rows, random points in their box, and rows with a NaN,
+    a +inf or a -inf: NaN and +inf go right at every split, -inf goes left."""
     rng = np.random.default_rng(len(X))
     Q = np.vstack([X, (X[:-1] + X[1:]) / 2.0, rng.uniform(X.min(), X.max(), size=(30, 3))])
-    return np.vstack([Q, np.where(np.eye(3, dtype=bool), np.nan, X[:3])])  # NaN goes right at every split
+    return np.vstack([Q] + [np.where(np.eye(3, dtype=bool), odd, X[:3]) for odd in (np.nan, np.inf, -np.inf)])
 
 
 @pytest.mark.parametrize("max_depth", [None, 1, 3])
@@ -516,6 +526,50 @@ def test_forest_members_match_reference_builder_on_their_bootstraps(name, min_le
     assert _member_probs(forest, Q) == [_reference_proba(ref, Q) for ref in refs]
     assert forest.node_count == sum(len(ref) for ref in refs)
     assert _splits(forest) == sorted(pair for ref in refs for pair in _reference_splits(ref))
+
+
+def _preorder(feature, threshold, children, leaf, root):
+    """A tree's nodes in preorder: (feature, threshold) of a split, a leaf's probabilities."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append((feature(node), threshold(node)) if feature(node) >= 0 else leaf(node))
+        stack += children(node)[::-1] if feature(node) >= 0 else []
+    return out
+
+
+def _member_preorder(clf, i):
+    def leaf(node):
+        s = slice(clf._offset[node], clf._offset[node + 1])
+        return dict(zip(clf._labels[s].tolist(), clf._probs[s].tolist()))
+    return _preorder(lambda node: int(clf._feature[node]), lambda node: float(clf._threshold[node]),
+                     lambda node: [int(clf._left[node]), int(clf._left[node]) + 1], leaf, int(clf._root[i]))
+
+
+def _reference_preorder(nodes):
+    return _preorder(lambda nid: nodes[nid][0], lambda nid: nodes[nid][1], lambda nid: nodes[nid][2:4],
+                     lambda nid: nodes[nid][4], 0)
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("features", [1, 2])
+@pytest.mark.parametrize("min_leaf, max_depth", [(1, None), (2, None), (1, 3)])
+@pytest.mark.parametrize("name", ["distinct-labels", "repeated-labels", "duplicate-rows", "ulp-adjacent"])
+def test_sampled_forest_members_match_reference_builder(name, min_leaf, max_depth, features, bootstrap):
+    # member i's generator draws the bootstrap, then per depth its feature subsets, as the
+    # reference does on the resample with its rows duplicated; split for split, leaf for leaf
+    X, y = _TREE_PROBLEMS[name]
+    forest = ForestClassifier(_train(X, y), n_trees=3, features_per_split=features, seed=13,
+                              max_depth=max_depth, min_leaf=min_leaf, bootstrap=bootstrap)
+    refs = []
+    for i in range(3):
+        rng = np.random.default_rng(13 + i)
+        idx = rng.integers(0, len(X), size=len(X)) if bootstrap else np.arange(len(X))
+        refs.append(_reference_tree(X[idx], y[idx], max_depth, min_leaf, rng, features))
+        assert _member_preorder(forest, i) == _reference_preorder(refs[-1])
+    assert forest.node_count == sum(len(ref) for ref in refs)
+    Q = _probe_queries(X)
+    assert _member_probs(forest, Q) == [_reference_proba(ref, Q) for ref in refs]
 
 
 @pytest.mark.parametrize("features", [1, 2])
