@@ -314,7 +314,7 @@ def _best_splits(A, XT, weight, code, n_labels, use, start, seg_size, min_leaf):
         past = np.cumsum(sums, axis=1) - sums  # over the pair's earlier slots
         past -= np.repeat(past[:, first], size, axis=1)
         (nl, sq), tw, n = past[:2], past[-1], total[0]
-        cut = (nl >= min_leaf) & (n - nl >= min_leaf) & np.append(False, v[1:] != v[:-1])  # nl = 0: no cut
+        cut = (nl >= min_leaf) & (n - nl >= min_leaf) & np.append(False, v[1:] != v[:-1])  # never at nl = 0
         imp = np.where(cut, 1.0 - (sq / np.maximum(nl, 1) + (total[1] - 2 * tw + sq) / (n - nl)) / n, np.inf)
         low = np.minimum.reduceat(imp, first)  # and its first place: the first minimum in a feature
         at = np.minimum.reduceat(np.where(imp == np.repeat(low, size), r, r.shape[0]), first)
