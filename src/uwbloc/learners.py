@@ -330,9 +330,10 @@ class _Trees(_Classifier):
     left. A node is a leaf when it is pure, at ``max_depth``, smaller than 2 * ``min_leaf``, or has
     no split; leaves keep their label frequencies. Node i splits on ``_feature[i]`` (-1: leaf) at
     ``_threshold[i]`` into ``_left[i]`` and ``_left[i] + 1``; a leaf's entries are ``_labels/_probs[
-    _offset[i] : _offset[i + 1]]``. Member i's root is node ``_root[i]``. The run of right children
-    on node i's feature that i heads has its rising thresholds at ``_steps[_first[i] : _stop[i]]``,
-    then +inf; ``_to`` holds their left children, then the last one's right child."""
+    _offset[i] : _offset[i + 1]]``. Member i's root is node ``_root[i]``. A run is a chain of right
+    children that split on their parent's feature; the one headed by node i has its rising thresholds
+    at ``_steps[_first[i] : _stop[i]]``, then +inf, and ``_to`` their left children, then the last
+    one's right child."""
 
     def _grow(self, train, members, rngs, features_per_split, max_depth, min_leaf) -> None:
         """Grow member i on its (distinct rows, integer weights) ``members[i]``, in batches of about
