@@ -20,7 +20,6 @@ from .calibration import (
     REFERENCE_POINTS,
     clean_observation_rows,
     fit_model,
-    predict_measured,
     read_calibration,
     write_calibration,
 )

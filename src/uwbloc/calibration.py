@@ -6,7 +6,8 @@ measurements gives, per anchor, a model
 
     measured = a * true + b
 
-whose inverse later turns grid distances into predicted fingerprints.
+which ``fingerprint.build_db`` later applies to grid distances to predict
+fingerprints.
 Four model variants differ only in which reference points, and whose
 anchor's data, feed each anchor's line.
 """
@@ -21,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import FileFormatError, parse_number, read_text
-from .geometry import AnchorLayout, PointMM, check_ranges, check_true_distances, distance
+from .geometry import AnchorLayout, PointMM, check_ranges
 from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, correct_range_batch, mad_keep_mask
 from .simulator import Visits
 
@@ -38,7 +39,6 @@ __all__ = [
     "CalibrationModel",
     "check_fit_setting",
     "fit_model",
-    "predict_measured",
     "clean_observation_rows",
     "write_calibration",
     "read_calibration",
@@ -196,9 +196,9 @@ def clean_observation_rows(
     coordinates, in record order; a point without readings raises
     MissingReferencePointError. Reps are aligned across points (trimmed
     to the shortest), the MAD rule is evaluated per (point, anchor)
-    column, and a set survives only if all twelve of its values pass. The
-    correction policy, when given, is applied to the surviving measured
-    values.
+    column of the (n, 12) block of sets, and a set survives only if all
+    twelve of its values pass. The correction policy, when given, is
+    applied to the surviving measured values.
     """
     pooled = []
     for p in points:
@@ -209,11 +209,7 @@ def clean_observation_rows(
     n = min(len(r) for r in pooled)
     raw = np.stack([r[:n] for r in pooled], axis=1)
 
-    keep = np.ones(n, dtype=bool)
-    for pi in range(len(points)):
-        for ai in range(3):
-            keep &= mad_keep_mask(raw[:, pi, ai], mad_k, mad_scale)
-    cleaned = raw[keep]
+    cleaned = raw[mad_keep_mask(raw.reshape(n, -1), mad_k, mad_scale).all(axis=1)]
     if cleaned.shape[0] == 0:
         raise InsufficientDataError("outlier filtering removed every measurement set")
 
@@ -264,8 +260,7 @@ def fit_model(
     kind = ModelKind(kind)
     check_fit_setting(obs.points, n_select)
 
-    xy = np.array([p.as_tuple() for p in obs.points])
-    true_d = np.array([distance(xy, a) for a in anchors.as_tuple()]).T
+    true_d = anchors.true_distances(np.array([p.as_tuple() for p in obs.points]))
 
     if obs.n_sets >= n_select:
         rng = np.random.default_rng(seed)
@@ -301,15 +296,6 @@ def fit_model(
     sums = np.cumsum(params[fitted], axis=0)[-1].tolist()
     eqs = [LinearRangingEq(sa / used, sb / used) for sa, sb in sums]
     return CalibrationModel(kind, *eqs)
-
-
-def predict_measured(model: CalibrationModel, anchor: str, true_distance: float | np.ndarray):
-    """What the tag would report for a true distance (or an array of them) to one anchor."""
-    d = np.asarray(true_distance, dtype=float)
-    check_true_distances(d)
-    eq = model.equation(anchor)
-    measured = eq.a * d + eq.b
-    return float(measured) if measured.ndim == 0 else measured
 
 
 def format_calibration(model: CalibrationModel) -> str:

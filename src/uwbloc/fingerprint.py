@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import ANCHOR_NAMES, CalibrationModel, predict_measured
+from .calibration import CalibrationModel
 from .errors import FileFormatError, parse_number, read_text
-from .geometry import AnchorLayout, check_ranges, distance
+from .geometry import AnchorLayout, check_ranges
 
 __all__ = [
     "LabelOutOfRangeError",
@@ -95,10 +95,12 @@ DEFAULT_GRID = GridSpec()
 def cell_vertex(spec: GridSpec, labels: int | np.ndarray) -> np.ndarray:
     """The lower-left vertex of each cell, i.e. the (x, y) position a label stands for."""
     labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise TypeError(f"labels must be integers, got {labels.dtype}")
     off_grid = labels[(labels < 0) | (labels >= spec.cell_count)]  # in row-major order
     if off_grid.size:
         raise LabelOutOfRangeError(f"label {off_grid[0]} outside [0, {spec.cell_count})")
-    return cell_vertices(spec)[labels]
+    return np.stack((labels % spec.cols * spec.spacing, labels // spec.cols * spec.spacing), axis=-1)
 
 
 def _grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -140,11 +142,11 @@ def build_db(model: CalibrationModel, spec: GridSpec, anchors: AnchorLayout) -> 
     is applied to live measurements, not to the DB), floored at
     ``DB_PREDICTION_FLOOR`` so every entry stays a valid range.
     """
-    vertices = cell_vertices(spec)
-    vectors = np.empty((spec.cell_count, 3))  # filled in place, to keep peak memory down
-    for ai, (name, a) in enumerate(zip(ANCHOR_NAMES, anchors.as_tuple())):
-        vectors[:, ai] = predict_measured(model, name, np.array(distance(vertices, a)))
-    return FingerprintDB(spec, np.maximum(vectors, DB_PREDICTION_FLOOR, out=vectors))
+    d = anchors.true_distances(cell_vertices(spec))
+    eqs = (model.eq_a, model.eq_b, model.eq_c)
+    d *= [eq.a for eq in eqs]  # in place, to keep peak memory down
+    d += [eq.b for eq in eqs]
+    return FingerprintDB(spec, np.maximum(d, DB_PREDICTION_FLOOR, out=d))
 
 
 def write_db(path: str, db: FingerprintDB) -> None:

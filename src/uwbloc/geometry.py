@@ -110,6 +110,13 @@ class AnchorLayout:
     def as_tuple(self) -> tuple[PointMM, PointMM, PointMM]:
         return (self.a, self.b, self.c)
 
+    def true_distances(self, xy: np.ndarray) -> np.ndarray:
+        """Distance from each row of an (n, 2) array to anchors A, B and C: an (n, 3) array."""
+        d = np.empty((xy.shape[0], 3))
+        for ai, anchor in enumerate(self.as_tuple()):  # one anchor's list of floats at a time
+            d[:, ai] = distance(xy, anchor)
+        return d
+
 
 #: Corner deployment used by the reference hardware setup: A at the origin,
 #: B at the far end of the y axis, C at the far end of the x axis.

@@ -110,8 +110,10 @@ class _Classifier:
         """Each query's label of largest mass; equal masses go to the lower label."""
         X = _query_batch(X)
         query, label, mass = self._masses(X)
-        order = np.lexsort((label, -mass, query))
-        return label[order[np.searchsorted(query[order], np.arange(X.shape[0]))]]
+        queries = np.arange(X.shape[0])
+        best = np.maximum.reduceat(mass, np.searchsorted(query, queries))  # each query's largest mass
+        hit = np.flatnonzero(mass == best[query])  # in (query, label) order
+        return label[hit[np.searchsorted(query[hit], queries)]]  # a query's first hit: its lowest label
 
 
 #: Rows per block, at most, of the KNN search's Sort-Tile-Recursive packing.

@@ -37,21 +37,21 @@ def check_mad_setting(k: float, scale: float) -> None:
 def mad_keep_mask(values: Sequence[float], k: float = 3.0, scale: float = MAD_SCALE_NORMAL) -> np.ndarray:
     """Boolean mask of the samples that survive the MAD outlier rule.
 
-    A value is kept when |v - median| <= k * scale * MAD, where MAD is the
-    median absolute deviation from the median. The rule is a pure
-    inequality: a zero MAD keeps only values exactly equal to the median.
+    ``values`` is one series, or an (n, c) array whose c columns are
+    series; each column has its own median and cutoff. A value is kept
+    when |v - median| <= k * scale * MAD, where MAD is the median absolute
+    deviation from the median. The rule is a pure inequality: a zero MAD
+    keeps only values exactly equal to the median.
     """
     check_mad_setting(k, scale)
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("sample series must be one-dimensional")
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"samples must be one series or an (n, c) array of them, got shape {arr.shape}")
     if arr.size == 0:
         raise EmptySeriesError("sample series is empty")
     check_ranges(arr)
-    med = float(np.median(arr))
-    dev = np.abs(arr - med)
-    cutoff = k * scale * float(np.median(dev))
-    return dev <= cutoff
+    dev = np.abs(arr - np.median(arr, axis=0))
+    return dev <= k * scale * np.median(dev, axis=0)
 
 
 @dataclass(frozen=True)

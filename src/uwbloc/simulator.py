@@ -55,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FileFormatError, parse_number, read_text
-from .geometry import AnchorLayout, PointMM, check_ranges, check_true_distances, distance
+from .geometry import AnchorLayout, PointMM, check_ranges, check_true_distances
 
 __all__ = [
     "NoiseConfig",
@@ -592,7 +592,7 @@ def simulate_visits(
     """
     xy = np.asarray(locations, dtype=float).reshape(-1, 2)
     m = xy.shape[0]
-    true_d = np.array([distance(xy, a) for a in anchors.as_tuple()]).reshape(3, m).T
+    true_d = anchors.true_distances(xy)
     keys = np.empty((m, reps, 3, 3), dtype=np.uint32)  # one entropy word each, as the draw needs
     keys[..., 0] = np.arange(m)[:, None, None]
     keys[..., 1] = np.arange(reps)[:, None]

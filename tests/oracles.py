@@ -2,10 +2,12 @@
 
 The package works on arrays: it predicts through ``(query, label, mass)``
 arrays, fits every calibration pair of every set at once, measures distances
-and maps labels to grid vertices an array at a time, and converts a
-measurement file's lines in one numpy call. These are the same rules written
-over one query's ``{label: mass}`` dict, one pair of distances, one pair of
-points, one grid label or one line of a file.
+and maps labels to grid vertices an array at a time, applies the MAD rule to
+every (point, anchor) column of the observation sets in one call, and
+converts a measurement file's lines in one numpy call. These are the same
+rules written over one query's ``{label: mass}`` dict, one pair of distances,
+one pair of points, one grid label, one column of readings or one line of a
+file.
 """
 
 from __future__ import annotations
@@ -50,6 +52,29 @@ def cell_vertex(spec: GridSpec, label: int) -> PointMM:
     col = label % spec.cols
     row = label // spec.cols
     return PointMM(col * spec.spacing, row * spec.spacing)
+
+
+def mad_keep_mask(values: np.ndarray, k: float, scale: float) -> np.ndarray:
+    """The MAD rule over one series (``preprocess.mad_keep_mask`` for one column)."""
+    med = float(np.median(values))
+    dev = np.abs(values - med)
+    return dev <= k * scale * float(np.median(dev))
+
+
+def kept_sets(records: list[Visits], points: tuple[PointMM, ...], k: float, scale: float) -> np.ndarray:
+    """The sets ``calibration.clean_observation_rows`` keeps, before any correction.
+
+    Pools and trims the readings at each point as the package does, then
+    applies the MAD rule one (point, anchor) column at a time.
+    """
+    pooled = [np.concatenate([r.ranges for r in records if r.location == p]) for p in points]
+    n = min(len(r) for r in pooled)
+    raw = np.stack([r[:n] for r in pooled], axis=1)
+    keep = np.ones(n, dtype=bool)
+    for pi in range(len(points)):
+        for ai in range(3):
+            keep &= mad_keep_mask(raw[:, pi, ai], k, scale)
+    return raw[keep]
 
 
 def probabilities(clf, X) -> list[ClassProbabilities]:

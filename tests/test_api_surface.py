@@ -30,10 +30,12 @@ MODULES = [
                  "learners", "preprocess", "simulator")
 ]
 
-#: Scalar and dict-valued twins of array paths, taken out of the package.
+#: Names taken out of the package: scalar and dict-valued twins of array paths, and
+#: ``predict_measured``, whose one caller, ``build_db``, now applies the lines itself.
 REMOVED = (
     "fit_pair", "mad_filter", "correct_range", "vertex_to_label", "IDENTITY_NOISE",
     "ClassProbabilities", "_ProbabilisticClassifier", "trilaterate_batch", "distances",
+    "predict_measured",
 )
 REMOVED_METHODS = ("predict", "predict_proba", "predict_proba_batch")
 

@@ -18,15 +18,15 @@ from uwbloc.calibration import (
     fit_model,
     format_calibration,
     parse_calibration,
-    predict_measured,
     read_calibration,
     write_calibration,
 )
 from uwbloc.errors import FileFormatError
-from uwbloc.geometry import DEFAULT_ANCHORS, PointMM
-from uwbloc.preprocess import CorrectionPolicy
-from uwbloc.simulator import Visits, read_measurements
+from uwbloc.geometry import DEFAULT_ANCHORS, NonFiniteRangeError, PointMM
+from uwbloc.preprocess import MAD_SCALE_NORMAL, CorrectionPolicy
+from uwbloc.simulator import Campaign, NoiseConfig, Visits, read_measurements, simulate_campaign
 
+import oracles
 from oracles import distance, fit_pair
 
 
@@ -138,6 +138,35 @@ def test_clean_raises_when_nothing_survives():
     base[2][2][0] = 150.0
     with pytest.raises(InsufficientDataError):
         clean_observation_rows(_records_for(REFERENCE_POINTS, base))
+
+
+def test_clean_reports_the_first_bad_reading_of_the_sets_in_row_major_order():
+    # the NaN (set 0, point 1, anchor C) comes before the -1 (set 1, point 0, anchor A)
+    # in the (n, 12) block of sets, though not in (point, anchor) column order
+    base = [[[100.0 + s, 2000.0 + s, 1000.0 + s] for s in range(3)] for _ in range(4)]
+    base[0][1][0] = -1.0
+    base[1][0][2] = math.nan
+    with pytest.raises(NonFiniteRangeError, match="got nan"):
+        clean_observation_rows(_records_for(REFERENCE_POINTS, base))
+
+
+@pytest.mark.parametrize("p_outlier", [0.05, 0.3])
+@pytest.mark.parametrize("mad_k, mad_scale", [(3.0, MAD_SCALE_NORMAL), (1.5, 1.0)])
+def test_clean_keeps_the_sets_of_one_mad_call_per_column(p_outlier, mad_k, mad_scale):
+    kept = []
+    for seed, reps in ((1, 1), (2, 2), (3, 7), (4, 40), (5, 301)):
+        noise = NoiseConfig(p_outlier=p_outlier, seed=seed)
+        records = simulate_campaign(Campaign(REFERENCE_POINTS, reps, DEFAULT_ANCHORS, noise))
+        records.append(Visits(REFERENCE_POINTS[2], records[2].ranges[:3]))  # trimmed away
+        want = oracles.kept_sets(records, REFERENCE_POINTS, mad_k, mad_scale)
+        kept.append(want.shape[0])
+        if want.shape[0] == 0:
+            with pytest.raises(InsufficientDataError):
+                clean_observation_rows(records, mad_k=mad_k, mad_scale=mad_scale)
+            continue
+        got = clean_observation_rows(records, mad_k=mad_k, mad_scale=mad_scale)
+        assert got.sets.tobytes() == want.tobytes()
+    assert 0 < kept[-1] < 301  # the rule drops some sets and keeps others
 
 
 def _reading(pi, r):
@@ -289,31 +318,6 @@ def test_fit_model_skips_sets_with_non_positive_slope():
         warnings.simplefilter("ignore")
         with pytest.raises(InsufficientDataError):
             fit_model(ModelKind.TWO, all_bad, DEFAULT_ANCHORS)
-
-
-def test_predict_measured_allows_zero_distance():
-    model = CalibrationModel(
-        ModelKind.ONE, LinearRangingEq(1.1, 5.0), LinearRangingEq(1.1, 5.0), LinearRangingEq(1.1, 5.0)
-    )
-    assert predict_measured(model, "A", 0.0) == 5.0
-    assert predict_measured(model, "B", 100.0) == 1.1 * 100.0 + 5.0
-    assert type(predict_measured(model, "B", 100.0)) is float
-    assert predict_measured(model, "B", [0.0, 100.0]).tolist() == [5.0, 1.1 * 100.0 + 5.0]
-    with pytest.raises(ValueError):
-        predict_measured(model, "A", -1.0)
-    with pytest.raises(ValueError):
-        predict_measured(model, "D", 100.0)
-
-
-def test_predict_measured_names_the_first_bad_distance_of_a_large_array():
-    model = CalibrationModel(
-        ModelKind.ONE, LinearRangingEq(1.1, 5.0), LinearRangingEq(1.1, 5.0), LinearRangingEq(1.1, 5.0)
-    )
-    d = np.full(5000, 250.0)
-    d[2500] = -1.0  # numpy's summary of d would leave this entry out
-    d[4000] = math.nan
-    with pytest.raises(ValueError, match=r"^true distance must be finite and >= 0, got -1\.0$"):
-        predict_measured(model, "A", d)
 
 
 def test_calibration_file_round_trip(tmp_path):

@@ -17,7 +17,7 @@ from uwbloc.fingerprint import (
     read_db,
     write_db,
 )
-from uwbloc.geometry import DEFAULT_ANCHORS
+from uwbloc.geometry import DEFAULT_ANCHORS, NonFiniteRangeError
 
 import oracles
 
@@ -67,6 +67,9 @@ def test_cell_vertex_rejects_bad_labels():
         cell_vertex(DEFAULT_GRID, 3200)
     with pytest.raises(LabelOutOfRangeError, match=r"^label 3200 outside"):
         cell_vertex(DEFAULT_GRID, np.array([[0, 3199], [3200, -1]]))
+    for labels in (3.0, [0.5, 1.0], np.array([True, False]), []):
+        with pytest.raises(TypeError, match="labels must be integers"):
+            cell_vertex(DEFAULT_GRID, labels)
 
 
 def test_cell_vertices_match_cell_vertex():
@@ -75,6 +78,37 @@ def test_cell_vertices_match_cell_vertex():
         assert [tuple(v) for v in cell_vertices(spec).tolist()] == want
         labels = np.arange(spec.cell_count)
         assert [tuple(v) for v in cell_vertex(spec, labels).tolist()] == want
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_GRID, GridSpec(spacing=10.0), GridSpec(spacing=1.0),
+                                  GridSpec(30.0, 70.0, 0.1)], ids=lambda s: f"{s.spacing}mm")
+def test_cell_vertex_is_cell_vertices_indexed_bit_for_bit(spec):
+    want = cell_vertices(spec)
+    labels = np.arange(spec.cell_count)
+    assert cell_vertex(spec, labels).tobytes() == want.tobytes()
+    some = np.random.default_rng(8).integers(0, spec.cell_count, size=(6, 5), dtype=np.int32)
+    assert cell_vertex(spec, some).tobytes() == want[some].tobytes()
+    assert cell_vertex(spec, int(some[0, 0])).tobytes() == want[some[0, 0]].tobytes()
+
+
+def test_build_db_applies_each_anchors_line_and_the_floor():
+    # A's line gives 0.5 at its own vertex (label 0), which the floor lifts
+    model = CalibrationModel(ModelKind.FOUR, LinearRangingEq(1.1, 0.5), LinearRangingEq(0.9, -3.0),
+                             LinearRangingEq(1.02, 5.0))
+    db = build_db(model, DEFAULT_GRID, DEFAULT_ANCHORS)
+    want = [[max(eq.a * oracles.distance(oracles.cell_vertex(DEFAULT_GRID, label), p) + eq.b,
+                 DB_PREDICTION_FLOOR)
+             for eq, p in zip((model.eq_a, model.eq_b, model.eq_c), DEFAULT_ANCHORS.as_tuple())]
+            for label in range(DEFAULT_GRID.cell_count)]
+    assert db.vectors.tobytes() == np.array(want).tobytes()
+    assert db.vectors[0, 0] == DB_PREDICTION_FLOOR
+
+
+def test_build_db_rejects_a_distance_that_overflows():
+    # the far vertices lie ~2.3e308 from every anchor, which is inf as a float
+    spec = GridSpec(1.79e308, 1.79e308, 1.79e307)
+    with pytest.raises(NonFiniteRangeError, match=r"^range must be finite, got inf$"):
+        build_db(IDENTITY_MODEL, spec, DEFAULT_ANCHORS)
 
 
 def test_build_db_identity_model_predicts_distances():

@@ -55,6 +55,25 @@ def test_distance_matches_the_hypot_pair_oracle_bit_for_bit():
         assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
 
+def test_true_distances_are_the_three_distance_columns_bit_for_bit():
+    rng = np.random.default_rng(6)
+    grid = np.stack(np.meshgrid(np.arange(41) * 25.0, np.arange(81) * 25.0), axis=-1).reshape(-1, 2)
+    signed_zeros = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [-0.0, 2000.0],
+                             [1000.0, -0.0]])
+    layouts = (
+        DEFAULT_ANCHORS,
+        AnchorLayout(PointMM(-0.0, -0.0), PointMM(-0.0, 2000.0), PointMM(1000.0, -0.0)),
+        AnchorLayout(PointMM(120.5, -30.0), PointMM(-7.25, 1999.9), PointMM(1e3, 3e3)),
+    )
+    for xy in (grid, rng.uniform((-500.0, -500.0), (1500.0, 2500.0), size=(2000, 2)), signed_zeros,
+               np.empty((0, 2))):
+        for anchors in layouts:
+            want = np.column_stack([distance(xy, a) for a in anchors.as_tuple()])
+            got = anchors.true_distances(xy)
+            assert got.shape == (xy.shape[0], 3)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_triangle_area_right_triangle():
     a = PointMM(0.0, 0.0)
     b = PointMM(0.0, 2000.0)

@@ -11,6 +11,8 @@ from uwbloc.preprocess import (
 )
 from uwbloc.geometry import RangeTriple
 
+import oracles
+
 
 def _kept(values):
     """The values the MAD rule keeps, in their order."""
@@ -53,6 +55,22 @@ def test_mad_survivors_satisfy_the_rule_exactly():
         assert np.array_equal(mask, expected)
 
 
+def test_mad_columns_match_one_series_at_a_time():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 8, 9, 40, 41):
+        arr = rng.uniform(50.0, 150.0, size=(n, 5))
+        arr[:, 1] = rng.integers(1, 4, size=n)  # ties
+        arr[:, 2] = 7.0  # zero MAD, every value on the median
+        arr[: n // 2 + 1, 3] = 9.0  # zero MAD, the other values off it
+        for k, scale in ((3.0, MAD_SCALE_NORMAL), (0.5, 2.0)):
+            got = mad_keep_mask(arr, k, scale)
+            assert got.shape == arr.shape
+            for j in range(arr.shape[1]):
+                assert np.array_equal(got[:, j], mad_keep_mask(arr[:, j], k, scale))
+                assert np.array_equal(got[:, j], oracles.mad_keep_mask(arr[:, j], k, scale))
+            assert np.array_equal(mad_keep_mask(arr[:, :1], k, scale)[:, 0], got[:, 0])
+
+
 def test_mad_validation():
     with pytest.raises(EmptySeriesError):
         mad_keep_mask([])
@@ -60,8 +78,10 @@ def test_mad_validation():
         mad_keep_mask([1.0, -2.0])
     with pytest.raises(ValueError):
         mad_keep_mask([1.0, float("nan")])
-    with pytest.raises(ValueError):
-        mad_keep_mask([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(EmptySeriesError):
+        mad_keep_mask(np.empty((0, 3)))
+    with pytest.raises(ValueError, match=r"one series or an \(n, c\) array of them, got shape \(1, 2, 2\)"):
+        mad_keep_mask([[[1.0, 2.0], [3.0, 4.0]]])
     with pytest.raises(ValueError):
         mad_keep_mask([1.0, 2.0], k=0.0)
     with pytest.raises(ValueError):

@@ -13,19 +13,17 @@ import pytest
 
 from uwbloc.calibration import (
     REFERENCE_POINTS,
-    CalibrationModel,
-    LinearRangingEq,
     ModelKind,
     ObservationData,
+    clean_observation_rows,
     fit_model,
-    predict_measured,
 )
 from uwbloc.evaluation import PipelineConfig
 from uwbloc.fingerprint import FingerprintDB, GridSpec
 from uwbloc.geometry import DEFAULT_ANCHORS, check_ranges, check_true_distances, trilaterate
 from uwbloc.learners import ForestClassifier, TrainingSet, TreeClassifier
 from uwbloc.preprocess import CorrectionPolicy, correct_range_batch, mad_keep_mask
-from uwbloc.simulator import NoiseConfig, measurement_stream, simulate_range, simulate_range_batch
+from uwbloc.simulator import NoiseConfig, Visits, measurement_stream, simulate_range, simulate_range_batch
 
 # twelve valid ranges with bad entries at (row-major index: value); the first
 # bad entry decides the error even where a later one is of another kind
@@ -47,6 +45,9 @@ RANGE_SITES = {
     "FingerprintDB": lambda v: FingerprintDB(GridSpec(50.0, 50.0, 25.0), v.reshape(4, 3)),
     "ObservationData": lambda v: ObservationData(REFERENCE_POINTS, v.reshape(1, 4, 3)),
     "mad_keep_mask": mad_keep_mask,
+    "mad_keep_mask (n, c)": lambda v: mad_keep_mask(v.reshape(4, 3)),
+    "clean_observation_rows": lambda v: clean_observation_rows(
+        [Visits(p, r) for p, r in zip(REFERENCE_POINTS, v.reshape(4, 1, 3))]),
     "correct_range_batch": lambda v: correct_range_batch(v.reshape(4, 3), CorrectionPolicy()),
     "trilaterate": lambda v: trilaterate(DEFAULT_ANCHORS, v.reshape(4, 3)),
 }
@@ -68,14 +69,12 @@ def test_every_range_site_raises_what_check_ranges_raises(site, bad):
     assert (type(got), str(got)) == (type(want), str(want))
 
 
-_EQ = LinearRangingEq(1.0, 0.0)
 # every consumer of true distances, given the twelve values
 TRUE_DISTANCE_SITES = {
     "simulate_range": lambda v: [simulate_range(d, NoiseConfig(), measurement_stream(0, 0, 0, 0))
                                  for d in v.tolist()],
     "simulate_range_batch": lambda v: simulate_range_batch(
         v, np.zeros((v.size, 3), dtype=np.int64), NoiseConfig(), 0),
-    "predict_measured": lambda v: predict_measured(CalibrationModel(ModelKind.ONE, _EQ, _EQ, _EQ), "A", v),
 }
 
 
