@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FileFormatError, parse_number, read_text
+from .errors import FileFormatError, at_line, parse_number, read_text
 from .geometry import AnchorLayout, PointMM, check_ranges
 from .preprocess import MAD_SCALE_NORMAL, CorrectionPolicy, correct_range_batch, mad_keep_mask
 from .simulator import Visits
@@ -325,10 +325,8 @@ def parse_calibration(text: str, origin: str = "<calibration>") -> CalibrationMo
         parts = line.split(",")
         if len(parts) != 3 or parts[0] not in ANCHOR_NAMES:
             raise FileFormatError(f"{origin}:{ln}: expected '<A|B|C>,a,b'")
-        try:
+        with at_line(origin, ln):
             eqs[parts[0]] = LinearRangingEq(parse_number(parts[1]), parse_number(parts[2]))
-        except ValueError as exc:
-            raise FileFormatError(f"{origin}:{ln}: {exc}") from exc
     if set(eqs) != set(ANCHOR_NAMES):
         raise FileFormatError(f"{origin}: anchors {sorted(eqs)} found, need all of {ANCHOR_NAMES}")
     return CalibrationModel(kind, eqs["A"], eqs["B"], eqs["C"])

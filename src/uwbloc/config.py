@@ -261,8 +261,10 @@ def _build(values: Mapping[str, object]) -> tuple[GridSpec, AnchorLayout, Pipeli
         correction=CorrectionPolicy(**args.pop("correction")),
         **args,
     )
-    return grid, anchors, pipeline, observation_campaign(
-        pipeline, anchors, campaign["locations"], campaign["reps"])
+    campaign = observation_campaign(pipeline, anchors, campaign["locations"], campaign["reps"])
+    # last, so that a dataclass's own error comes first
+    grid.check_inside(pipeline.reference_points + pipeline.test_points + campaign.locations)
+    return grid, anchors, pipeline, campaign
 
 
 def _error(values: Mapping[str, object], keys: list[str]) -> str | None:
@@ -306,13 +308,6 @@ def resolve_config(
         raise ConfigError(f"{origin}: {_blame(values, explicit, str(exc))}: {exc}") from None
 
     # cross-key constraints
-    for group in ("calibration.reference_points", "eval.test_points", "campaign.locations"):
-        for p in values[group]:
-            if not p.is_within(grid.width, grid.height):
-                raise ConfigError(
-                    f"{origin}: {group}: point {p.as_tuple()} outside the "
-                    f"{grid.width} x {grid.height} mm area"
-                )
     if values["calibration.kind"] is None:
         clashing = sorted(k for k in explicit if k.startswith("classifier."))
         if clashing:

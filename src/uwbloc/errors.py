@@ -1,4 +1,6 @@
-"""Exceptions shared across file readers, and the text and number readers they use."""
+"""Exceptions shared across file readers, the text and number readers they use, and their line prefix."""
+
+from contextlib import contextmanager
 
 
 class FileFormatError(ValueError):
@@ -24,3 +26,12 @@ def parse_number(text: str, kind: type = float):
     if "_" in text:
         raise ValueError(f"digit separator in number: {text!r}")
     return kind(text)
+
+
+@contextmanager
+def at_line(origin: str, ln: int | None = None):
+    """Re-raise a ValueError from the block as FileFormatError, prefixed ``origin:ln:`` or ``origin:``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FileFormatError(f"{origin}: {exc}" if ln is None else f"{origin}:{ln}: {exc}") from exc

@@ -40,8 +40,8 @@ from .calibration import (
     clean_observation_rows,
     fit_model,
 )
-from .errors import FileFormatError, parse_number, read_text
-from .fingerprint import FingerprintDB, GridSpec, OutOfAreaError, build_db, cell_vertex, cell_vertices
+from .errors import FileFormatError, at_line, parse_number, read_text
+from .fingerprint import FingerprintDB, GridSpec, build_db, cell_vertex, cell_vertices
 from .geometry import AnchorLayout, PointMM, distance, trilaterate
 from .learners import (
     ForestClassifier,
@@ -315,10 +315,8 @@ def run_ml(cfg: PipelineConfig, anchors: AnchorLayout, spec: GridSpec) -> ErrorR
     """Full fingerprint pipeline: observe, fit, build DB, train, evaluate."""
     if cfg.model_kind is None:
         raise ValueError("fingerprint run needs a model kind; use run_baseline for none")
-    for group, points in (("test", cfg.test_points), ("reference", cfg.reference_points)):
-        for p in points:
-            if not p.is_within(spec.width, spec.height):
-                raise OutOfAreaError(f"{group} point {p.as_tuple()} outside the grid area")
+    spec.check_inside(cfg.test_points)
+    spec.check_inside(cfg.reference_points)
 
     campaign = observation_campaign(cfg, anchors, cfg.reference_points, cfg.obs_sets)
     _, model = fit_calibration(cfg, simulate_campaign(campaign), anchors)
@@ -446,12 +444,10 @@ def parse_report(text: str, origin: str = "<report>") -> ErrorReport:
         parts = line.split(",")
         if len(parts) != 4:
             raise FileFormatError(f"{origin}:{ln}: expected 4 fields, got {len(parts)}")
-        try:
+        with at_line(origin, ln):
             x, y, avg = (parse_number(p) for p in parts[:3])
             mx = None if parts[3] == "" else parse_number(parts[3])
             entries.append(PointErrors(PointMM(x, y), avg, mx))
-        except ValueError as exc:
-            raise FileFormatError(f"{origin}:{ln}: {exc}") from exc
     if not header_seen:
         raise FileFormatError(f"{origin}: missing header '{REPORT_HEADER}'")
     if not entries:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationModel
-from .errors import FileFormatError, parse_number, read_text
-from .geometry import AnchorLayout, check_ranges
+from .errors import FileFormatError, at_line, parse_number, read_text
+from .geometry import AnchorLayout, PointMM, check_ranges
 
 __all__ = [
     "LabelOutOfRangeError",
@@ -86,6 +86,12 @@ class GridSpec:
     @property
     def cell_count(self) -> int:
         return self.cols * self.rows
+
+    def check_inside(self, points: tuple[PointMM, ...]) -> None:
+        """Reject the first point outside [0, width] x [0, height] (borders included)."""
+        for p in points:
+            if not p.is_within(self.width, self.height):
+                raise OutOfAreaError(f"point {p.as_tuple()} outside the {self.width} x {self.height} mm area")
 
 
 #: The 1 m x 2 m area at 25 mm spacing used throughout the reference setup.
@@ -174,11 +180,9 @@ def read_db(path: str) -> FingerprintDB:
     head = lines[0].split(",")
     if len(head) != 3:
         raise FileFormatError(f"{path}:1: expected 'spacing,width,height'")
-    try:
+    with at_line(path, 1):
         spacing, width, height = (parse_number(v) for v in head)
         spec = GridSpec(width=width, height=height, spacing=spacing)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}:1: {exc}") from exc
 
     vertices = cell_vertices(spec)
     vectors = np.empty((spec.cell_count, 3), dtype=float)
@@ -189,11 +193,9 @@ def read_db(path: str) -> FingerprintDB:
         parts = line.split(",")
         if len(parts) != 6:
             raise FileFormatError(f"{path}:{ln}: expected 6 fields, got {len(parts)}")
-        try:
+        with at_line(path, ln):
             label = parse_number(parts[0], int)
             x, y, fa, fb, fc = (parse_number(p) for p in parts[1:])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{ln}: {exc}") from exc
         if label != seen:
             raise FileFormatError(f"{path}:{ln}: expected label {seen}, got {label}")
         if label >= spec.cell_count:
@@ -204,7 +206,5 @@ def read_db(path: str) -> FingerprintDB:
         seen += 1
     if seen != spec.cell_count:
         raise FileFormatError(f"{path}: {seen} cells found, grid needs {spec.cell_count}")
-    try:
+    with at_line(path):
         return FingerprintDB(spec, vectors)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc

@@ -28,6 +28,9 @@ __all__ = [
 # Anchor triangles flatter than this (mm^2) are rejected as collinear.
 MIN_ANCHOR_TRIANGLE_AREA = 1e-6
 
+# Rows AnchorLayout.true_distances converts at a time, which bounds its peak memory.
+_DISTANCE_ROWS = 1 << 16
+
 
 class CollinearAnchorsError(ValueError):
     """Anchor triangle is degenerate; the position system is singular."""
@@ -113,8 +116,11 @@ class AnchorLayout:
     def true_distances(self, xy: np.ndarray) -> np.ndarray:
         """Distance from each row of an (n, 2) array to anchors A, B and C: an (n, 3) array."""
         d = np.empty((xy.shape[0], 3))
-        for ai, anchor in enumerate(self.as_tuple()):  # one anchor's list of floats at a time
-            d[:, ai] = distance(xy, anchor)
+        # distance makes Python floats: a slice of rows and one anchor's list of them at a time
+        for start in range(0, len(d), _DISTANCE_ROWS):
+            rows = slice(start, start + _DISTANCE_ROWS)
+            for ai, anchor in enumerate(self.as_tuple()):
+                d[rows, ai] = distance(xy[rows], anchor)
         return d
 
 

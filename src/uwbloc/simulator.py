@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FileFormatError, parse_number, read_text
+from .errors import FileFormatError, at_line, parse_number, read_text
 from .geometry import AnchorLayout, PointMM, check_ranges, check_true_distances
 
 __all__ = [
@@ -661,13 +661,11 @@ def _reading(path: str, ln: int, line: str) -> list[float] | None:
     parts = line.split(",")
     if len(parts) != 5:
         raise FileFormatError(f"{path}:{ln}: expected 5 fields, got {len(parts)}")
-    try:
+    with at_line(path, ln):
         values = [parse_number(p) for p in parts]
         PointMM(*values[:2])  # rejects a non-finite coordinate
         if not all(0.0 < v < math.inf for v in values[2:]):  # NaN fails too
             check_ranges(values[2:])
-    except ValueError as exc:
-        raise FileFormatError(f"{path}:{ln}: {exc}") from exc
     return values
 
 

@@ -331,6 +331,9 @@ def test_calibration_file_round_trip(tmp_path):
     write_calibration(str(path), model)
     back = read_calibration(str(path))
     assert back == model
+    assert back.equation("C") == model.eq_c
+    with pytest.raises(ValueError, match=r"^unknown anchor 'D', expected one of \('A', 'B', 'C'\)$"):
+        back.equation("D")
 
 
 def test_parse_calibration_rejects_malformed_text():

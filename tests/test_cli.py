@@ -223,6 +223,34 @@ def test_k_above_the_training_rows_is_exit_2_before_any_work(tmp_path, capsys):
     assert main(["evaluate", "--config", str(cfg), "--classifier", "tree", "--out", str(out)]) == 0
 
 
+def test_a_grid_too_small_for_the_default_points_is_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("grid.width = 500\n")
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"uwbloc: config error: {cfg}: grid.width: point (900.0, 100.0) outside the "
+                   "500.0 x 2000.0 mm area\n")
+    assert not out.exists()
+
+
+def test_fit_with_no_model_kind_is_exit_2(tmp_path, capsys):
+    # --model offers no none, but a config can set it; the check comes before any reading
+    cfg = tmp_path / "baseline.cfg"
+    cfg.write_text("calibration.kind = none\n")
+    out = tmp_path / "cal.csv"
+    assert main(["fit", str(tmp_path / "absent.csv"), "--config", str(cfg), "--out", str(out)]) == 2
+    assert "calibration.kind is none; nothing to fit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_with_one_report_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", str(tmp_path / "only.csv"), "--out", str(out)]) == 2
+    assert "compare needs at least two report files" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_is_exit_2(tmp_path):
     out = str(tmp_path / "r.csv")
     assert main(["evaluate", "--config", str(tmp_path / "nope.cfg"),
@@ -312,6 +340,16 @@ def test_reference_points_equidistant_from_an_anchor_is_exit_4(tmp_path, capsys)
     assert main(["simulate", "--config", str(cfg), "--out", str(meas)]) == 0
     assert main(["fit", str(meas), "--config", str(cfg), "--out", str(tmp_path / "cal.csv")]) == 4
     assert "both points have true distance 500.0" in capsys.readouterr().err
+
+
+def test_a_reference_point_on_an_anchor_is_exit_4(tmp_path, capsys):
+    # point 1 sits on anchor A: its true distance 0 fits no calibration line
+    cfg = tmp_path / "on_anchor.cfg"
+    cfg.write_text("calibration.reference_points = 0,0; 900,100; 100,1900; 900,1900\n")
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "uwbloc: error: distances must be finite and positive, got 0.0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", [

@@ -192,3 +192,31 @@ def test_k_above_the_training_rows_is_a_config_error(kind):
 def test_k_is_not_checked_where_no_knn_reads_it(kind):
     cfg = resolve_config({"grid.spacing": "250", "classifier.kind": kind, "classifier.k": "100000"})
     assert cfg.pipeline().knn_k == 100000
+
+
+def test_a_grid_that_leaves_a_default_point_outside_is_blamed_on_the_grid_key():
+    # the file sets no point key: the first default reference point outside is named
+    with pytest.raises(ConfigError) as info:
+        resolve_config({"grid.width": "500"}, origin="narrow.cfg")
+    assert str(info.value) == "narrow.cfg: grid.width: point (900.0, 100.0) outside the 500.0 x 2000.0 mm area"
+    # a dataclass's own error comes before the area rule
+    with pytest.raises(ConfigError) as info:
+        resolve_config({"grid.width": "500", "noise.sigma": "-1"}, origin="narrow.cfg")
+    assert str(info.value) == "narrow.cfg: noise.sigma: sigma must be >= 0, got -1.0"
+
+
+def test_config_lines_name_their_line_number():
+    with pytest.raises(ConfigError, match=r"^run.cfg:3: expected 'key = value', got 'grid.spacing 50'$"):
+        parse_config_text("# comment\n\ngrid.spacing 50\n", origin="run.cfg")
+    with pytest.raises(ConfigError, match=r"^run.cfg:2: duplicate key 'run.seed' \(first set on line 1\)$"):
+        parse_config_text("run.seed = 1\nrun.seed = 2\n", origin="run.cfg")
+
+
+@pytest.mark.parametrize("text, value", [("true", True), (" TRUE ", True), ("False", False)])
+def test_bootstrap_reads_true_and_false(text, value):
+    assert resolve_config({"classifier.bootstrap": text}).pipeline().forest_bootstrap is value
+
+
+def test_an_unknown_override_key_is_blamed_on_the_override():
+    with pytest.raises(ConfigError, match=r"^<override>: unknown key 'grid.spacig'$"):
+        load_config(None, {"grid.spacig": "50"})

@@ -24,7 +24,7 @@ from uwbloc.evaluation import (
     run_ml,
     write_report,
 )
-from uwbloc.fingerprint import GridSpec
+from uwbloc.fingerprint import GridSpec, OutOfAreaError
 from uwbloc.geometry import DEFAULT_ANCHORS, PointMM
 from uwbloc.learners import TreeClassifier, VoteWeights
 from uwbloc.simulator import MAX_REPS, NoiseConfig
@@ -163,7 +163,7 @@ def test_run_ml_noiseless_matches_fingerprint_oracle():
 
 def test_run_ml_rejects_out_of_area_points():
     cfg = _fast_cfg(test_points=(PointMM(5000.0, 5000.0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfAreaError, match=r"^point \(5000.0, 5000.0\) outside the 1000.0 x 2000.0 mm area$"):
         run_ml(cfg, DEFAULT_ANCHORS, COARSE_GRID)
 
 
@@ -252,6 +252,8 @@ def test_comparison_extra_candidates_get_numbered_columns():
     header = text.splitlines()[0]
     assert header.endswith("reduction_pct,avg_error_mm_2,max_error_mm_2,reduction_pct_2")
     assert ",50.00000,,75.00" in text
+    with pytest.raises(ValueError, match="^unknown comparison format 'json'$"):
+        format_comparison(compare([base, c1, c2]), "json")
 
 
 def test_report_round_trip_is_exact(tmp_path):

@@ -77,18 +77,21 @@ def _join(lines, end="\n"):
     return end.join(lines) + end
 
 
-@pytest.mark.parametrize("case", ["interleaved", "zeros", "blank lines", "crlf", "unicode digits",
-                                  "header only", "no trailing newline", "mixed line breaks"])
+@pytest.mark.parametrize("case", ["interleaved", "zeros", "blank lines", "blank lines, line by line",
+                                  "crlf", "unicode digits", "header only", "no trailing newline",
+                                  "mixed line breaks"])
 def test_measurement_edge_cases(tmp_path, case):
     lines = _measurement_text(517).splitlines()
     if case == "zeros":
         # -0.0 first: the record keeps the first appearance's point
         lines[1:5] = [f"{x},{y},{READING}" for x, y in (("-0.0", "0.0"), ("0.0", "-0.0"),
                                                          ("375.0", "-0.0"), ("375.0", "0.0"))]
-    elif case == "blank lines":
+    elif case.startswith("blank lines"):
         lines[3:3] = ["", "   ", "\t"]
         lines[257:257] = [" "]
         lines.append("")
+        if case.endswith("line by line"):  # a Unicode digit sends the file to the line reader
+            lines[2] = "١٢٥.٠,٢٥٠,560.1,١٥٢٠.٧,905.3"
     elif case == "unicode digits":
         lines[2] = "١٢٥.٠,٢٥٠,560.1,١٥٢٠.٧,905.3"
         lines[259] = f"٢٥٠.0,٥٠٠,{READING}"

@@ -146,6 +146,11 @@ def test_db_file_round_trip(tmp_path):
     back = read_db(str(path))
     assert back.spec == spec
     assert np.array_equal(back.vectors, db.vectors)
+    # blank and whitespace-only lines are skipped
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2:2] = ["", "  "]
+    path.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+    assert np.array_equal(read_db(str(path)).vectors, db.vectors)
 
 
 def test_db_file_bytes_across_write_slices(tmp_path, monkeypatch):
@@ -195,6 +200,13 @@ def test_read_db_rejects_malformed_files(tmp_path):
     lines = ["25.0,50.0,50.0", "0,25.0,0.0,10.0,10.0,10.0"]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError, match="does not match"):
+        read_db(str(path))
+
+    # a row past the last cell
+    lines = ["25.0,50.0,50.0"] + [f"{i},{x!r},{y!r},10.0,10.0,10.0"
+                                  for i, (x, y) in enumerate(cell_vertices(spec).tolist())]
+    path.write_text("\n".join(lines + ["4,0.0,50.0,10.0,10.0,10.0"]) + "\n")
+    with pytest.raises(FileFormatError, match=f"^{path}:6: grid only has 4 cells$"):
         read_db(str(path))
 
     # truncated grid

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from uwbloc import geometry
 from uwbloc.geometry import (
     AnchorLayout,
     CollinearAnchorsError,
@@ -72,6 +74,30 @@ def test_true_distances_are_the_three_distance_columns_bit_for_bit():
             got = anchors.true_distances(xy)
             assert got.shape == (xy.shape[0], 3)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_true_distances_are_the_distance_columns_across_slice_edges(monkeypatch, rows):
+    monkeypatch.setattr(geometry, "_DISTANCE_ROWS", rows)
+    rng = np.random.default_rng(7)
+    anchors = AnchorLayout(PointMM(120.5, -30.0), PointMM(-7.25, 1999.9), PointMM(1e3, 3e3))
+    for n in sorted({0, 1, rows - 1, rows, rows + 1, 3 * rows, 3 * rows + 2, 200}):
+        xy = rng.uniform((-500.0, -500.0), (1500.0, 2500.0), size=(n, 2))
+        want = np.column_stack([distance(xy, a) for a in anchors.as_tuple()])
+        assert anchors.true_distances(xy).tobytes() == want.tobytes()
+
+
+def test_true_distances_peak_stays_near_the_table(monkeypatch):
+    # a slice of rows at a time: Python floats for all 50,000 rows would take ~5x the table
+    monkeypatch.setattr(geometry, "_DISTANCE_ROWS", 1 << 12, raising=False)
+    xy = np.random.default_rng(8).uniform(0.0, 2000.0, size=(50_000, 2))
+    tracemalloc.start()
+    try:
+        d = DEFAULT_ANCHORS.true_distances(xy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * d.nbytes
 
 
 def test_triangle_area_right_triangle():

@@ -114,7 +114,8 @@ def _reference_neighbors(X, y, Q, k):
     """The per-query search the batched one replaced: a full lexsort per query."""
     rows = np.empty((Q.shape[0], k), dtype=np.int64)
     for i, q in enumerate(Q):
-        d2 = ((X - q) ** 2).sum(axis=1)
+        with np.errstate(over="ignore"):  # the 1e155 probes square to inf, which ranks last
+            d2 = ((X - q) ** 2).sum(axis=1)
         rows[i] = np.lexsort((y, d2))[:k]
     return rows
 
@@ -693,6 +694,8 @@ def test_forest_probabilities_sum_to_one():
 def test_vote_weights_validation():
     with pytest.raises(ValueError):
         VoteWeights(-1.0, 2.0)
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        VoteWeights(math.inf, 1.0)
     with pytest.raises(ValueError):
         VoteWeights(0.0, 0.0)
     assert VoteWeights().w_knn == 3.0

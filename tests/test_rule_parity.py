@@ -3,7 +3,8 @@
 A range array is checked by ``geometry.check_ranges`` wherever it enters the
 package, and a true distance by ``geometry.check_true_distances``; the CART settings by ``learners.check_cart_setting`` and the fit
 settings by ``calibration.check_fit_setting``, whether a learner, a fit or a
-``PipelineConfig`` meets them.
+``PipelineConfig`` meets them. A point on the grid is checked by
+``GridSpec.check_inside``, whether ``run_ml`` or a config meets it.
 """
 
 import math
@@ -18,9 +19,10 @@ from uwbloc.calibration import (
     clean_observation_rows,
     fit_model,
 )
-from uwbloc.evaluation import PipelineConfig
-from uwbloc.fingerprint import FingerprintDB, GridSpec
-from uwbloc.geometry import DEFAULT_ANCHORS, check_ranges, check_true_distances, trilaterate
+from uwbloc.config import ConfigError, resolve_config
+from uwbloc.evaluation import TEST_POINTS, PipelineConfig, run_ml
+from uwbloc.fingerprint import DEFAULT_GRID, FingerprintDB, GridSpec, OutOfAreaError
+from uwbloc.geometry import DEFAULT_ANCHORS, PointMM, check_ranges, check_true_distances, trilaterate
 from uwbloc.learners import ForestClassifier, TrainingSet, TreeClassifier
 from uwbloc.preprocess import CorrectionPolicy, correct_range_batch, mad_keep_mask
 from uwbloc.simulator import NoiseConfig, Visits, measurement_stream, simulate_range, simulate_range_batch
@@ -125,3 +127,44 @@ def test_pipeline_config_raises_what_the_learner_or_fit_raises(field, value, bui
     want = _error(build, value)
     got = _error(lambda v: PipelineConfig(**{field: v}), value)
     assert (type(got), str(got)) == (type(want), str(want))
+
+
+# a point just off each edge of the default 1000 x 2000 mm area
+OFF_AREA = [
+    PointMM(math.nextafter(0.0, -math.inf), 700.0),
+    PointMM(math.nextafter(1000.0, math.inf), 700.0),
+    PointMM(300.0, math.nextafter(0.0, -math.inf)),
+    PointMM(300.0, math.nextafter(2000.0, math.inf)),
+]
+
+# every site that checks points against the grid area, given the point off it; run_ml
+# checks before it simulates anything
+AREA_SITES = {
+    "GridSpec.check_inside": lambda p: DEFAULT_GRID.check_inside((p,)),
+    "run_ml test point": lambda p: run_ml(
+        PipelineConfig(model_kind=ModelKind.FOUR, test_points=TEST_POINTS[:2] + (p,)),
+        DEFAULT_ANCHORS, DEFAULT_GRID),
+    "run_ml reference point": lambda p: run_ml(
+        PipelineConfig(model_kind=ModelKind.FOUR, reference_points=REFERENCE_POINTS[:3] + (p,)),
+        DEFAULT_ANCHORS, DEFAULT_GRID),
+}
+
+
+def _area_error(p: PointMM) -> str:
+    return f"point {p.as_tuple()} outside the 1000.0 x 2000.0 mm area"
+
+
+@pytest.mark.parametrize("site", sorted(AREA_SITES))
+@pytest.mark.parametrize("point", OFF_AREA, ids=str)
+def test_every_area_site_raises_what_check_inside_raises(site, point):
+    got = _error(AREA_SITES[site], point)
+    assert (type(got), str(got)) == (OutOfAreaError, _area_error(point))
+
+
+@pytest.mark.parametrize("key", ["calibration.reference_points", "eval.test_points", "campaign.locations"])
+@pytest.mark.parametrize("point", OFF_AREA, ids=str)
+def test_a_config_point_key_raises_what_check_inside_raises(key, point):
+    points = (REFERENCE_POINTS[:3] if key == "calibration.reference_points" else ()) + (point,)
+    value = ";".join(f"{p.x!r},{p.y!r}" for p in points)
+    got = _error(lambda v: resolve_config({key: v}, origin="area.cfg"), value)
+    assert (type(got), str(got)) == (ConfigError, f"area.cfg: {key}: {_area_error(point)}")

@@ -40,6 +40,8 @@ def test_noise_config_validation():
         NoiseConfig(slope=0.0)
     with pytest.raises(ValueError):
         NoiseConfig(sigma=-1.0)
+    with pytest.raises(ValueError, match="^offset must be finite$"):
+        NoiseConfig(offset=math.nan)
     with pytest.raises(ValueError):
         NoiseConfig(inflation_factor=0.5)
     with pytest.raises(ValueError):
