@@ -1,7 +1,5 @@
 """Exceptions shared across file readers, the text and number readers they use, and their line prefix."""
 
-from contextlib import contextmanager
-
 
 class FileFormatError(ValueError):
     """An on-disk artifact (measurements, calibration, DB, report) is malformed."""
@@ -28,10 +26,21 @@ def parse_number(text: str, kind: type = float):
     return kind(text)
 
 
-@contextmanager
-def at_line(origin: str, ln: int | None = None):
-    """Re-raise a ValueError from the block as FileFormatError, prefixed ``origin:ln:`` or ``origin:``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise FileFormatError(f"{origin}: {exc}" if ln is None else f"{origin}:{ln}: {exc}") from exc
+class at_line:
+    """Re-raise a ValueError from the block as FileFormatError, prefixed ``origin:ln:`` or ``origin:``.
+
+    A class, not a ``contextlib`` generator: readers enter one per data line.
+    """
+
+    __slots__ = ("origin", "ln")
+
+    def __init__(self, origin: str, ln: int | None = None):
+        self.origin, self.ln = origin, ln
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, ValueError):
+            where = self.origin if self.ln is None else f"{self.origin}:{self.ln}"
+            raise FileFormatError(f"{where}: {exc}") from exc

@@ -255,11 +255,11 @@ def _score(
     test_xy = [p.as_tuple() for p in cfg.test_points]
     queries = _measured_triples(cfg, STAGE_TRIALS, test_xy, cfg.n_trials, anchors)
     positions = locate(queries.reshape(-1, 3)).reshape(queries.shape[:2] + (2,))
-    entries = []
-    for p, xy in zip(cfg.test_points, positions):
-        errs = distance(xy, p)
-        entries.append(PointErrors(p, round(sum(errs) / len(errs), 5), round(max(errs), 5)))
-    return ErrorReport(tuple(entries), {
+    # Python floats: sum adds them in order, as the report's bytes need
+    errors = distance(positions, np.array(test_xy)[:, None]).tolist()
+    entries = tuple(PointErrors(p, round(sum(e) / len(e), 5), round(max(e), 5))
+                    for p, e in zip(cfg.test_points, errors))
+    return ErrorReport(entries, {
         "pipeline": "baseline" if cfg.model_kind is None else "fingerprint",
         "seed": str(cfg.seed),
         "n_trials": str(cfg.n_trials),

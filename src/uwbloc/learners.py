@@ -181,6 +181,7 @@ class KnnClassifier(_Classifier):
         # position p ranks _tie[p]-th by (label, row): the order of ties in d2
         rank[np.argsort(train.y, kind="stable")] = np.arange(n)
         self._order, self._tie = order, rank[order]
+        self._by_tie = np.argsort(self._tie)  # the position at each tie rank
         self._XT = train.X.T.take(order, axis=1)  # C-contiguous (3, n)
         block = np.flatnonzero(np.diff(group, prepend=-1))
         stripe = np.flatnonzero(np.diff(group[block] // s, prepend=-1))
@@ -265,8 +266,19 @@ class KnnClassifier(_Classifier):
     def _best(self, found, ub):
         """The k best of ``found`` (query, position, d2) parts per query, ranked, sorted by query.
 
-        Lowers each ``ub`` with k of them to the k-th one's d2."""
+        Lowers each ``ub`` with k of them to the k-th one's d2. The parts' queries never
+        decrease: pairs come in (query, stripe) order, pieces are cut in that order and
+        every merged part is sorted by query."""
         qi, pos, d2 = (np.concatenate(a) for a in zip(*found))
+        if self.k == 1:  # each query's least (d2, tie): a NaN query's rows, all NaN, all tie at d2
+            first = np.flatnonzero(np.diff(qi, prepend=-1))
+            best = np.fmin.reduceat(d2, first)
+            at = np.repeat(best, np.diff(first, append=qi.shape[0]))
+            tie = np.where((d2 == at) | np.isnan(at), self._tie[pos], len(self._tie))
+            win = self._by_tie[np.minimum.reduceat(tie, first)]
+            qi = qi[first]
+            ub[qi] = best
+            return qi, win, best
         order = np.lexsort((self._tie[pos], d2, qi))
         qi, pos, d2 = qi[order], pos[order], d2[order]
         rank = np.arange(qi.shape[0]) - np.searchsorted(qi, qi)

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -39,7 +40,13 @@ def test_distance_known_value():
     # 800^2 + 1800^2 = 3880000
     (d,) = distance(np.array([[100.0, 100.0]]), PointMM(900.0, 1900.0))
     assert math.isclose(d, math.sqrt(3880000.0), rel_tol=1e-12)
-    assert distance(np.empty((0, 2)), PointMM(0.0, 0.0)) == []
+    empty = distance(np.empty((0, 2)), PointMM(0.0, 0.0))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+def _hypot_bits(dx, dy):
+    """math.hypot of each pair on this interpreter, as uint64 bits."""
+    return np.array(list(map(math.hypot, dx.tolist(), dy.tolist()))).view(np.uint64)
 
 
 def test_distance_matches_the_hypot_pair_oracle_bit_for_bit():
@@ -54,7 +61,43 @@ def test_distance_matches_the_hypot_pair_oracle_bit_for_bit():
     for p in (*DEFAULT_ANCHORS.as_tuple(), PointMM(250.0, 1500.0), PointMM(333.3, 1e-9)):
         want = [oracles.distance(PointMM(x, y), p) for x, y in xy.tolist()]
         got = distance(xy, p)
-        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+        assert isinstance(got, np.ndarray) and got.shape == (xy.shape[0],)
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+    # the whole double range: the array kernel and its math.hypot fallback against this
+    # interpreter's math.hypot
+    big, tiny = sys.float_info.max, sys.float_info.min
+    edges = [0.0, -0.0, 5e-324, -5e-324, tiny / 3, tiny, -tiny, 5.225277735244087e-309,
+             5.76415034495e-313, 1e-300, -1e-300, 1.0, 1e300, -1e300, big, -big, math.inf,
+             -math.inf, math.nan]
+    dx, dy = (a.ravel() for a in np.meshgrid(edges, edges))
+    rng = np.random.default_rng(9)
+    n = 200_000
+    wide = [np.where(rng.random(n) < 0.5, -1.0, 1.0) * np.ldexp(rng.uniform(1.0, 2.0, n),
+                                                                  rng.integers(-1074, 1024, n))
+            for _ in range(2)]
+    # close exponents: neither square is negligible beside the other
+    e = rng.integers(-1020, 990, n)
+    close = [np.ldexp(rng.uniform(0.5, 1.0, n), e),
+             np.ldexp(rng.uniform(0.5, 1.0, n), e + rng.integers(-30, 30, n))]
+    # mm-scale differences, whole and fractional
+    mm = [rng.uniform(-3000.0, 3000.0, n), np.round(rng.uniform(-3000.0, 3000.0, n), 1)]
+    for x, y in ((dx, dy), wide, close, mm):
+        got = distance(np.column_stack([x, y]), PointMM(0.0, 0.0))
+        assert np.array_equal(got.view(np.uint64), _hypot_bits(x, y))
+    # the pair as given, not its difference from a point: the subtraction is exact only from 0
+    x, y = wide
+    got = distance(np.column_stack([x, y]), PointMM(1.0, -2.0))
+    assert np.array_equal(got.view(np.uint64), _hypot_bits(x - 1.0, y + 2.0))
+
+
+def test_distance_broadcasts_an_array_of_points():
+    rng = np.random.default_rng(10)
+    xy = rng.uniform(-500.0, 2500.0, size=(7, 5, 2))
+    points = rng.uniform(0.0, 2000.0, size=(7, 2))
+    got = distance(xy, points[:, None])
+    assert got.shape == (7, 5)
+    for i, p in enumerate(points.tolist()):
+        assert got[i].tobytes() == distance(xy[i], PointMM(*p)).tobytes()
 
 
 def test_true_distances_are_the_three_distance_columns_bit_for_bit():

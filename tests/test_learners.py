@@ -232,12 +232,15 @@ def test_knn_batch_search_matches_per_query_reference(name, k):
 @pytest.mark.parametrize("chunk", [1, 50])
 def test_knn_search_in_small_chunks_matches_reference(monkeypatch, chunk):
     # at 1: one query per chunk, one stripe per piece and a merge after every piece,
-    # each lowering ub to its k-th best; at 50: a few of each
+    # each lowering ub to its k-th best; at 50: a few of each, and queries whose
+    # candidates span pieces; a NaN query keeps every row. k = 1 takes the sort-free merge,
+    # the others lexsort
     monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", chunk)
-    for name in ("unsorted-labels", "duplicates-across-blocks", "far-clusters", "k-leaf-plus-one"):
+    for name in ("unsorted-labels", "duplicates-across-blocks", "far-clusters", "k-leaf-plus-one",
+                 "non-finite-queries"):
         X, y, Q = _ADVERSARIAL[name]
         train = _train(X, y)
-        for k in (4, learners._LEAF + 1):
+        for k in (1, 4, learners._LEAF + 1):
             got = KnnClassifier(train, k=k)._neighbors_batch(Q)
             assert np.array_equal(got, _reference_neighbors(train.X, train.y, Q, k)), (name, k)
 
