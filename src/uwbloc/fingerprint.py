@@ -14,7 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationModel
-from .errors import FileFormatError, at_line, parse_number, read_text
+from .errors import (
+    WRITE_LINES, FileFormatError, at_line, float_text, int_text,
+    parse_number, read_text, text_lines,
+)
 from .geometry import AnchorLayout, PointMM, check_ranges
 
 __all__ = [
@@ -40,9 +43,6 @@ DB_PREDICTION_FLOOR = 1.0
 
 #: Most cells a grid may have (~100 MB of fingerprints; fits the default area at 1 mm).
 MAX_GRID_CELLS = 1 << 22
-
-# Cells write_db converts to text at a time, which bounds its peak memory.
-_WRITE_CELLS = 4096
 
 
 class LabelOutOfRangeError(ValueError):
@@ -158,18 +158,16 @@ def build_db(model: CalibrationModel, spec: GridSpec, anchors: AnchorLayout) -> 
 def write_db(path: str, db: FingerprintDB) -> None:
     """Write a DB file: grid header, then `label,x,y,fa,fb,fc` per cell."""
     s = db.spec
-    cols = s.cols
     # a c x r grid has only c + r distinct coordinates: format each once
-    xs, ys = ([repr(v) for v in axis.tolist()] for axis in _grid_axes(s))
+    xs, ys = (np.array([repr(v).encode() for v in axis.tolist()]) for axis in _grid_axes(s))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{s.spacing!r},{s.width!r},{s.height!r}\n")
-        # a slice of cells at a time: converting the whole DB to Python floats
-        # and text at once raises peak memory; one flat list per slice, as a
-        # list per cell would set off the garbage collector
-        for start in range(0, len(db), _WRITE_CELLS):
-            it = iter(db.vectors[start:start + _WRITE_CELLS].ravel().tolist())
-            fh.write("".join(f"{label},{xs[label % cols]},{ys[label // cols]},{fa!r},{fb!r},{fc!r}\n"
-                             for label, fa, fb, fc in zip(range(start, len(db)), it, it, it)))
+        # a slice of cells at a time, which bounds the text held in memory
+        for start in range(0, len(db), WRITE_LINES):
+            vectors = db.vectors[start:start + WRITE_LINES]
+            labels = np.arange(start, start + vectors.shape[0])
+            fa, fb, fc = float_text(vectors).reshape(labels.shape[0], 3, -1).transpose(1, 0, 2)
+            fh.write(text_lines([int_text(labels), xs[labels % s.cols], ys[labels // s.cols], fa, fb, fc]))
 
 
 def read_db(path: str) -> FingerprintDB:

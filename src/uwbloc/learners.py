@@ -287,6 +287,8 @@ class KnnClassifier(_Classifier):
 
     def _masses(self, X: np.ndarray):
         labels = self._y[self._neighbors_batch(X)]
+        if self.k == 1:  # one entry per query, in query order: what _accumulate would return
+            return np.arange(labels.shape[0]), labels.ravel(), np.ones(labels.shape[0])
         query = np.repeat(np.arange(labels.shape[0]), self.k)
         return _accumulate([(query, labels.ravel(), np.full(labels.size, 1.0 / self.k))])
 

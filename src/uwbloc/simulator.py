@@ -54,7 +54,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FileFormatError, at_line, parse_number, read_text
+from .errors import (
+    WRITE_LINES, FileFormatError, at_line, float_text, parse_number,
+    read_text, text_lines,
+)
 from .geometry import AnchorLayout, PointMM, check_ranges, check_true_distances
 
 __all__ = [
@@ -615,15 +618,16 @@ MEASUREMENT_HEADER = "loc_x,loc_y,d_a,d_b,d_c"
 
 def write_measurements(path: str, records: list[Visits]) -> None:
     """Write campaign records as delimited text, one row per reading, with full float precision."""
-    lines = [MEASUREMENT_HEADER]
-    for rec in records:
-        x, y = rec.location.as_tuple()
-        prefix = f"{x!r},{y!r},"
-        # one flat list: a list per reading would set off the garbage collector
-        it = iter(rec.ranges.ravel().tolist())
-        lines += (f"{prefix}{da!r},{db!r},{dc!r}" for da, db, dc in zip(it, it, it))
+    ranges = np.concatenate([rec.ranges for rec in records]) if records else np.empty((0, 3))
+    prefixes = np.array([f"{rec.location.x!r},{rec.location.y!r}".encode() for rec in records])
+    owner = np.repeat(np.arange(len(records)), [len(rec.ranges) for rec in records])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(MEASUREMENT_HEADER + "\n")
+        # a slice of readings at a time, which bounds the text held in memory
+        for start in range(0, ranges.shape[0], WRITE_LINES):
+            rows = ranges[start:start + WRITE_LINES]
+            da, db, dc = float_text(rows).reshape(rows.shape[0], 3, -1).transpose(1, 0, 2)
+            fh.write(text_lines([prefixes[owner[start:start + WRITE_LINES]], da, db, dc]))
 
 
 def read_measurements(path: str) -> list[Visits]:

@@ -4,10 +4,11 @@ The package works on arrays: it predicts through ``(query, label, mass)``
 arrays, fits every calibration pair of every set at once, measures distances
 and maps labels to grid vertices an array at a time, applies the MAD rule to
 every (point, anchor) column of the observation sets in one call, and
-converts a measurement file's lines in one numpy call. These are the same
-rules written over one query's ``{label: mass}`` dict, one pair of distances,
-one pair of points, one grid label, one column of readings or one line of a
-file.
+converts a measurement file's lines in one numpy call, and writes a DB or
+measurement file a slice of lines at a time through an array form of
+``repr``. These are the same rules written over one query's ``{label: mass}``
+dict, one pair of distances, one pair of points, one grid label, one column of
+readings or one line of a file.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from uwbloc.calibration import DegeneratePairError, LinearRangingEq, NonPositiveSlopeError
 from uwbloc.errors import FileFormatError, parse_number, read_text
-from uwbloc.fingerprint import GridSpec
+from uwbloc.fingerprint import FingerprintDB, GridSpec, _grid_axes
 from uwbloc.geometry import PointMM, check_ranges
 from uwbloc.learners import VoteWeights
 from uwbloc.simulator import MEASUREMENT_HEADER, NoiseConfig, Visits
@@ -132,3 +133,23 @@ def read_measurements(path: str) -> list[Visits]:
             raise FileFormatError(f"{path}:{ln}: {exc}") from exc
         groups[(x, y)][1].extend(ranges)
     return [Visits(loc, np.reshape(values, (-1, 3))) for loc, values in groups.values()]
+
+
+def write_db(path: str, db: FingerprintDB) -> None:
+    """``fingerprint.write_db`` one f-string line per cell."""
+    s = db.spec
+    xs, ys = ([repr(v) for v in axis.tolist()] for axis in _grid_axes(s))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{s.spacing!r},{s.width!r},{s.height!r}\n")
+        for label, (fa, fb, fc) in enumerate(db.vectors.tolist()):
+            fh.write(f"{label},{xs[label % s.cols]},{ys[label // s.cols]},{fa!r},{fb!r},{fc!r}\n")
+
+
+def write_measurements(path: str, records: list[Visits]) -> None:
+    """``simulator.write_measurements`` one f-string line per reading."""
+    lines = [MEASUREMENT_HEADER]
+    for rec in records:
+        x, y = rec.location.as_tuple()
+        lines += (f"{x!r},{y!r},{da!r},{db!r},{dc!r}" for da, db, dc in rec.ranges.tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

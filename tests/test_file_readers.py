@@ -1,10 +1,11 @@
-"""The measurement reader against its one-line-at-a-time oracle, and the writers' GC pin.
+"""The file readers and writers against their one-line-at-a-time oracles, and the writers' GC pin.
 
 ``read_measurements`` converts a file's lines in one ``np.loadtxt`` call and
 reads the whole file again line by line only when numpy rejects it or a value
 is off. On every file, valid or not, it must return what the per-line reader
 in ``tests/oracles.py`` returns, or raise the same exception with the same
-message, and it must not cost more memory. Neither writer may set off the
+message, and it must not cost more memory. The DB and measurement writers
+must write the bytes of their f-string oracles, and neither may set off the
 garbage collector.
 """
 
@@ -17,10 +18,14 @@ import oracles
 import pytest
 from test_file_fuzz import MODEL, _mutate
 
+from uwbloc import fingerprint, simulator
 from uwbloc.config import load_config
-from uwbloc.fingerprint import GridSpec, build_db, write_db
-from uwbloc.geometry import DEFAULT_ANCHORS
-from uwbloc.simulator import MEASUREMENT_HEADER, read_measurements, simulate_campaign, write_measurements
+from uwbloc.errors import WRITE_LINES
+from uwbloc.fingerprint import FingerprintDB, GridSpec, build_db, write_db
+from uwbloc.geometry import DEFAULT_ANCHORS, PointMM
+from uwbloc.simulator import (
+    MEASUREMENT_HEADER, Visits, read_measurements, simulate_campaign, write_measurements,
+)
 
 READING = "560.1,1520.7,905.3"
 
@@ -164,6 +169,41 @@ def _dense_files(tmp_path):
     records = simulate_campaign(load_config(None).campaign())
     assert len(db) == 20_000 and sum(len(r.ranges) for r in records) == 5_000
     return db, records, str(tmp_path / "db.csv"), str(tmp_path / "measurements.csv")
+
+
+def _same_bytes(write, oracle, path, data):
+    write(path, data)
+    with open(path, "rb") as fh:
+        got = fh.read()
+    oracle(path, data)
+    with open(path, "rb") as fh:
+        assert got == fh.read()
+
+
+def test_dense_files_match_the_oracle_writers(tmp_path):
+    db, records, db_path, m_path = _dense_files(tmp_path)
+    # 20 slices of cells, and records of 100 readings that straddle slice ends
+    assert len(db) > 10 * WRITE_LINES and WRITE_LINES % len(records[0].ranges)
+    _same_bytes(write_db, oracles.write_db, db_path, db)
+    _same_bytes(write_measurements, oracles.write_measurements, m_path, records)
+
+
+# floats that take repr's own path (see errors.float_text), amid ones that do not
+FALLBACK_VALUES = [0.5, 1e-5, 2.0**53, 1e300]
+
+
+@pytest.mark.parametrize("lines", [WRITE_LINES, 3])
+def test_files_that_mix_fast_and_fallback_floats_match_the_oracles(tmp_path, monkeypatch, lines):
+    monkeypatch.setattr(fingerprint, "WRITE_LINES", lines)
+    monkeypatch.setattr(simulator, "WRITE_LINES", lines)
+    spec = GridSpec(50.0, 100.0, 25.0)
+    vectors = build_db(MODEL, spec, DEFAULT_ANCHORS).vectors
+    vectors.ravel()[::2][:len(FALLBACK_VALUES)] = FALLBACK_VALUES
+    _same_bytes(write_db, oracles.write_db, str(tmp_path / "db.csv"), FingerprintDB(spec, vectors))
+    records = [Visits(PointMM(-0.0, 0.5), vectors[:5]), Visits(PointMM(1e-7, 2.0**60), np.empty((0, 3))),
+               Visits(PointMM(12.5, 3.0), vectors[::-1])]
+    _same_bytes(write_measurements, oracles.write_measurements, str(tmp_path / "meas.csv"), records)
+    _same_bytes(write_measurements, oracles.write_measurements, str(tmp_path / "empty.csv"), [])
 
 
 def test_writers_set_off_no_garbage_collection(tmp_path):

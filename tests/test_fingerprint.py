@@ -161,7 +161,7 @@ def test_db_file_bytes_across_write_slices(tmp_path, monkeypatch):
     lines = [f"{spec.spacing!r},{spec.width!r},{spec.height!r}"]
     for label, (vertex, vector) in enumerate(zip(cell_vertices(spec), db.vectors)):
         lines.append(",".join(map(repr, [label, *vertex.tolist(), *vector.tolist()])))
-    monkeypatch.setattr(fingerprint, "_WRITE_CELLS", 4)
+    monkeypatch.setattr(fingerprint, "WRITE_LINES", 4)
     path = tmp_path / "db.csv"
     write_db(str(path), db)
     assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"

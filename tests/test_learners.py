@@ -229,6 +229,19 @@ def test_knn_batch_search_matches_per_query_reference(name, k):
     assert labels.tolist() == [argmax_label(p) for p in ref_probs]
 
 
+@pytest.mark.parametrize("name", sorted(_ADVERSARIAL))
+def test_knn_masses_at_k1_are_what_accumulate_gives(name):
+    X, y, Q = _ADVERSARIAL[name]
+    # with probe rows of NaN and of +-inf, alone and mixed with finite values
+    Q = np.vstack([Q, [[np.nan] * 3, [np.inf] * 3, [-np.inf] * 3, [np.inf, -np.inf, np.nan],
+                       [X[0, 0], np.nan, X[0, 2]]]])
+    knn = KnnClassifier(_train(X, y), k=1)
+    labels = knn._y[knn._neighbors_batch(Q)]
+    want = learners._accumulate([(np.arange(Q.shape[0]), labels.ravel(), np.full(Q.shape[0], 1.0))])
+    for got, ref in zip(knn._masses(Q), want, strict=True):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("chunk", [1, 50])
 def test_knn_search_in_small_chunks_matches_reference(monkeypatch, chunk):
     # at 1: one query per chunk, one stripe per piece and a merge after every piece,
