@@ -188,7 +188,7 @@ def clean_observation_rows(
     *,
     mad_k: float = 3.0,
     mad_scale: float = MAD_SCALE_NORMAL,
-    policy: CorrectionPolicy | None = None,
+    policy: CorrectionPolicy = CorrectionPolicy(),
 ) -> ObservationData:
     """Pool the campaign records of each reference point and clean them into sets.
 
@@ -197,8 +197,8 @@ def clean_observation_rows(
     MissingReferencePointError. Reps are aligned across points (trimmed
     to the shortest), the MAD rule is evaluated per (point, anchor)
     column of the (n, 12) block of sets, and a set survives only if all
-    twelve of its values pass. The correction policy, when given, is
-    applied to the surviving measured values.
+    twelve of its values pass. The correction policy is applied to the
+    surviving measured values; the default ratio 1.0 keeps every bit.
     """
     pooled = []
     for p in points:
@@ -213,9 +213,7 @@ def clean_observation_rows(
     if cleaned.shape[0] == 0:
         raise InsufficientDataError("outlier filtering removed every measurement set")
 
-    if policy is not None:
-        cleaned = correct_range_batch(cleaned, policy)
-    return ObservationData(tuple(points), cleaned)
+    return ObservationData(tuple(points), correct_range_batch(cleaned, policy))
 
 
 @dataclass(frozen=True)

@@ -294,7 +294,10 @@ def _blame(values: Mapping[str, object], explicit: frozenset[str], error: str) -
 def resolve_config(
     raw: Mapping[str, str], origin: str = "<config>"
 ) -> RunConfig:
-    """Parse raw strings, fill defaults, build the objects, and cross-validate."""
+    """Reject unknown keys, parse raw strings, fill defaults, build the objects and cross-validate."""
+    for key in raw:
+        if key not in _SCHEMA:
+            raise ConfigError(f"{origin}: unknown key {key!r}")
     values: dict[str, object] = {}
     for key, (parse, _) in _SCHEMA.items():
         try:
@@ -343,9 +346,6 @@ def load_config(
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         raw = parse_config_text(text, origin=path)
     overrides = overrides or {}
-    for key in overrides:
-        if key not in _SCHEMA:
-            raise ConfigError(f"<override>: unknown key {key!r}")
     try:
         return resolve_config({**raw, **overrides}, origin=origin)
     except ConfigError as exc:

@@ -305,9 +305,9 @@ def _build_classifier(cfg: PipelineConfig, train: TrainingSet):
             bootstrap=cfg.forest_bootstrap,
         )
     knn = KnnClassifier(train, cfg.knn_k)
-    tree = None
-    if cfg.vote_weights.tree_can_decide(knn.k):
-        tree = TreeClassifier(train, cfg.tree_max_depth, cfg.tree_min_leaf)
+    if not cfg.vote_weights.tree_can_decide(knn.k):
+        return knn  # the vote's answers are the KNN's
+    tree = TreeClassifier(train, cfg.tree_max_depth, cfg.tree_min_leaf)
     return SoftVoteClassifier(knn, tree, cfg.vote_weights)
 
 
@@ -315,8 +315,7 @@ def run_ml(cfg: PipelineConfig, anchors: AnchorLayout, spec: GridSpec) -> ErrorR
     """Full fingerprint pipeline: observe, fit, build DB, train, evaluate."""
     if cfg.model_kind is None:
         raise ValueError("fingerprint run needs a model kind; use run_baseline for none")
-    spec.check_inside(cfg.test_points)
-    spec.check_inside(cfg.reference_points)
+    spec.check_inside(cfg.test_points + cfg.reference_points)
 
     campaign = observation_campaign(cfg, anchors, cfg.reference_points, cfg.obs_sets)
     _, model = fit_calibration(cfg, simulate_campaign(campaign), anchors)

@@ -245,7 +245,7 @@ class KnnClassifier(_Classifier):
             blk = np.take_along_axis(blk, blk_bound.argmin(axis=1)[:, None], axis=1)
             win = np.minimum(self._bstart[blk], XT.shape[1] - self._window) + np.arange(self._window)
             d2 = _sum_sq(lambda f: XT[f][win] - qT[f][:, None])
-            ub = d2.min(axis=1) if k == 1 else np.partition(d2, k - 1, axis=1)[:, k - 1]
+            ub = np.partition(d2, k - 1, axis=1)[:, k - 1]  # a row is all NaN or free of NaN
             return (ub, *np.nonzero(~(bound > ub[:, None])))
 
     def _survivors(self, qT, ub, qi, st):
@@ -586,19 +586,15 @@ class VoteWeights:
 
 class SoftVoteClassifier(_Classifier):
     """Weighted probability vote: a label's mass is its KNN mass times ``w_knn`` plus its tree mass
-    times ``w_tree``. A vote whose tree cannot decide (``VoteWeights.tree_can_decide``) may be
-    given no tree; its masses are then the KNN masses times ``w_knn``."""
+    times ``w_tree``. Where the tree cannot decide (``VoteWeights.tree_can_decide``), the vote
+    gives the KNN's answers, so ``run_ml`` uses the KNN itself."""
 
-    def __init__(self, knn: KnnClassifier, tree: TreeClassifier | None, weights: VoteWeights):
-        if tree is None and weights.tree_can_decide(knn.k):
-            raise ValueError(f"a vote with k={knn.k} and weights {weights} needs its tree")
+    def __init__(self, knn: KnnClassifier, tree: TreeClassifier, weights: VoteWeights):
         self.knn = knn
         self.tree = tree
         self.weights = weights
 
     def _masses(self, X: np.ndarray):
         qk, lk, pk = self.knn._masses(X)
-        if self.tree is None:
-            return qk, lk, pk * self.weights.w_knn
         qt, lt, pt = self.tree._masses(X)
         return _accumulate([(qk, lk, pk * self.weights.w_knn), (qt, lt, pt * self.weights.w_tree)])

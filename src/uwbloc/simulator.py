@@ -46,6 +46,7 @@ is ~150 array calls, so smaller chunks cost more per draw; its working set is
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -507,7 +508,7 @@ def _least_slow(is_fast, lo: int, hi: int, guess: int | None) -> int:
 
     ``is_fast`` must be monotone and ``hi`` counts as slow unprobed. Up to
     three probes walk from the guess toward the answer, which settles a guess
-    one off either way; what is left, or everything without a guess, is bisected.
+    one off either way; ``bisect`` searches what is left, or everything without a guess.
     """
     if guess is not None:
         v = min(max(guess, lo + 1), hi - 1)  # probe inside (lo, hi) only
@@ -518,13 +519,7 @@ def _least_slow(is_fast, lo: int, hi: int, guess: int | None) -> int:
                 lo, v = v, v + 1
             else:
                 hi, v = v, v - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if is_fast(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return bisect.bisect_left(range(lo + 1, hi), True, key=lambda v: not is_fast(v)) + lo + 1
 
 
 def simulate_range_batch(

