@@ -7,7 +7,6 @@ rectangular test area whose origin is the lower-left corner.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +30,6 @@ MIN_ANCHOR_TRIANGLE_AREA = 1e-6
 
 # Rows AnchorLayout.true_distances converts at a time, which bounds its peak memory.
 _DISTANCE_ROWS = 1 << 12
-
-# Dekker's split: x * (2**27 + 1) cuts a double into two halves whose products are exact.
-_SPLIT = 134217729.0
-_TINY = sys.float_info.min
 
 
 class CollinearAnchorsError(ValueError):
@@ -68,79 +63,21 @@ def distance(xy: np.ndarray, p: PointMM | np.ndarray) -> np.ndarray:
     """Euclidean distance from each row of an (..., 2) array to ``p``, in mm.
 
     ``p`` is a point or an array of points that broadcasts against the rows
-    of ``xy``. Each distance is exactly ``math.hypot`` of the pair.
+    of ``xy``. Each distance is ``sqrt(dx*dx + dy*dy)`` in doubles: IEEE 754
+    rounds each step correctly and numpy fuses none, so the bits are the same
+    on every platform. Where the sum of squares is exact, as on a grid of whole
+    millimetres, the distance is correctly rounded. A square above the double
+    range gives inf.
     """
     p = np.asarray(p.as_tuple() if isinstance(p, PointMM) else p, dtype=float)
-    return _hypot(xy[..., 0] - p[..., 0], xy[..., 1] - p[..., 1])
-
-
-def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """``math.hypot`` of each pair, bit for bit; ``dx`` and ``dy`` are overwritten.
-
-    A port of CPython's two-argument ``vector_norm``: scale the pair by
-    ``2**-e`` so that its larger magnitude lies in [0.5, 1), square each
-    coordinate exactly, sum the squares into 1.0 with a compensated sum, take
-    the square root, apply one differential correction and unscale. A pair
-    whose larger magnitude is 0 gives 0.0; one whose larger magnitude is
-    subnormal, inf or NaN goes to ``math.hypot`` itself (CPython 3.12 changed
-    that branch).
-    """
-    np.abs(dx, out=dx)
-    np.abs(dy, out=dy)
-    m = np.maximum(dx, dy)
-    rare = np.flatnonzero(~(m >= _TINY) | (m == math.inf))  # 0, subnormal, inf or NaN
-    pairs = dx.flat[rare].tolist(), dy.flat[rare].tolist()
-    # the rare pairs make NaNs here, and pairs near DBL_MAX overflow to inf as math.hypot does
-    with np.errstate(all="ignore"):
-        scale = np.ldexp(1.0, -np.frexp(m, out=(m, None))[1], out=m)  # 2**-e, max = f * 2**e
-        dx *= scale
-        dy *= scale
-        z, frac1 = _square(dx)
-        csum, frac2 = _fast_sum(1.0, z)
-        z, zz = _square(dy)
-        del dx, dy  # freed before the correction's temporaries
-        frac1 += zz
-        csum, lo = _fast_sum(csum, z)
-        frac2 += lo
-        h = csum - 1.0
-        h += frac1 + frac2
-        np.sqrt(h, out=h)
-        z, zz = _square(h.copy())  # dl_mul(-h, h) is (-z, -zz)
-        csum, lo = _fast_sum(csum, np.negative(z, out=z))
-        frac1 -= zz
-        frac2 += lo
-        x = csum - 1.0
-        x += frac1 + frac2
-        x /= 2.0 * h
-        h += x  # the differential correction
-        h /= scale
-    h.flat[rare] = list(map(math.hypot, *pairs))
-    return h
-
-
-def _square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x * x`` as ``hi + lo`` exactly, by Dekker's split and product (``mul12``); ``x`` is overwritten."""
-    hi = x * _SPLIT
-    u = hi - x
-    hi -= u  # t - (t - x)
-    x -= hi  # x's low half
-    np.multiply(hi, hi, out=u)  # p
-    hi *= x
-    hi += hi  # q = hi * lo + lo * hi
-    z = u + hi
-    u -= z
-    u += hi
-    x *= x
-    u += x  # (p - z + q) + lo * lo
-    return z, u
-
-
-def _fast_sum(a, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a + b`` and its rounding error ``(a - (a + b)) + b``, exact for ``|a| >= |b|``; the error
-    is written into ``b``."""
-    total = a + b
-    b += a - total
-    return total, b
+    dx = xy[..., 0] - p[..., 0]
+    dy = xy[..., 1] - p[..., 1]
+    # an overflowing square is inf, which check_true_distances and check_ranges reject
+    with np.errstate(over="ignore"):
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.sqrt(dx, out=dx)
 
 
 def triangle_area(a: PointMM, b: PointMM, c: PointMM) -> float:

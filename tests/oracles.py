@@ -8,7 +8,9 @@ converts a measurement file's lines in one numpy call, and writes a DB or
 measurement file a slice of lines at a time through an array form of
 ``repr``. These are the same rules written over one query's ``{label: mass}``
 dict, one pair of distances, one pair of points, one grid label, one column of
-readings or one line of a file.
+readings or one line of a file. The distance of one pair of points takes the
+same IEEE 754 steps in Python floats as the package in numpy, so the two agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -44,8 +46,12 @@ def fit_pair(true1: float, meas1: float, true2: float, meas2: float) -> LinearRa
 
 
 def distance(p: PointMM, q: PointMM) -> float:
-    """Euclidean distance between two points, in mm (``geometry.distance`` for one pair)."""
-    return math.hypot(p.x - q.x, p.y - q.y)
+    """Euclidean distance between two points, in mm (``geometry.distance`` for one pair).
+
+    ``*``, not ``**``: a square above the double range is inf, as in numpy.
+    """
+    dx, dy = p.x - q.x, p.y - q.y
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def cell_vertex(spec: GridSpec, label: int) -> PointMM:

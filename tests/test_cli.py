@@ -366,6 +366,18 @@ def test_overflowing_geometry_is_exit_2(tmp_path, capsys, setting):
     assert capsys.readouterr().err.startswith("uwbloc: config error")
 
 
+@pytest.mark.parametrize("model", ["none", "four"])
+def test_a_distance_whose_square_overflows_is_exit_4(tmp_path, capsys, model):
+    # every key is in range, but 1e200 squared is inf: the true-distance check names it
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("grid.width = 1e200\ngrid.height = 1e200\ngrid.spacing = 1e200\n"
+                   "eval.test_points = 1e200,1e200\n")
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--config", str(cfg), "--model", model, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "uwbloc: error: true distance must be finite and >= 0, got inf\n"
+    assert not out.exists()
+
+
 # a command reading each kind of file, and the exit code for a file that is not UTF-8
 _READERS = {
     "config": (["evaluate", "--config", "{f}", "--out", "{d}/r.csv"], 2),

@@ -1,3 +1,5 @@
+import collections
+import decimal
 import math
 import sys
 import tracemalloc
@@ -18,6 +20,7 @@ from uwbloc.geometry import (
     triangle_area,
     trilaterate,
 )
+from uwbloc.fingerprint import GridSpec, cell_vertices
 
 import oracles
 
@@ -44,12 +47,19 @@ def test_distance_known_value():
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
-def _hypot_bits(dx, dy):
-    """math.hypot of each pair on this interpreter, as uint64 bits."""
-    return np.array(list(map(math.hypot, dx.tolist(), dy.tolist()))).view(np.uint64)
+# a point that may hold inf or NaN, which PointMM rejects
+_Pair = collections.namedtuple("_Pair", "x y")
 
 
-def test_distance_matches_the_hypot_pair_oracle_bit_for_bit():
+def _assert_same_bits(got, want):
+    """Equal bit for bit, where a NaN equals any NaN."""
+    want = np.array(want)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def test_distance_matches_the_pair_oracle_bit_for_bit():
     # what the pipelines measure: grid vertices, test points and trilaterated
     # positions (some outside the area) against anchors and test points
     rng = np.random.default_rng(5)
@@ -62,9 +72,8 @@ def test_distance_matches_the_hypot_pair_oracle_bit_for_bit():
         want = [oracles.distance(PointMM(x, y), p) for x, y in xy.tolist()]
         got = distance(xy, p)
         assert isinstance(got, np.ndarray) and got.shape == (xy.shape[0],)
-        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
-    # the whole double range: the array kernel and its math.hypot fallback against this
-    # interpreter's math.hypot
+        _assert_same_bits(got, want)
+    # the whole double range: squares that underflow to 0 or overflow to inf, and NaN
     big, tiny = sys.float_info.max, sys.float_info.min
     edges = [0.0, -0.0, 5e-324, -5e-324, tiny / 3, tiny, -tiny, 5.225277735244087e-309,
              5.76415034495e-313, 1e-300, -1e-300, 1.0, 1e300, -1e300, big, -big, math.inf,
@@ -81,13 +90,28 @@ def test_distance_matches_the_hypot_pair_oracle_bit_for_bit():
              np.ldexp(rng.uniform(0.5, 1.0, n), e + rng.integers(-30, 30, n))]
     # mm-scale differences, whole and fractional
     mm = [rng.uniform(-3000.0, 3000.0, n), np.round(rng.uniform(-3000.0, 3000.0, n), 1)]
-    for x, y in ((dx, dy), wide, close, mm):
-        got = distance(np.column_stack([x, y]), PointMM(0.0, 0.0))
-        assert np.array_equal(got.view(np.uint64), _hypot_bits(x, y))
-    # the pair as given, not its difference from a point: the subtraction is exact only from 0
-    x, y = wide
-    got = distance(np.column_stack([x, y]), PointMM(1.0, -2.0))
-    assert np.array_equal(got.view(np.uint64), _hypot_bits(x - 1.0, y + 2.0))
+    # the pair as given, and its difference from a point: the subtraction is exact only from 0
+    for p in (PointMM(0.0, 0.0), PointMM(1.0, -2.0)):
+        for x, y in ((dx, dy), wide, close, mm):
+            want = [oracles.distance(q, p) for q in map(_Pair, x.tolist(), y.tolist())]
+            _assert_same_bits(distance(np.column_stack([x, y]), p), want)
+
+
+def test_true_distances_are_exact_on_the_grid():
+    # the rule is exact where the pipelines use it: vertices and anchors have
+    # whole-mm coordinates, so dx*dx + dy*dy is an exact integer and its rounded
+    # root is the correctly rounded distance. 40 digits decide the rounding: an
+    # irrational root lies > 1e-33 (relative) from every midpoint between doubles.
+    ctx = decimal.Context(prec=40)
+    anchors = np.array([a.as_tuple() for a in DEFAULT_ANCHORS.as_tuple()], dtype=np.int64)
+    for spacing in (25.0, 10.0):
+        xy = cell_vertices(GridSpec(spacing=spacing))
+        got = DEFAULT_ANCHORS.true_distances(xy)
+        whole = xy.astype(np.int64)
+        assert np.array_equal(whole, xy)
+        n2 = ((whole[:, None] - anchors) ** 2).sum(axis=-1)
+        want = [float(ctx.sqrt(v)) for v in n2.ravel().tolist()]
+        assert got.ravel().tolist() == want
 
 
 def test_distance_broadcasts_an_array_of_points():
