@@ -243,6 +243,15 @@ def fit_calibration(
     return obs, model
 
 
+def _point_errors(point: PointMM, errors: list[float]) -> PointErrors:
+    """A point's mean and max error, each rounded to 5 decimals.
+
+    The mean of values never exceeds their max, but their float sum can: with equal errors at a
+    scale where 5 decimals no longer absorb an ulp, the mean is clamped to the max."""
+    worst = round(max(errors), 5)
+    return PointErrors(point, min(round(sum(errors) / len(errors), 5), worst), worst)
+
+
 def _score(
     cfg: PipelineConfig, anchors: AnchorLayout, locate: Callable[[np.ndarray], np.ndarray],
     metadata: Mapping[str, str],
@@ -257,8 +266,7 @@ def _score(
     positions = locate(queries.reshape(-1, 3)).reshape(queries.shape[:2] + (2,))
     # Python floats: sum adds them in order, as the report's bytes need
     errors = distance(positions, np.array(test_xy)[:, None]).tolist()
-    entries = tuple(PointErrors(p, round(sum(e) / len(e), 5), round(max(e), 5))
-                    for p, e in zip(cfg.test_points, errors))
+    entries = tuple(_point_errors(p, e) for p, e in zip(cfg.test_points, errors))
     return ErrorReport(entries, {
         "pipeline": "baseline" if cfg.model_kind is None else "fingerprint",
         "seed": str(cfg.seed),

@@ -299,44 +299,72 @@ def _guarded_threshold(lo, hi):
     return np.where(thr >= hi, lo, thr)
 
 
-def _best_splits(A, XT, weight, code, n_labels, use, start, seg_size, min_leaf):
-    """Each segment's best split: its feature, whether it has one, its first right slot, its left weight.
+def _best_splits(A, XT, sums, code, n_labels, use, start, seg_size, seg_weight, min_leaf):
+    """Each segment's best split: its feature, whether it has one, its first right slot, its left weight
+    and the values on either side of the cut.
 
-    Per (feature, segment) pair in ``use``, a slot of weight w adds 2*occ*w + w*w to the left sum of
-    squared class weights, where occ is the weight of the earlier slots of its label in the pair; a
-    label of weight T in the pair, l of it on the left, adds (T - l)**2 = T*T - 2*T*l + l*l to the
-    right sum. With no ``code`` (no label repeats) occ is 0, T = w, and no slot is sorted by label."""
-    best, (hit, below) = np.full(use.shape, np.inf), np.zeros((2,) + use.shape, dtype=np.int64)
-    pairs = np.transpose(np.nonzero(use))
-    rows = np.cumsum(seg_size[pairs[:, 1]])  # in chunks of whole pairs, about _CHUNK_ELEMENTS rows each
-    cuts = np.searchsorted(rows, np.arange(_CHUNK_ELEMENTS, rows[-1:].sum(), _CHUNK_ELEMENTS))
-    for uf, us in (chunk.T for chunk in np.split(pairs, cuts) if chunk.size):
-        size, first = seg_size[us], np.cumsum(seg_size[us]) - seg_size[us]
-        r = np.arange(first[-1] + size[-1])
-        slots = A.ravel()[np.repeat(uf * A.shape[1] + start[us] - first, size) + r]
-        v = XT.ravel()[np.repeat(uf * XT.shape[1], size) + slots]
-        w = weight[slots]
-        sums = np.stack([w, w * w])  # rows: weight, left increment, T*w
-        if code is not None:
-            key = np.repeat(np.arange(uf.shape[0]), size) * n_labels + code[slots]
+    ``sums[s]`` holds slot s's weight w and w*w. Per (feature, segment) pair in ``use``, a slot adds
+    2*occ*w + w*w to the left sum of squared class weights, where occ is the weight of the earlier
+    slots of its label in the pair; a label of weight T in the pair, l of it on the left, adds
+    (T - l)**2 = T*T - 2*T*l + l*l to the right sum. With no ``code`` (no label repeats) occ is 0,
+    T = w, and no slot is sorted by label."""
+    best = np.full(use.shape, np.inf)
+    (hit, below), (lo, hi) = np.zeros((2,) + use.shape, dtype=np.int64), np.zeros((2,) + use.shape)
+    uf, us = use.nonzero()
+    pair = uf * use.shape[1] + us  # the pair's place in best, hit, below, lo and hi
+    end = seg_size[us].cumsum()  # in chunks of whole pairs, about _CHUNK_ELEMENTS rows each
+    cuts = [int(end.searchsorted(c)) for c in range(_CHUNK_ELEMENTS, end[-1:].sum(), _CHUNK_ELEMENTS)]
+    for a, b in zip([0] + cuts, cuts + [us.shape[0]]):
+        if a == b:
+            continue
+        pf, ps, base = uf[a:b], us[a:b], end[a - 1] if a else 0
+        size = seg_size[ps]
+        first, m = end[a:b] - size - base, int(end[b - 1] - base)
+        slots = A.ravel()[(pf * A.shape[1] + start[ps] - first).repeat(size) + np.arange(m)]
+        v = XT.ravel()[(pf * XT.shape[1]).repeat(size) + slots]
+        # row i + 1: slot i's weight, left increment (and T*w); a running sum down the rows of this
+        # (m + 1, 2 or 3) table costs about one pass, against one per column along rows
+        past = np.empty((m + 1, 2 if code is None else 3), dtype=np.int64)
+        if code is None:  # the slots are in range; "clip" skips the copy that out= takes under "raise"
+            sums.take(slots, axis=0, out=past[1:], mode="clip")
+        else:
+            w = sums[:, 0].take(slots)
+            key = np.repeat(np.arange(b - a), size) * n_labels + code[slots]
             order = np.argsort(key, kind="stable")  # by pair and label, then value
             heads = np.flatnonzero(np.diff(key[order], prepend=-1))
-            wo, runs = w[order], np.diff(np.append(heads, key.shape[0]))
-            occ, tot = np.empty((2, key.shape[0]), dtype=np.int64)
+            wo, runs = w[order], np.diff(heads, append=m)
+            occ, tot = np.empty((2, m), dtype=np.int64)
             occ[order], tot[order] = np.cumsum(wo) - wo, np.repeat(np.add.reduceat(wo, heads), runs)
             occ[order] -= np.repeat(occ[order][heads], runs)
-            sums = np.stack([w, (2 * occ + w) * w, tot * w])
-        total = np.repeat(np.add.reduceat(sums, first, axis=1), size, axis=1)
-        past = np.cumsum(sums, axis=1) - sums  # over the pair's earlier slots
-        past -= np.repeat(past[:, first], size, axis=1)
-        (nl, sq), tw, n = past[:2], past[-1], total[0]
-        cut = (nl >= min_leaf) & (n - nl >= min_leaf) & np.append(False, v[1:] != v[:-1])  # never at nl = 0
-        imp = np.where(cut, 1.0 - (sq / np.maximum(nl, 1) + (total[1] - 2 * tw + sq) / (n - nl)) / n, np.inf)
-        low = np.minimum.reduceat(imp, first)  # and its first place: the first minimum in a feature
-        at = np.minimum.reduceat(np.where(imp == np.repeat(low, size), r, r.shape[0]), first)
-        best[uf, us], hit[uf, us], below[uf, us] = low, at - first, nl[at]
-    f = np.argmin(best, axis=0)  # lower feature on ties across features
-    return f, *(a[f, np.arange(f.shape[0])] for a in (np.isfinite(best), start + hit, below))
+            past[1:, 0], past[1:, 1], past[1:, 2] = w, (2 * occ + w) * w, tot * w
+        total = np.add.reduceat(past[1:], first, axis=0)
+        # row i becomes the sum over the pair's slots before slot i: one running sum that each
+        # pair's first row restarts by taking off the previous pair's total
+        past[0] = 0
+        for c in range(past.shape[1]):
+            past[:, c][first[1:]] -= total[:-1, c]
+        np.add.accumulate(past[:m], axis=0, out=past[:m])
+        nl, sq, tw = past[:m, 0], past[:m, 1], past[:m, -1]
+        n = seg_weight[ps].repeat(size)
+        right = total[:, 1].repeat(size) - sq  # T*T - 2*T*l + l*l summed; with no label repeats T*l = l*l
+        if code is not None:
+            right -= 2 * (tw - sq)
+        nr = n - nl
+        imp = 1.0 - (sq / np.maximum(nl, 1) + right / nr) / n
+        # no cut before a pair's first slot (nl = 0 < min_leaf), nor between equal values
+        bad = (nl < min_leaf) | (nr < min_leaf)
+        bad[1:] |= v[1:] == v[:-1]
+        np.putmask(imp, bad, np.inf)
+        low = np.minimum.reduceat(imp, first)
+        hits = (imp == low.repeat(size)).nonzero()[0]
+        at = hits[hits.searchsorted(first)]  # the first minimum in a feature
+        i = pair[a:b]
+        best.ravel()[i], hit.ravel()[i], below.ravel()[i], lo.ravel()[i], hi.ravel()[i] = (
+            low, at - first, nl[at], v[at - 1], v[at])
+    f = best.argmin(axis=0)  # lower feature on ties across features
+    pick = f * use.shape[1] + np.arange(use.shape[1])
+    return (f, np.isfinite(best.ravel()[pick]), start + hit.ravel()[pick],
+            *(a.ravel()[pick] for a in (below, lo, hi)))
 
 
 class _Trees(_Classifier):
@@ -381,59 +409,86 @@ class _Trees(_Classifier):
 
         A slot is one distinct row of a member, with its integer weight; sizes, ``min_leaf`` and leaf
         frequencies count weight. Open nodes are segments of one layout of slots; ``A[f]`` holds each
-        segment's slots sorted by feature f, and a split partitions the three rows stably: all left
-        children, then all right children. A level's node ids are one range from ``level_id``. Under 3
-        features per split, member i draws a depth's subsets in one ``rngs[i]`` call, in id order."""
+        segment's slots sorted by feature f, and a split partitions the three rows stably: all open left
+        children, then all open right children. A node of one slot, of weight under ``2 * min_leaf`` or
+        at ``cap`` is closed as a leaf when it is made, not carried to the next depth. Under 3 features
+        per split, member i draws a depth's subsets in one ``rngs[i]`` call, in node id order."""
         slot_row, weight = (np.concatenate(a) for a in zip(*members))
         seg_size, seg_weight = np.array([(r.shape[0], w.sum()) for r, w in members]).T
         label_values, codes = np.unique(train.y, return_inverse=True)
         XT, n_labels, n_members = np.ascontiguousarray(train.X[slot_row].T), len(label_values), len(members)
         # with no label repeated, a segment of two slots is not pure and no slot is sorted by label
         code = None if n_labels == len(train) else codes[slot_row]
+        sums = np.stack([weight, weight * weight], axis=1)
         rank = np.argsort(np.argsort(train.X, axis=0, kind="stable"), axis=0)[slot_row].T
         A = np.argsort(rank + np.repeat(np.arange(n_members) * len(train), seg_size), axis=1)
         feature, left = np.full((2, 2 * len(slot_row)), -1, dtype=np.int64)
-        threshold, leaf_of = np.full(2 * len(slot_row), math.nan), np.empty(len(slot_row), dtype=np.int64)
-        side = np.empty(len(slot_row), dtype=np.int8)  # of an open slot: 0 left, 1 right, 6 or 7 dropped
-        # children take ids in their parents' order: a level's ids run member by member, left to right
-        nodes = seg_member = np.arange(n_members)
-        level_id, next_id, depth = 0, n_members, 0
+        threshold = np.full(2 * len(slot_row), math.nan)
+        leaf_of = np.repeat(np.arange(n_members), seg_size)  # a slot's last open node is its leaf
+        side = np.empty(len(slot_row), dtype=np.int8)  # of an open slot: 0 left, 1 right, 2 or 3 closed
+        child_side = np.int8([[0], [1]])
+
+        def opens(size, weight, depth):  # whether a node may split, its labels aside
+            return (size > 1) & (weight >= 2 * min_leaf) & (depth < cap)
+
+        root = opens(seg_size, seg_weight, 0)
+        A = A[:, np.repeat(root, seg_size)]
+        nodes, seg_size, seg_weight = np.flatnonzero(root), seg_size[root], seg_weight[root]
+        seg_member, next_id, depth = nodes, n_members, 0
         while nodes.shape[0]:
-            start = np.cumsum(seg_size) - seg_size
-            leaf_of[A[0]] = np.repeat(nodes, seg_size)  # a slot's last open node is its leaf
-            lab = None if code is None else code[A[0]] + np.repeat(np.arange(len(nodes)) * n_labels, seg_size)
-            pure = seg_size == 1 if lab is None else (
-                np.minimum.reduceat(lab, start) == np.maximum.reduceat(lab, start))
-            use = ~pure & (seg_weight >= 2 * min_leaf) & (depth < cap)
-            # unit weights only: a slot of weight 2 or more repeats its label
-            peel = use & (seg_weight == seg_size) & (min_leaf == 1 and features_per_split == 3)
-            if peel.any() and lab is not None:  # lab: (segment, label) keys
-                key = np.sort(lab[np.repeat(peel, seg_size)])
-                peel[key[1:][key[1:] == key[:-1]] // n_labels] = False
-            use = np.repeat((use & ~peel)[None, :], 3, axis=0)  # the split attempts, per feature
-            by_id = np.argsort(nodes)  # the segments in node id order
+            start = seg_size.cumsum() - seg_size
+            lab = None if code is None else (
+                code[A[0]] + (np.arange(len(nodes)) * n_labels).repeat(seg_size))  # (segment, label) keys
+            use = seg_size > 1 if lab is None else (  # not pure
+                np.minimum.reduceat(lab, start) < np.maximum.reduceat(lab, start))
+            peeling = False
+            if min_leaf == 1 and features_per_split == 3:
+                peel = use & (seg_weight == seg_size)  # unit weights: a slot of weight 2 repeats its label
+                if peel.any() and lab is not None:
+                    key = np.sort(lab[np.repeat(peel, seg_size)])
+                    peel[key[1:][key[1:] == key[:-1]] // n_labels] = False
+                peeling = peel.any()
+                use &= ~peel
+            tries = use[None, :].repeat(3, axis=0)  # the split attempts, per feature
+            by_id = nodes.argsort()  # the segments in node id order
             if features_per_split < 3:
-                att = by_id[use[0, by_id]]
+                att = by_id[use[by_id]]
                 counts = np.bincount(seg_member[att], minlength=n_members)
                 draws = np.concatenate([rng.random((c, 3)) for rng, c in zip(rngs, counts.tolist())])
-                use[:, att] = draws.argsort(axis=1, kind="stable").argsort(axis=1).T < features_per_split
-            f, split, at, below = _best_splits(A, XT, weight, code, n_labels, use, start, seg_size, min_leaf)
-            if peel.any():
-                next_id = _Trees._peel(XT, A[0][np.repeat(peel, seg_size)], seg_size[peel], nodes[peel],
-                                       depth, cap, next_id, feature, threshold, left, leaf_of)
-            p = np.arange(A.shape[1])
-            side[A.ravel()[np.repeat(f * A.shape[1], seg_size) + p]] = (
-                (p >= np.repeat(at, seg_size)) + np.repeat(6 * ~split, seg_size))
-            kids = next_id - 2 + 2 * np.cumsum(split[by_id])[nodes[split] - level_id]
-            f, at, below, split_nodes, start = f[split], at[split], below[split], nodes[split], start[split]
-            feature[split_nodes], left[split_nodes] = f, kids
-            threshold[split_nodes] = _guarded_threshold(XT[f, A[f, at - 1]], XT[f, A[f, at]])
-            key = np.argsort((side[A] + np.int8([[0], [2], [4]])).ravel(), kind="stable")  # 2 * row + side
-            A = A.ravel()[key[:3 * seg_size[split].sum()]].reshape(3, -1)
-            nodes, seg_member = np.concatenate([kids, kids + 1]), np.tile(seg_member[split], 2)
-            seg_size = np.concatenate([at - start, seg_size[split] - at + start])
-            seg_weight = np.concatenate([below, seg_weight[split] - below])
-            level_id, next_id, depth = next_id, next_id + 2 * kids.shape[0], depth + 1
+                tries[:, att] = draws.argsort(axis=1, kind="stable").argsort(axis=1).T < features_per_split
+            f, split, at, below, lo, hi = _best_splits(A, XT, sums, code, n_labels, tries, start, seg_size,
+                                                       seg_weight, min_leaf)
+            if peeling:
+                next_id, peeled, peeled_leaf = _Trees._peel(
+                    XT, A[0][np.repeat(peel, seg_size)], seg_size[peel], nodes[peel], depth, cap, next_id,
+                    feature, threshold, left)
+            # (id, size, weight, member) of each segment's left, then right child; children take ids in
+            # their parents' id order, and a segment that does not split is one closed run under its id
+            parent = by_id[split[by_id]]
+            lid = nodes.copy()
+            lid[parent] = next_id + 2 * np.arange(parent.shape[0])
+            lsize = np.where(split, at - start, seg_size)
+            kids = np.array([[lid, lsize, below, seg_member],
+                             [lid + 1, seg_size - lsize, seg_weight - below, seg_member]])
+            opened = opens(kids[:, 1], kids[:, 2], depth + 1) & split
+            # each segment's slots in its split feature's row: its left run, then its right run
+            run = A.ravel()[(f * A.shape[1]).repeat(seg_size) + np.arange(A.shape[1])]
+            runs = kids[:, 1].T.ravel()
+            side[run] = (~opened * np.int8(2) + child_side).T.ravel().repeat(runs)
+            leaf_of[run] = kids[:, 0].T.ravel().repeat(runs)
+            if peeling:
+                leaf_of[peeled] = peeled_leaf
+            node = nodes[parent]
+            feature[node], left[node] = f[parent], lid[parent]
+            threshold[node] = _guarded_threshold(lo[parent], hi[parent])
+            # the open left children in layout order, then the open right children
+            nodes, seg_size, seg_weight, seg_member = kids.transpose(1, 0, 2)[:, opened]
+            # each row keeps the slots of open left children, then of open right children, in its order;
+            # a slot is in every row once, so the rows keep equal lengths
+            sides, slots = side.take(A).ravel(), A.ravel()
+            A = np.concatenate([slots[(sides == 0).nonzero()[0]].reshape(3, -1),
+                                slots[(sides == 1).nonzero()[0]].reshape(3, -1)], axis=1)
+            next_id, depth = next_id + 2 * parent.shape[0], depth + 1
         # leaf entries: one per (leaf, label), sorted by leaf, then label; the weights are integers, so
         # each frequency is the same double as a ratio of row counts
         entries, entry_of = np.unique(leaf_of * n_labels + codes[slot_row], return_inverse=True)
@@ -443,8 +498,9 @@ class _Trees(_Classifier):
                 probs, np.bincount(leaf, minlength=next_id), first_id + np.arange(n_members))
 
     @staticmethod
-    def _peel(XT, slots, sizes, nodes, depth, cap, next_id, feature, threshold, left, leaf_of) -> int:
-        """Grow the subtrees of all-distinct-label segments in one step; return the next node id.
+    def _peel(XT, slots, sizes, nodes, depth, cap, next_id, feature, threshold, left):
+        """Grow the subtrees of all-distinct-label segments in one step; return the next node id, the
+        segments' slots and each one's leaf.
 
         With distinct labels, ``min_leaf`` 1 and all features, every candidate scores 1 - 2/n: a
         split takes off the lowest value group of the lowest splittable feature. Sorted by (segment,
@@ -479,26 +535,26 @@ class _Trees(_Classifier):
             next_id += 2 * at.shape[0]
         first, node = np.concatenate(leaves + [np.stack([g_start, g_node])], axis=1)
         order = np.argsort(first)
-        leaf_of[s] = np.repeat(node[order], np.diff(np.append(first[order], M)))
-        return next_id
+        return next_id, s, np.repeat(node[order], np.diff(np.append(first[order], M)))
 
     def apply_batch(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id reached by each (member, query), member by member."""
         X = _query_batch(X)
         values = np.where(np.isnan(X), np.inf, X).ravel()  # NaN goes right everywhere, as +inf does
-        node = np.repeat(self._root, X.shape[0])
-        live = np.flatnonzero(self._feature[node] >= 0)
-        q, nd = live % X.shape[0] * 3, node[live]  # each live (member, query)'s values and run head
+        feature, first, stop, steps, to = self._feature, self._first, self._stop, self._steps, self._to
+        node = self._root.repeat(X.shape[0])
+        live = (feature.take(node) >= 0).nonzero()[0]
+        q, nd = live % X.shape[0] * 3, node.take(live)  # each live (member, query)'s values and run head
         while live.shape[0]:
-            x, at, end = values[q + self._feature[nd]], self._first[nd], self._stop[nd]
+            x, at, end = values.take(q + feature.take(nd)), first.take(nd), stop.take(nd)
             # first place with x <= threshold, else the sentinel: power-of-two steps, clamped to the sentinel
-            for step in 1 << np.arange(int((end - at).max() - 1).bit_length())[::-1]:
-                mid = np.minimum(at + step, end)
-                at = np.where(self._steps[mid] < x, mid, at)
-            at += self._steps[at] < x
-            node[live] = nd = self._to[at]
-            keep = np.flatnonzero(self._feature[nd] >= 0)
-            live, q, nd = live[keep], q[keep], nd[keep]
+            for k in range(int((end - at).max() - 1).bit_length() - 1, -1, -1):
+                mid = np.minimum(at + (1 << k), end)
+                at = np.where(steps.take(mid) < x, mid, at)
+            at += steps.take(at) < x
+            node[live] = nd = to.take(at)
+            keep = (feature.take(nd) >= 0).nonzero()[0]
+            live, q, nd = live.take(keep), q.take(keep), nd.take(keep)
         return node
 
     def _masses(self, X: np.ndarray):

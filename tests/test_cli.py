@@ -15,7 +15,7 @@ from uwbloc import cli
 from uwbloc.calibration import REFERENCE_POINTS
 from uwbloc.cli import main
 from uwbloc.config import load_config
-from uwbloc.evaluation import run_ml
+from uwbloc.evaluation import read_report, run_ml
 
 
 COARSE = """\
@@ -338,7 +338,9 @@ def test_reference_points_equidistant_from_an_anchor_is_exit_4(tmp_path, capsys)
                    f"campaign.locations = {points}\ncampaign.reps = 20\n")
     meas = tmp_path / "meas.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(meas)]) == 0
-    assert main(["fit", str(meas), "--config", str(cfg), "--out", str(tmp_path / "cal.csv")]) == 4
+    # 20 sets, fewer than n_select: the fit warns, then meets the degenerate pair
+    with pytest.warns(UserWarning, match="measurement sets available"):
+        assert main(["fit", str(meas), "--config", str(cfg), "--out", str(tmp_path / "cal.csv")]) == 4
     assert "both points have true distance 500.0" in capsys.readouterr().err
 
 
@@ -376,6 +378,19 @@ def test_a_distance_whose_square_overflows_is_exit_4(tmp_path, capsys, model):
     assert main(["evaluate", "--config", str(cfg), "--model", model, "--out", str(out)]) == 4
     assert capsys.readouterr().err == "uwbloc: error: true distance must be finite and >= 0, got inf\n"
     assert not out.exists()
+
+
+def test_a_noiseless_run_at_a_large_scale_reports_its_mean_as_its_max(tmp_path):
+    # every trial's error is the same, and 5 decimals no longer absorb the ulp by which
+    # their float sum over 3 exceeds it: the mean is clamped to the max, not rejected
+    cfg = tmp_path / "large.cfg"
+    cfg.write_text("grid.width = 1e12\ngrid.height = 2e12\ngrid.spacing = 1e10\nanchors.by = 2e12\n"
+                   "anchors.cx = 1e12\nnoise.sigma = 0\nnoise.offset = 0.3\neval.n_trials = 3\n"
+                   "eval.test_points = 500000000000,0\n")
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--config", str(cfg), "--model", "none", "--out", str(out)]) == 0
+    (entry,) = read_report(out).entries
+    assert entry.avg_error == entry.max_error == 234567901234.85748
 
 
 # a command reading each kind of file, and the exit code for a file that is not UTF-8

@@ -589,6 +589,48 @@ def test_sampled_forest_members_match_reference_builder(name, min_leaf, max_dept
     assert _member_probs(forest, Q) == [_reference_proba(ref, Q) for ref in refs]
 
 
+class _TiedDraws:
+    """A generator whose uniform draws are rounded to 0, 0.5 or 1, so that a split's three feature
+    draws often tie; its bootstrap integers are the real generator's. Counts the tied rows drawn."""
+
+    real = staticmethod(np.random.default_rng)
+    tied_rows = 0
+
+    def __init__(self, seed):
+        self._rng = self.real(seed)
+
+    def random(self, size=None):
+        draws = np.round(self._rng.random(size) * 2) / 2
+        sorted_draws = np.sort(draws, axis=-1)
+        _TiedDraws.tied_rows += int(np.any(sorted_draws[..., 1:] == sorted_draws[..., :-1], axis=-1).sum())
+        return draws
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("features", [1, 2])
+@pytest.mark.parametrize("name", ["distinct-labels", "repeated-labels"])
+def test_sampled_forest_members_break_tied_draws_toward_the_lower_feature(monkeypatch, name, features,
+                                                                          bootstrap):
+    # real PCG64 draws never tie here; rounded ones do, and the kept features must still be the
+    # reference's: the features_per_split of smallest draw, the lower feature on a tie
+    monkeypatch.setattr(np.random, "default_rng", _TiedDraws)
+    monkeypatch.setattr(_TiedDraws, "tied_rows", 0)
+    X, y = _TREE_PROBLEMS[name]
+    forest = ForestClassifier(_train(X, y), n_trees=3, features_per_split=features, seed=13,
+                              bootstrap=bootstrap)
+    assert _TiedDraws.tied_rows > 0
+    refs = []
+    for i in range(3):
+        rng = np.random.default_rng(13 + i)
+        idx = rng.integers(0, len(X), size=len(X)) if bootstrap else np.arange(len(X))
+        refs.append(_reference_tree(X[idx], y[idx], None, 1, rng, features))
+        assert _member_preorder(forest, i) == _reference_preorder(refs[-1])
+    assert forest.node_count == sum(len(ref) for ref in refs)
+
+
 @pytest.mark.parametrize("features", [1, 2])
 def test_forest_member_depends_only_on_its_seed(features):
     rng = np.random.default_rng(73)
@@ -636,6 +678,25 @@ def test_forest_grows_members_in_batches_of_bounded_slots(monkeypatch):
     first = np.cumsum([0] + distinct[:-1]) // 100
     assert slots == [sum(d for d, b in zip(distinct, first) if b == batch) for batch in np.unique(first)]
     assert len(slots) > 1 and sum(slots) < 7 * 40
+
+
+def test_forest_build_memory_stays_within_its_batch_budget(monkeypatch):
+    # members grow in batches of about 2 * _CHUNK_ELEMENTS slots, so a build's working memory does
+    # not grow with the number of trees: past its node tables, held twice while the batches' tables
+    # are joined, its peak stays within a fixed budget per slot of one batch. Here the 24 members
+    # span six batches and peak ~255 B per batch slot above the tables; the budget of 512 B leaves
+    # room, and growing all 24 members in one batch peaks ~1,170 B above them
+    monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", 1000)
+    rng = np.random.default_rng(83)
+    train = _train(rng.uniform(1.0, 2500.0, size=(800, 3)), rng.integers(0, 4, size=800))
+    tracemalloc.start()
+    try:
+        forest = ForestClassifier(train, n_trees=24, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = sum(a.nbytes for a in vars(forest).values() if isinstance(a, np.ndarray))
+    assert peak < 2 * tables + 512 * 2 * learners._CHUNK_ELEMENTS
 
 
 def test_tree_over_the_10mm_grid_recovers_every_training_label():
