@@ -73,8 +73,9 @@ class TrainingSet:
 
 
 #: Float64 elements of one query chunk's stripe bounds and of one piece of candidate rows in the
-#: KNN search, rows per chunk of the tree scan, and half the slots (a member's distinct rows) per
-#: batch of trees grown together, which bounds a forest build's memory.
+#: KNN search, rows per chunk of the tree scan, half the slots (a member's distinct rows) per
+#: batch of trees grown together, which bounds a forest build's memory, and a quarter of the leaf
+#: entries per piece of queries a forest predicts, which bounds its prediction's.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -100,7 +101,7 @@ def _accumulate(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Classifier:
-    """Label prediction from ``_masses(X) -> (query, label, mass)``.
+    """Label prediction from ``_masses(X) -> (query, label, mass)``, read a piece of queries at a time.
 
     ``_masses`` gives every query at least one entry, one per (query,
     label), sorted by query, then label.
@@ -109,11 +110,17 @@ class _Classifier:
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """Each query's label of largest mass; equal masses go to the lower label."""
         X = _query_batch(X)
-        query, label, mass = self._masses(X)
-        queries = np.arange(X.shape[0])
-        best = np.maximum.reduceat(mass, np.searchsorted(query, queries))  # each query's largest mass
-        hit = np.flatnonzero(mass == best[query])  # in (query, label) order
-        return label[hit[np.searchsorted(query[hit], queries)]]  # a query's first hit: its lowest label
+        labels = []
+        for a, b, query, label, mass in self._pieces(X):
+            queries = np.arange(a, b)
+            best = np.maximum.reduceat(mass, np.searchsorted(query, queries))  # each query's largest mass
+            hit = np.flatnonzero(mass == best[query - a])  # in (query, label) order
+            labels.append(label[hit[np.searchsorted(query[hit], queries)]])  # first hit: lowest label
+        return np.concatenate(labels)
+
+    def _pieces(self, X: np.ndarray):
+        """``_masses`` of queries a .. b - 1 as ``(a, b, query, label, mass)``, here in one piece."""
+        yield 0, X.shape[0], *self._masses(X)
 
 
 #: Rows per block, at most, of the KNN search's Sort-Tile-Recursive packing.
@@ -387,8 +394,10 @@ class _Trees(_Classifier):
         for a, b in zip(bounds[:-1], bounds[1:]):
             parts.append(self._grow_batch(train, members[a:b], rngs[a:b], features_per_split,
                                           max_depth or math.inf, min_leaf, sum(p[0].shape[0] for p in parts)))
+        tables = list(zip(*parts))
+        del parts  # each batch's part of a table is freed once the table is joined
         self._feature, self._left, self._threshold, self._labels, self._probs, entries, self._root = (
-            np.concatenate(p) for p in zip(*parts))
+            [np.concatenate(tables.pop(0)) for _ in range(len(tables))])
         self._offset, inner = np.append(0, np.cumsum(entries)), np.flatnonzero(self._feature >= 0)
         head = np.arange(self._feature.shape[0])
         same = inner[self._feature[self._left[inner] + 1] == self._feature[inner]]
@@ -558,13 +567,23 @@ class _Trees(_Classifier):
         return node
 
     def _masses(self, X: np.ndarray):
-        # every member's leaf entries, member by member, summed in that order
-        leaf = self.apply_batch(X)
+        return tuple(np.concatenate(p) for p in zip(*(piece[2:] for piece in self._pieces(X))))
+
+    def _pieces(self, X: np.ndarray):
+        """``_masses`` in pieces of queries whose leaf entries number about ``4 * _CHUNK_ELEMENTS``: a
+        shallow forest's leaves hold many labels."""
+        leaf = self.apply_batch(X).reshape(self._root.shape[0], X.shape[0])
         size = self._offset[leaf + 1] - self._offset[leaf]
-        entry = np.arange(size.sum()) + np.repeat(self._offset[leaf] - np.cumsum(size) + size, size)
-        query = np.repeat(np.tile(np.arange(X.shape[0]), self._root.shape[0]), size)
-        query, label, mass = _accumulate([(query, self._labels[entry], self._probs[entry])])
-        return query, label, mass / self._root.shape[0]
+        held = size.sum(axis=0).cumsum()
+        piece = 4 * _CHUNK_ELEMENTS
+        cuts = np.searchsorted(held, np.arange(piece, held[-1:].sum(), piece)).tolist()
+        for a, b in zip([0] + cuts, cuts + [X.shape[0]]):
+            # every member's leaf entries, member by member, summed in that order
+            lf, sz = leaf[:, a:b].ravel(), size[:, a:b].ravel()
+            entry = np.arange(sz.sum()) + np.repeat(self._offset[lf] - np.cumsum(sz) + sz, sz)
+            query = np.repeat(np.tile(np.arange(a, b), leaf.shape[0]), sz)
+            query, label, mass = _accumulate([(query, self._labels[entry], self._probs[entry])])
+            yield a, b, query, label, mass / self._root.shape[0]
 
     @property
     def node_count(self) -> int:

@@ -5,53 +5,25 @@ plus Gaussian noise, with a multiplicative inflation once the (noisy)
 reading exceeds a threshold; real tags overestimate long distances, which
 is what the downstream correction step undoes.
 
-Determinism contract: every single measurement has its own random
-substream, derived as ``SeedSequence((seed, location_index, rep,
-anchor_index))`` feeding a PCG64 generator. Measurements therefore do not
-depend on the order in which they are generated, and a campaign can be
-reproduced draw-by-draw or in parallel.
-
-``measurement_stream`` and ``simulate_range`` are that contract for one
-draw. ``simulate_range_batch`` reproduces it bit for bit for arrays of keys,
-in numpy array arithmetic:
-
-- it hashes the keys the way ``SeedSequence`` does (``uint32`` arrays), then
-  applies PCG64's seeding step, ``state = (inc + initstate) * MULT + inc``,
-  its first step and its XSL-RR output, ``rotr64(hi ^ lo, hi >> 58)``, on
-  128-bit numbers held as (hi, lo) ``uint64`` pairs (O'Neill 2014);
-- numpy's standard normal is a 256-layer ziggurat (Marsaglia & Tsang 2000)
-  on that raw output r: layer ``r & 0xff``, sign bit 8, ``rabs = (r >> 9) &
-  (2**52 - 1)``, and whenever ``rabs < ki[layer]`` the value is ``±rabs *
-  wi[layer]``. The outlier coin and magnitude then come from the 2nd and 3rd
-  raw outputs as ``random()`` does, ``(r >> 11) * 2**-53``;
-- the ~1.5% of keys off that fast path (the tail of layer 0, all of layer
-  1, and ``rabs >= ki``) have their seeded state set on a PCG64 generator
-  that the draw creates for itself (~5 µs), which draws as ``simulate_range``
-  does, so concurrent draws share no state.
-
-numpy does not expose ``ki`` and ``wi``. The first batch draw in a process
-(never the import) reads them off numpy's own generator: with ``inc = 1``
-and ``state = (r - 1) * MULT**-1``, the next raw output is exactly r, so a
-probe at ``rabs = 1`` gives ``wi[layer]``, and ``ki[layer]`` is the least
-``rabs`` whose normal leaves the state more than one step on, which
-Marsaglia & Tsang's formula predicts to within one on every layer that has
-a guess. The tables are then checked against the per-key generator on a
-fixed key set, ~6 ms in all; should the check fail, a ``RuntimeWarning`` says so and every key takes
-the per-key path, which is still bit-exact. A draw costs ~0.2–0.3 µs in
-chunks of 4,096 keys (2 cores, numpy 2.4.6), against ~3.5 µs per key on the
-per-key path and ~35 µs through ``measurement_stream``. A chunk's fixed cost
-is ~150 array calls, so smaller chunks cost more per draw; its working set is
-~130 bytes per key, ~0.5 MiB at 4,096.
+Determinism contract: each (location, rep, anchor) measurement has its own
+key, and every word its draws read is a pure function of (seed, location,
+rep, anchor, purpose, attempt) built from integer multiply, xor and shift
+on ``uint64`` (SplitMix64; Steele, Lea & Flood, OOPSLA 2014). Its normal is
+a 256-layer ziggurat (Marsaglia & Tsang, JSS 2000) whose tests use only +,
+−, ×, ÷ and sqrt. So a reading depends neither on the order or chunk it is
+drawn in nor on the numpy version. ``simulate_range_batch`` draws arrays of
+keys; ``measurement_stream`` and ``simulate_range`` are the same draws for
+one key.
 """
 
 from __future__ import annotations
 
-import bisect
+import decimal
 import functools
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,8 +59,8 @@ MIN_SIMULATED_RANGE = 1.0
 # Keys per chunk in simulate_range_batch, which bounds its working set.
 DRAW_CHUNK = 4096
 
-# A draw's key is (location index, rep, anchor index), each one 32-bit word of its
-# seed's entropy, so a location takes at most this many visits (reps 0 .. 2**32 - 1).
+# A draw's key is (location index, rep, anchor index), each hashed as one 32-bit
+# word, so a location takes at most this many visits (reps 0 .. 2**32 - 1).
 MAX_REPS = 2**32
 
 # An outlier multiplies the reading by a uniform draw from this range.
@@ -175,18 +147,18 @@ class Campaign:
 
 
 def derive_seed(master: int, stage: int) -> int:
-    """Deterministically derive a stage seed from the single master seed."""
-    ss = np.random.SeedSequence((master, stage))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """A stage's seed: the key hash of ``master`` and the one-word key ``(stage,)``, a 64-bit int."""
+    return _absorb_int(_seed_state(master, 1), stage)
 
 
-def measurement_stream(seed: int, location_index: int, rep: int, anchor_index: int) -> np.random.Generator:
+def measurement_stream(seed: int, location_index: int, rep: int, anchor_index: int) -> _KeyStream:
     """The dedicated random stream of one (location, rep, anchor) measurement."""
-    ss = np.random.SeedSequence((seed, location_index, rep, anchor_index))
-    return np.random.Generator(np.random.PCG64(ss))
+    keys = np.array([(location_index, rep, anchor_index)])
+    _check_keys(seed, keys)
+    return _KeyStream(_key_states(seed, keys))
 
 
-def simulate_range(true_distance: float, noise: NoiseConfig, rng: np.random.Generator) -> float:
+def simulate_range(true_distance: float, noise: NoiseConfig, rng: _KeyStream) -> float:
     """Draw one measured distance for a given true distance.
 
     Draw order on ``rng`` is fixed: Gaussian disturbance first, then (only
@@ -202,324 +174,202 @@ def simulate_range(true_distance: float, noise: NoiseConfig, rng: np.random.Gene
     return max(base, MIN_SIMULATED_RANGE)
 
 
-# numpy's SeedSequence hash (bit_generator.pyx)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_SHIFT16 = np.uint32(16)
+class _KeyStream:
+    """The draws of one key in the order they are asked for: the p-th is the batch kernel's draw p."""
 
-# PCG64 (pcg64.h): a 128-bit LCG stepped before each XSL-RR output; 128-bit
-# numbers are (hi, lo) pairs of uint64 arrays
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+    def __init__(self, state: np.ndarray):
+        self._state, self._purposes = state, itertools.count()
+
+    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
+        return loc + scale * float(_normals(self._state, next(self._purposes))[0])
+
+    def random(self) -> float:
+        return float(_uniforms(self._state, next(self._purposes))[0])
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        return low + (high - low) * self.random()
+
+
+# SplitMix64: its increment and the two multipliers of its finalizer
 _U64 = np.uint64
-_MULT_HI, _MULT_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & ((1 << 64) - 1))
-_LIMB = _U64(_MASK32)
+_MASK32, _MASK64 = 0xFFFFFFFF, (1 << 64) - 1
+_GAMMA, _MIX_A, _MIX_B = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_DOUBLE_UNIT = 2.0**-53
 
-# numpy's standard normal (distributions.c) is a 256-layer ziggurat on one
-# raw output r: layer r & 0xff, sign bit 8, magnitude (r >> 9) & (2**52 - 1)
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a ``uint64`` array."""
+    x ^= x >> _U64(30)
+    x *= _U64(_MIX_A)
+    x ^= x >> _U64(27)
+    x *= _U64(_MIX_B)
+    x ^= x >> _U64(31)
+    return x
+
+
+def _absorb_int(h: int, value: int) -> int:
+    """One step of the key hash, ``mix((h ^ value) + GAMMA)``, on Python ints."""
+    x = (h ^ value) + _GAMMA & _MASK64
+    x = (x ^ x >> 30) * _MIX_A & _MASK64
+    x = (x ^ x >> 27) * _MIX_B & _MASK64
+    return x ^ x >> 31
+
+
+def _seed_state(seed: int, key_words: int) -> int:
+    """The key hash from 0 over the seed's and the key's number of 32-bit words, then the seed's
+    words, low first."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    return functools.reduce(_absorb_int, [len(words) + key_words] + words, 0)
+
+
+def _key_states(seed: int, keys: np.ndarray) -> np.ndarray:
+    """Each (n, 3) key row's state: ``_seed_state``, then the row's words two at a time, the
+    first in the high half: ``location << 32 | rep``, then ``anchor``."""
+    h = np.full(keys.shape[0], _seed_state(seed, 3), dtype=np.uint64)
+    location, rep, anchor = keys.T.astype(np.uint64)
+    location <<= _U64(32)
+    location |= rep
+    for value in (location, anchor):  # _absorb_int on arrays
+        h ^= value
+        h += _U64(_GAMMA)
+        _mix(h)
+    return h
+
+
+def _steps(purpose: int, words: range) -> np.ndarray:
+    """The state increments of ``words`` of draw ``purpose``: word n is SplitMix64's output for the
+    counter ``purpose * 2**32 + n + 1``."""
+    return np.array([((purpose << 32) + n + 1) * _GAMMA & _MASK64 for n in words], dtype=np.uint64)
+
+
+def _unit(w: np.ndarray) -> np.ndarray:
+    """``(w >> 11) * 2**-53`` of each word: a double in [0, 1)."""
+    w >>= _U64(11)
+    return w * _DOUBLE_UNIT
+
+
+def _uniforms(h: np.ndarray, purpose: int) -> np.ndarray:
+    """The uniforms of draw ``purpose`` of the key states ``h``, from its word 0."""
+    return _unit(_mix(h + _steps(purpose, range(1))))
+
+
+# Marsaglia & Tsang's 256-layer ziggurat: the base strip ends at R, and every layer has area V
 _LAYERS = 256
-_RABS_BITS = 52
-_RABS_MASK = _U64((1 << _RABS_BITS) - 1)
-_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # next_double: (r >> 11) * 2**-53
-
-
-def _uint32_words(n: int) -> list[int]:
-    """An entropy integer as SeedSequence splits it: 32-bit words, low first."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+_ZIGGURAT_R, _ZIGGURAT_V = "3.6541528853610088", "0.00492867323399"
+_R = float(_ZIGGURAT_R)
+_MAGNITUDE_SHIFT = _U64(12)  # a magnitude is a word's top 52 bits
+# exp(t) = 2**k * exp(s) with t = k * ln 2 + s: ln 2 in two parts (fdlibm's), the first exact times k
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_EXP_TERMS = [1.0 / math.factorial(n) for n in range(13, -1, -1)]  # Taylor, highest degree first
 
 
 @functools.cache
-def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
-    """The hash constants of ``calls`` successive ``hashmix`` calls, as a read-only column.
+def _ziggurat() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per layer: the magnitude below which a draw is inside the curve, the width of one magnitude step
+    and the density ``f(x) = exp(-x*x/2)`` at its right edge, as read-only arrays.
 
-    ``hashmix`` advances its constant on every call, so call ``j`` xors with
-    entry ``j`` and multiplies by entry ``j + 1``.
+    Layer i >= 1 spans [0, x[i]] x [f(x[i]), f(x[i-1])], with x[255] = R, x[0] = 0 and
+    f(x[i-1]) = V / x[i] + f(x[i]). Layer 0 is the base strip [0, V / f(R)] x [0, f(R)], whose part
+    past R stands for the tail. Decimal arithmetic rounds the same on every platform (~7 ms); it runs
+    on the first draw, never at import.
     """
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & _MASK32)
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    column.flags.writeable = False
-    return column
+    with decimal.localcontext() as ctx:
+        ctx.prec = 25
+        r, v = decimal.Decimal(_ZIGGURAT_R), decimal.Decimal(_ZIGGURAT_V)
+        x, fx = [r], [(-r * r / 2).exp()]
+        for _ in range(_LAYERS - 2):
+            fx.append(v / x[-1] + fx[-1])
+            x.append((-2 * fx[-1].ln()).sqrt())
+        x, fx = [decimal.Decimal(0)] + x[::-1], [decimal.Decimal(1)] + fx[::-1]
+        top = decimal.Decimal(2) ** (64 - int(_MAGNITUDE_SHIFT))
+        edges = [v / fx[-1]] + x[1:]  # each layer's width
+        tables = (
+            np.array([int(top * b / e) for b, e in zip([r] + x[:-1], edges)], dtype=np.uint64),
+            np.array([float(e / top) for e in edges]),
+            np.array([float(f) for f in fx]),
+        )
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
-def _hashmix(values: np.ndarray | np.uint32, consts: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """SeedSequence's ``hashmix``, one call per row of the result on ``values`` (broadcast).
+def _exp(t: np.ndarray) -> np.ndarray:
+    """``exp(t)`` for ``t <= 0`` in place, from +, −, × and an exact power of two: a Taylor
+    polynomial in ``s = t - k ln 2``, ``|s| <= ln 2 / 2``, times ``2**k``."""
+    np.maximum(t, -800.0, out=t)  # exp(-800) is 0.0 in doubles
+    k = np.rint(t / (_LN2_HI + _LN2_LO))
+    t -= k * _LN2_HI
+    t -= k * _LN2_LO
+    p = np.full_like(t, _EXP_TERMS[0])
+    for c in _EXP_TERMS[1:]:
+        p *= t
+        p += c
+    return np.ldexp(p, k.astype(np.int32), out=p)
 
-    ``consts`` is a slice of a ``_hash_consts`` column, one entry longer
-    than the number of calls.
+
+def _normals(h: np.ndarray, purpose: int) -> np.ndarray:
+    """The standard normals of draw ``purpose`` of the key states ``h``.
+
+    Attempt a reads words 3a .. 3a + 2. Word 3a gives the layer (low 8 bits), sign (bit 8) and
+    magnitude; under the layer's fast bound the normal is ``±magnitude * width``. In the wedge of
+    layer i it is that x when ``f[i] + u * (f[i-1] - f[i]) < exp(-x*x/2)``, u from word 3a + 1, and
+    otherwise the key makes attempt a + 1. A key in the tail stays there: at each attempt it
+    proposes ``x = R / u**(1/8)`` (Pareto), u in (0, 1] from word 3a + 1, and accepts with
+    probability ``exp((R*R - x*x) / 2) * (x / R)**9``, its uniform from word 3a + 2.
     """
-    out = np.bitwise_xor(values, consts[:-1], out=out)
-    out *= consts[1:]
-    out ^= out >> _SHIFT16
-    return out
+    bound, width, density = _ziggurat()
+    z = np.empty(h.shape[0])
+    rows, tail, attempt = np.arange(h.shape[0]), np.empty(0, dtype=np.intp), 0
+    while rows.shape[0] or tail.shape[0]:
+        steps = _steps(purpose, range(3 * attempt, 3 * attempt + 3))
+        hs = h.take(rows)
+        w = _mix(hs + steps[0])
+        layer = (w & _U64(_LAYERS - 1)).view(np.int64)
+        sign = w & _U64(_LAYERS)
+        sign <<= _U64(63 - 8)  # bit 8 to a double's sign bit
+        w >>= _MAGNITUDE_SHIFT
+        x = w * width.take(layer)
+        bits = x.view(np.uint64)
+        bits |= sign
+        z[rows] = x
+        slow = np.flatnonzero(w >= bound.take(layer))
+        base = layer.take(slow) == 0
+        tail = np.concatenate([tail, rows.take(slow[base])])
+        wedge = slow[~base]
+        i = layer.take(wedge)
+        y = _unit(_mix(hs.take(wedge) + steps[1]))
+        y *= density.take(i - 1) - density.take(i)
+        y += density.take(i)
+        x = x.take(wedge)
+        x *= x
+        x *= -0.5
+        rows = rows.take(wedge[y >= _exp(x)])
+        if tail.shape[0]:
+            ht = h.take(tail)
+            u = _unit(_mix(ht + steps[1]))
+            u += _DOUBLE_UNIT  # in (0, 1]
+            root = np.sqrt(np.sqrt(np.sqrt(u)))
+            x = _R / root
+            test = _unit(_mix(ht + steps[2]))
+            test *= u
+            test *= root
+            accept = test < _exp((_R * _R - x * x) * 0.5)
+            z[tail[accept]] = np.copysign(x, z.take(tail))[accept]  # z holds the sign of the tail's attempt
+            tail = tail[~accept]
+        attempt += 1
+    return z
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> None:
-    """SeedSequence's ``mix(x, y)``, written into ``x``; ``y`` (broadcast) is overwritten."""
-    x *= _MIX_MULT_L
-    y *= _MIX_MULT_R
-    x -= y
-    x ^= x >> _SHIFT16
-
-
-def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """The high 64 bits of each ``a * b``, from 32-bit limbs, in a new array."""
-    b0, b1 = b & _LIMB, b >> _U64(32)
-    a0, a1 = a & _LIMB, a >> _U64(32)
-    carry = a0 * b0
-    carry >>= _U64(32)
-    mid = a1 * b0
-    mid += carry  # at most (2**32 - 1)**2 + 2**32 - 1: no wrap
-    np.bitwise_and(mid, _LIMB, out=carry)
-    a0 *= b1
-    a0 += carry  # likewise
-    mid >>= _U64(32)
-    a0 >>= _U64(32)
-    a1 *= b1
-    a1 += mid
-    a1 += a0
-    return a1
-
-
-def _add128(a: tuple, b: tuple) -> tuple:
-    """``a += b`` mod 2**128, in place; returns ``a``."""
-    hi, lo = a
-    lo += b[1]
-    hi += b[0]
-    hi += lo < b[1]
-    return a
-
-
-def _pcg_step(state: tuple, inc: tuple) -> tuple:
-    """``state * MULT + inc`` mod 2**128, in new arrays."""
-    hi, lo = state
-    new_hi = _mulhi64(lo, _MULT_LO)
-    term = lo * _MULT_HI
-    new_hi += term
-    np.multiply(hi, _MULT_LO, out=term)
-    new_hi += term
-    return _add128((new_hi, np.multiply(lo, _MULT_LO, out=term)), inc)
-
-
-def _xsl_rr(state: tuple) -> np.ndarray:
-    """PCG64's output of a stepped state: ``rotr64(hi ^ lo, hi >> 58)``."""
-    hi, lo = state
-    v = hi ^ lo
-    rot = hi >> _U64(58)
-    out = v >> rot
-    np.subtract(_U64(64), rot, out=rot)
-    rot &= _U64(63)
-    v <<= rot
-    out |= v
-    return out
-
-
-def _pcg64_seeded(seed: int, keys: np.ndarray) -> tuple[tuple, tuple]:
-    """``PCG64(SeedSequence((seed, *key)))``'s (state, inc) for each key row.
-
-    The keys must lie in [0, 2**32), so that each is one entropy word.
-    """
-    n = keys.shape[0]
-    entropy = [np.uint32(w) for w in _uint32_words(seed)] + list(keys.astype(np.uint32, copy=False).T)
-    # mix_entropy: one hashmix call per pool word, then each pool word mixed
-    # into every other one (its calls all hash the same value), then every
-    # further entropy word mixed into each pool word: four calls per word
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
-    pool = np.empty((_POOL_SIZE, n), dtype=np.uint32)
-    for row, word in zip(pool, entropy):
-        row[...] = word
-    _hashmix(pool, consts[:_POOL_SIZE + 1], out=pool)
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        hashed = _hashmix(pool[src], consts[k:k + _POOL_SIZE])
-        k += _POOL_SIZE - 1
-        _mix(pool[:src], hashed[:src])
-        _mix(pool[src + 1:], hashed[src:])
-    for word in entropy[_POOL_SIZE:]:
-        _mix(pool, _hashmix(word, consts[k:k + _POOL_SIZE + 1]))
-        k += _POOL_SIZE
-    del entropy
-    # generate_state(4, np.uint64): eight words cycling over the pool, then
-    # each pair of words (low first) as one uint64
-    consts = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    words = np.empty((2 * _POOL_SIZE, n), dtype=np.uint32)
-    _hashmix(pool, consts[:_POOL_SIZE + 1], out=words[:_POOL_SIZE])
-    _hashmix(pool, consts[_POOL_SIZE:], out=words[_POOL_SIZE:])
-    del pool
-    pairs = words[1::2].astype(np.uint64)
-    pairs <<= _U64(32)
-    pairs |= words[::2]
-    del words
-    # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1; state = 0, step,
-    # state += initstate, step; so state = (inc + initstate) * MULT + inc
-    init_hi, init_lo, inc_hi, inc_lo = pairs
-    inc_hi <<= _U64(1)
-    inc_hi |= inc_lo >> _U64(63)
-    inc_lo <<= _U64(1)
-    inc_lo |= _U64(1)
-    inc = (inc_hi, inc_lo)
-    return _pcg_step(_add128((init_hi, init_lo), inc), inc), inc
-
-
-def _settable_generator() -> tuple[np.random.Generator, Callable[[int, int], None]]:
-    """A new PCG64 generator, and a function that sets its 128-bit (state, inc)."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_gen = rng.bit_generator
-    full = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
-            "has_uint32": 0, "uinteger": 0}
-
-    def set_state(state: int, inc: int) -> None:
-        full["state"]["state"], full["state"]["inc"] = state, inc
-        bit_gen.state = full
-
-    return rng, set_state
-
-
-def _draw_per_key(state: tuple, inc: tuple, outliers: bool) -> np.ndarray:
-    """numpy's own draws from seeded PCG64 states, one row per state.
-
-    Each state is set in turn on one generator of this call's own, which then
-    draws as ``simulate_range`` does: the standard normal, then (with
-    ``outliers``) the outlier coin and the ``random()`` that ``uniform``
-    scales into the magnitude.
-    """
-    rng, set_state = _settable_generator()
-    halves = [a.tolist() for a in (*state, *inc)]
-    draws = []
-    for sh, sl, ih, il in zip(*halves):
-        set_state(sh << 64 | sl, ih << 64 | il)
-        draws.append(rng.standard_normal())
-        if outliers:
-            draws += (rng.random(), rng.random())
-    return np.array(draws, dtype=np.float64).reshape(len(halves[0]), 3 if outliers else 1)
-
-
-def _draw(seed: int, keys: np.ndarray, outliers: bool, tables: tuple) -> tuple:
-    """The draws of ``_draw_per_key`` for each key row, and which rows took the array path.
-
-    A row whose first raw output takes the ziggurat's fast path (``rabs <
-    ki[layer]``, so the normal is ``±rabs * wi[layer]``) is computed here
-    from PCG64's first three outputs; every other row is drawn per key.
-    """
-    ki, wi = tables
-    state, inc = _pcg64_seeded(seed, keys)
-    stepped = _pcg_step(state, inc)
-    r = _xsl_rr(stepped)
-    layer = (r & _U64(_LAYERS - 1)).astype(np.intp)
-    negative = (r & _U64(_LAYERS)).astype(bool)
-    r >>= _U64(9)
-    rabs = np.bitwise_and(r, _RABS_MASK, out=r)
-    draws = np.empty((keys.shape[0], 3 if outliers else 1))
-    z = draws[:, 0]
-    z[...] = rabs
-    z *= wi[layer]
-    np.negative(z, out=z, where=negative)
-    fast = rabs < ki[layer]
-    del r, rabs, layer, negative
-    for column in range(1, draws.shape[1]):
-        # the outlier coin and magnitude: random() of the 2nd and 3rd outputs
-        stepped = _pcg_step(stepped, inc)
-        r = _xsl_rr(stepped)
-        r >>= _U64(11)
-        draws[:, column] = r
-        draws[:, column] *= _DOUBLE_UNIT
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        draws[slow] = _draw_per_key(
-            tuple(a[slow] for a in state), tuple(a[slow] for a in inc), outliers)
-    return draws, fast
-
-
-# the draws _ziggurat_tables checks against the per-key generator
-_CHECK_KEYS = np.column_stack([np.arange(512), np.arange(512) * 37 % 600, np.arange(512) % 3])
-_CHECK_MIN_FAST = 0.95
-
-
-@functools.cache
-def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The ``ki`` and ``wi`` tables of numpy's ziggurat, recovered once per process.
-
-    numpy does not expose them, so each entry is read off numpy's own
-    standard normal through crafted PCG64 states, then the array path is
-    checked against the per-key generator on a fixed key set. Should that
-    check fail, a ``RuntimeWarning`` says so and the tables come back as
-    zeros, which sends every key down the per-key path.
-    """
-    tables = _recover_tables()
-    if tables is not None:
-        draws, fast = _draw(0, _CHECK_KEYS, True, tables)
-        per_key = _draw_per_key(*_pcg64_seeded(0, _CHECK_KEYS), True)
-        if fast.mean() >= _CHECK_MIN_FAST and np.array_equal(
-                draws[fast].view(np.uint64), per_key[fast].view(np.uint64)):
-            return tables
-    warnings.warn(
-        "this numpy's standard normal does not match the ziggurat the batched draw "
-        "models; every range is drawn per key, bit-exact but slower", RuntimeWarning,
-        stacklevel=3,
-    )
-    return np.zeros(_LAYERS, dtype=np.uint64), np.zeros(_LAYERS)
-
-
-def _recover_tables() -> tuple[np.ndarray, np.ndarray] | None:
-    """numpy's ziggurat ``(ki, wi)``, probed with crafted PCG64 states; None if they do not fit.
-
-    With ``inc = 1`` and ``state = (r - 1) * MULT**-1``, the next raw output
-    is exactly ``r`` (stepping lands on ``state = r``, whose high word is 0,
-    so XSL-RR neither mixes nor rotates). A normal drawn from there took the
-    fast path if it left the state one step on, at ``r``.
-    """
-    rng, set_state = _settable_generator()
-
-    def probe(layer: int, rabs: int) -> tuple[float, bool]:
-        r = rabs << 9 | layer
-        set_state((r - 1) * _PCG_MULT_INV & _MASK128, 1)
-        z = rng.standard_normal()
-        return z, rng.bit_generator.state["state"]["state"] == r
-
-    ki, wi = np.zeros(_LAYERS, dtype=np.uint64), np.zeros(_LAYERS)
-    top = 1 << _RABS_BITS
-    for layer in range(_LAYERS):
-        z, fast = probe(layer, 1)
-        if not fast:
-            # a layer whose fast path is at most rabs == 0, where z is ±0.0 for any wi
-            ki[layer] = int(probe(layer, 0)[1])
-            continue
-        wi[layer] = z
-        # Marsaglia & Tsang: ki[i] = floor(2**52 * x[i-1] / x[i]), wi[i] = x[i] / 2**52
-        guess = None
-        if layer >= 2 and wi[layer - 1] > 0.0:
-            guess = int(wi[layer - 1] / wi[layer] * top)
-        ki[layer] = _least_slow(lambda v: probe(layer, v)[1], 1, top, guess)
-    return (ki, wi) if wi.any() else None
-
-
-def _least_slow(is_fast, lo: int, hi: int, guess: int | None) -> int:
-    """The least v in (lo, hi] for which ``is_fast(v)`` is false, with ``is_fast(lo)`` true.
-
-    ``is_fast`` must be monotone and ``hi`` counts as slow unprobed. Up to
-    three probes walk from the guess toward the answer, which settles a guess
-    one off either way; ``bisect`` searches what is left, or everything without a guess.
-    """
-    if guess is not None:
-        v = min(max(guess, lo + 1), hi - 1)  # probe inside (lo, hi) only
-        for _ in range(3):
-            if not lo < v < hi:
-                break
-            if is_fast(v):
-                lo, v = v, v + 1
-            else:
-                hi, v = v, v - 1
-    return bisect.bisect_left(range(lo + 1, hi), True, key=lambda v: not is_fast(v)) + lo + 1
+def _check_keys(seed: int, keys: np.ndarray) -> None:
+    """Reject keys that are not integers in [0, 2**32), or a negative seed."""
+    if keys.dtype.kind not in "iu":
+        raise TypeError(f"keys must be integers, got {keys.dtype}")
+    if seed < 0 or (keys.size and keys.min() < 0):
+        raise ValueError("expected non-negative integer")
+    if keys.size and keys.max() > _MASK32:
+        raise ValueError(f"keys must lie in [0, 2**32), got {keys.max()}")
 
 
 def simulate_range_batch(
@@ -535,46 +385,34 @@ def simulate_range_batch(
     keys = np.asarray(keys)
     if keys.ndim != 2 or keys.shape[1] != 3 or d.shape != keys.shape[:1]:
         raise ValueError(f"expected (n,) distances and (n, 3) keys, got {d.shape} and {keys.shape}")
-    if keys.dtype.kind not in "iu":
-        raise TypeError(f"keys must be integers, got {keys.dtype}")
-    if seed < 0 or (keys.size and keys.min() < 0):
-        raise ValueError("expected non-negative integer")
-    if keys.size and keys.max() > _MASK32:
-        raise ValueError(f"keys must lie in [0, 2**32), got {keys.max()}")
+    _check_keys(seed, keys)
     check_true_distances(d)
     out = np.empty(d.size)
-    outliers = noise.p_outlier > 0.0
-    tables = _ziggurat_tables() if d.size else None  # an empty batch recovers nothing
     for start in range(0, d.size, DRAW_CHUNK):
         chunk = slice(start, start + DRAW_CHUNK)
-        draws, _ = _draw(seed, keys[chunk], outliers, tables)
-        _noisy_reading(d[chunk], draws, noise, out[chunk])
+        _noisy_reading(d[chunk], _key_states(seed, keys[chunk]), noise, out[chunk])
     return out
 
 
-def _noisy_reading(d: np.ndarray, draws: np.ndarray, noise: NoiseConfig, out: np.ndarray) -> None:
-    """simulate_range's arithmetic on arrays, in its operation order, written into ``out``.
-
-    ``draws`` holds one row per distance: the standard normal, then (only
-    when ``p_outlier`` > 0) the outlier coin and the ``random()`` of the
-    magnitude; it is overwritten.
-    """
+def _noisy_reading(d: np.ndarray, h: np.ndarray, noise: NoiseConfig, out: np.ndarray) -> None:
+    """simulate_range's arithmetic on arrays, in its operation order, with the draws of the key
+    states ``h`` (draw 0 the normal, draws 1 and 2 the outlier coin and magnitude), into ``out``."""
     # an overflow gives inf silently, as in simulate_range; callers reject it
     with np.errstate(over="ignore"):
         np.multiply(d, noise.slope, out=out)
         out += noise.offset
-        # Generator.normal(0, sigma) returns 0 + sigma * z
-        z = draws[:, 0]
+        # the stream's normal(0, sigma) returns 0 + sigma * z
+        z = _normals(h, 0)
         z *= noise.sigma
         z += 0.0
         out += z
         if noise.p_outlier > 0.0:
-            # Generator.uniform(low, high) returns low + (high - low) * random()
+            # the stream's uniform(low, high) returns low + (high - low) * random()
             low, high = OUTLIER_MAGNITUDE
-            magnitude = draws[:, 2]
+            magnitude = _uniforms(h, 2)
             magnitude *= high - low
             magnitude += low
-            np.multiply(out, magnitude, out=out, where=draws[:, 1] < noise.p_outlier)
+            np.multiply(out, magnitude, out=out, where=_uniforms(h, 1) < noise.p_outlier)
         np.multiply(out, noise.inflation_factor, out=out, where=out > noise.inflation_threshold)
     np.maximum(out, MIN_SIMULATED_RANGE, out=out)
 
@@ -591,12 +429,9 @@ def simulate_visits(
     xy = np.asarray(locations, dtype=float).reshape(-1, 2)
     m = xy.shape[0]
     true_d = anchors.true_distances(xy)
-    keys = np.empty((m, reps, 3, 3), dtype=np.uint32)  # one entropy word each, as the draw needs
-    keys[..., 0] = np.arange(m)[:, None, None]
-    keys[..., 1] = np.arange(reps)[:, None]
-    keys[..., 2] = np.arange(3)
+    keys = np.indices((m, reps, 3), dtype=np.uint32).reshape(3, -1).T
     d = np.broadcast_to(true_d[:, None, :], (m, reps, 3))
-    return simulate_range_batch(d.ravel(), keys.reshape(-1, 3), noise, seed).reshape(m, reps, 3)
+    return simulate_range_batch(d.ravel(), keys, noise, seed).reshape(m, reps, 3)
 
 
 def simulate_campaign(campaign: Campaign) -> list[Visits]:

@@ -4,17 +4,19 @@ The package works on arrays: it predicts through ``(query, label, mass)``
 arrays, fits every calibration pair of every set at once, measures distances
 and maps labels to grid vertices an array at a time, applies the MAD rule to
 every (point, anchor) column of the observation sets in one call, and
-converts a measurement file's lines in one numpy call, and writes a DB or
+converts a measurement file's lines in one numpy call, writes a DB or
 measurement file a slice of lines at a time through an array form of
-``repr``. These are the same rules written over one query's ``{label: mass}``
-dict, one pair of distances, one pair of points, one grid label, one column of
-readings or one line of a file. The distance of one pair of points takes the
+``repr``, and draws ranges for arrays of keys. These are the same rules written
+over one query's ``{label: mass}`` dict, one pair of distances, one pair of
+points, one grid label, one column of readings, one line of a file or one
+draw's key. The distance of one pair of points takes the
 same IEEE 754 steps in Python floats as the package in numpy, so the two agree
 bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +26,7 @@ from uwbloc.errors import FileFormatError, parse_number, read_text
 from uwbloc.fingerprint import FingerprintDB, GridSpec, _grid_axes
 from uwbloc.geometry import PointMM, check_ranges
 from uwbloc.learners import VoteWeights
+from uwbloc import simulator
 from uwbloc.simulator import MEASUREMENT_HEADER, NoiseConfig, Visits
 
 ClassProbabilities = dict[int, float]
@@ -159,3 +162,94 @@ def write_measurements(path: str, records: list[Visits]) -> None:
         lines += (f"{x!r},{y!r},{da!r},{db!r},{dc!r}" for da, db, dc in rec.ranges.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix(x: int) -> int:
+    """SplitMix64's finalizer on one 64-bit int."""
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & MASK64
+    x = (x ^ x >> 27) * 0x94D049BB133111EB & MASK64
+    return x ^ x >> 31
+
+
+def key_state(seed: int, key: tuple[int, ...]) -> int:
+    """The hash of a draw's key: the word count, the seed's 32-bit words, then the key's words two
+    at a time, the first in the high half."""
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    values = [len(words) + len(key)] + words
+    values += [key[i] << 32 | key[i + 1] if i + 1 < len(key) else key[i] for i in range(0, len(key), 2)]
+    h = 0
+    for v in values:
+        h = splitmix((h ^ v) + 0x9E3779B97F4A7C15 & MASK64)
+    return h
+
+
+def exp_nonpositive(t: float) -> float:
+    """The kernel's ``exp`` for ``t <= 0``, in Python floats."""
+    t = max(t, -800.0)
+    k = round(t / (simulator._LN2_HI + simulator._LN2_LO))
+    t = t - k * simulator._LN2_HI - k * simulator._LN2_LO
+    p = 0.0
+    for c in simulator._EXP_TERMS:
+        p = p * t + c
+    return math.ldexp(p, k)
+
+
+class DrawStream:
+    """``simulator.measurement_stream`` in Python ints and floats, one word at a time.
+
+    ``events`` lists what each attempt of each normal did: ``fast``, ``wedge-accept``,
+    ``wedge-reject``, ``tail`` (entered), ``tail-reject`` and ``tail-accept``.
+    """
+
+    def __init__(self, seed: int, key: tuple[int, ...]):
+        self.state, self.drawn, self.events = key_state(seed, key), 0, []
+
+    def _word(self, n: int) -> int:
+        return splitmix(self.state + (((self.drawn << 32) + n + 1) * 0x9E3779B97F4A7C15) & MASK64)
+
+    def _unit(self, n: int) -> float:
+        return (self._word(n) >> 11) * 2.0**-53
+
+    def _standard_normal(self) -> float:
+        bound, width, density = (t.tolist() for t in simulator._ziggurat())
+        r, tail = simulator._R, False
+        for attempt in itertools.count():
+            if not tail:
+                w = self._word(3 * attempt)
+                layer, negative, magnitude = w & 0xFF, w >> 8 & 1, w >> 12
+                x = magnitude * width[layer]
+                if magnitude < bound[layer]:
+                    self.events.append("fast")
+                    return -x if negative else x
+                if layer > 0:
+                    y = self._unit(3 * attempt + 1) * (density[layer - 1] - density[layer]) + density[layer]
+                    self.events.append("wedge-accept" if y < exp_nonpositive(x * x * -0.5) else "wedge-reject")
+                    if self.events[-1] == "wedge-accept":
+                        return -x if negative else x
+                    continue
+                self.events.append("tail")
+                tail = True
+            # in the tail from this attempt on: propose x = R / u**(1/8) and test it
+            u = self._unit(3 * attempt + 1) + 2.0**-53
+            root = math.sqrt(math.sqrt(math.sqrt(u)))
+            x = r / root
+            if self._unit(3 * attempt + 2) * u * root < exp_nonpositive((r * r - x * x) * 0.5):
+                self.events.append("tail-accept")
+                return -x if negative else x
+            self.events.append("tail-reject")
+
+    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
+        z = self._standard_normal()
+        self.drawn += 1
+        return loc + scale * z
+
+    def random(self) -> float:
+        u = self._unit(0)
+        self.drawn += 1
+        return u
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        return low + (high - low) * self.random()

@@ -154,7 +154,7 @@ def test_clean_reports_the_first_bad_reading_of_the_sets_in_row_major_order():
 @pytest.mark.parametrize("mad_k, mad_scale", [(3.0, MAD_SCALE_NORMAL), (1.5, 1.0)])
 def test_clean_keeps_the_sets_of_one_mad_call_per_column(p_outlier, mad_k, mad_scale):
     kept = []
-    for seed, reps in ((1, 1), (2, 2), (3, 7), (4, 40), (5, 301)):
+    for seed, reps in ((1, 1), (2, 2), (3, 7), (4, 40), (5, 2001)):
         noise = NoiseConfig(p_outlier=p_outlier, seed=seed)
         records = simulate_campaign(Campaign(REFERENCE_POINTS, reps, DEFAULT_ANCHORS, noise))
         records.append(Visits(REFERENCE_POINTS[2], records[2].ranges[:3]))  # trimmed away
@@ -166,7 +166,8 @@ def test_clean_keeps_the_sets_of_one_mad_call_per_column(p_outlier, mad_k, mad_s
             continue
         got = clean_observation_rows(records, mad_k=mad_k, mad_scale=mad_scale)
         assert got.sets.tobytes() == want.tobytes()
-    assert 0 < kept[-1] < 301  # the rule drops some sets and keeps others
+    # the rule drops some sets and keeps others: at p_outlier 0.3 and mad_k 1.5 it keeps ~0.3%
+    assert 0 < kept[-1] < 2001
 
 
 def _reading(pi, r):

@@ -177,8 +177,9 @@ def test_run_ml_rejects_a_non_finite_mad_setting(setting, value):
 
 
 def test_run_ml_augmentation_changes_the_training_set():
-    base = _fast_cfg(seed=2)
-    augmented = _fast_cfg(seed=2, augment=3)
+    # at the default sigma of 30 mm; at 10 mm most seeds' queries all land on their own cells
+    base = _fast_cfg(seed=2, noise=NoiseConfig())
+    augmented = _fast_cfg(seed=2, augment=3, noise=NoiseConfig())
     r0 = run_ml(base, DEFAULT_ANCHORS, COARSE_GRID)
     r1 = run_ml(augmented, DEFAULT_ANCHORS, COARSE_GRID)
     r2 = run_ml(augmented, DEFAULT_ANCHORS, COARSE_GRID)

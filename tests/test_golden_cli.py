@@ -6,9 +6,11 @@ the SHA-256 of every file a seven-command CLI chain writes, and the
 ``config_hash`` plus the built domain objects for the all-defaults config
 and for a config that sets every key to a non-default value.
 
-As in ``test_golden.py``, the digests hold for one numpy version only. To
-regenerate after a deliberate contract change, run this file as a script
-and name the change in CHANGES.md.
+As in ``test_golden.py``, the digests of files written through numpy's
+``Generator`` (``fit`` and ``evaluate`` of a fingerprint model) hold for one
+numpy version only; the measurement files ``simulate`` writes and the config
+digests hold on every numpy. To regenerate after a deliberate contract
+change, run this file as a script and name the change in CHANGES.md.
 """
 
 import hashlib
@@ -22,9 +24,9 @@ from uwbloc.config import load_config, parse_config_text
 
 NUMPY_VERSION = "2.4.6"
 
-pytestmark = pytest.mark.skipif(
+PINNED_NUMPY = pytest.mark.skipif(
     np.__version__ != NUMPY_VERSION,
-    reason=f"golden digests hold for numpy {NUMPY_VERSION}, found {np.__version__}",
+    reason=f"digests through numpy's Generator hold for numpy {NUMPY_VERSION}, found {np.__version__}",
 )
 
 CHAIN_CONFIG = "grid.spacing = 100\neval.n_trials = 100\n"
@@ -86,13 +88,13 @@ fingerprint.augment = 2
 """
 
 CHAIN_DIGESTS = {
-    "meas.csv": "fdce5feeaed3828e378479b0b0a7f376eba8668e293cc6783da874338525bff2",
-    "cal.csv": "4781297b371a576c020a98294c826e9bb26e859190ef035628a8ee865c9370ce",
-    "db.csv": "5e9250934a070c58d05af4c7b60b32c098569bcb7297c1b5df5b2bc5ad2a3ab0",
-    "base.csv": "cc946604f34e5372907668a0c9b99dec1fb0d7387f246f7e2c9ad18ed105119b",
-    "knn.csv": "3cb20be836e79ae7df90b811675b685aa867d4e47b8e8f480034a3f3f5e404aa",
-    "vote.csv": "c7854a7c498ed8a32dbda07603279b672d58489e21b120ba75454dadae4c4ce6",
-    "cmp.csv": "8fe1f9fa00330a52a6e40837137a65a59490f7d7cabda345332a0b0f31e509f1",
+    "meas.csv": "477a4756bd2caec9831b0aefd90aba8dbb44354b767660abaa819b5e73fd70f5",
+    "cal.csv": "00597871dabb73978b179548825ca1a06c2b96963b9e952550fde033e17c9f3d",
+    "db.csv": "539f50f96db52d4f86749c7d7a411cf7b2e6b7719db870dbe718021bea0e4b43",
+    "base.csv": "58611333a063cc72f30c04b936b5fe17a768c792f2bf1c424b8b22ab38a552f4",
+    "knn.csv": "d2b933d2519a5bb7ab9921b04fa0b55e36f25deb7ab6f5dbddc21edfb691c256",
+    "vote.csv": "a4023a52119b30ee0384262883393e0df23c03ca327a9a237ffcb7087fb6d708",
+    "cmp.csv": "0f835ed90a39ea2d45b039b8459c5c1cd520885a42bca25b8cb4ea5b542bc547",
 }
 
 # a campaign that visits reference point 1 twice: fit pools both visits in order
@@ -103,15 +105,15 @@ calibration.n_select = 20
 """
 
 REPEATED_DIGESTS = {
-    "meas.csv": "bfc9556ef7e8101cd40503e4644131e20756d30daf3b500f484b75106b6f57fe",
-    "cal.csv": "cd87ea0c3b77ec8a9b888d7b35d25f3104d93ba73b902772ac3a4ebbafd23e96",
+    "meas.csv": "2de8beb4613a8e3756a04515acf732162d09604bd94f12089e22b619d97b0d27",
+    "cal.csv": "8d0ea6a92e45d8f790ffdd5e42db424ce14c06cb80025e700a4d9cd6fd821c55",
 }
 
 CONFIG_DIGESTS = {
     "defaults": ("ae65fed1cb6dec75",
-                 "71ded34517f6f7153e764d6024ae17c24a87984cf666a4de4fc9fa4ba24c6fb3"),
+                 "2ca791346da6d4060bf8a212016c947f7c8196f6b0cfa1c8e5a7d6d1519952fc"),
     "all-keys": ("88f9e6f4bd65b9a3",
-                 "725ebdbb25fe285c94536859d3051cf4bf5d0abc595895cb5e04847c5a685288"),
+                 "54bef8163933525b2e1edad4a1e72dd5ae4dd18ee2ed5c4c894dc653a62138f1"),
 }
 
 
@@ -119,11 +121,11 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run_chain(work: Path) -> dict[str, str]:
+def _run_chain(work: Path, chain=CHAIN) -> dict[str, str]:
     cfg = work / "chain.cfg"
     cfg.write_text(CHAIN_CONFIG, encoding="utf-8")
     digests = {}
-    for out, argv in CHAIN:
+    for out, argv in chain:
         argv = [a.format(d=work) for a in argv]
         if argv[0] != "compare":
             argv += ["--config", str(cfg)]
@@ -145,24 +147,34 @@ def _write_all_keys(work: Path) -> str:
     return str(path)
 
 
+@PINNED_NUMPY
 def test_cli_chain_digests(tmp_path):
     assert _run_chain(tmp_path) == CHAIN_DIGESTS
 
 
-def _run_repeated(work: Path) -> dict[str, str]:
+def test_measurement_file_digests(tmp_path):
+    # simulate alone: its files hold on every numpy
+    assert _run_chain(tmp_path, CHAIN[:1]) == {"meas.csv": CHAIN_DIGESTS["meas.csv"]}
+    assert _run_repeated(tmp_path, fit=False) == {"meas.csv": REPEATED_DIGESTS["meas.csv"]}
+
+
+def _run_repeated(work: Path, fit: bool = True) -> dict[str, str]:
     cfg = work / "repeated.cfg"
     cfg.write_text(REPEATED_CONFIG, encoding="utf-8")
     meas, cal = work / "meas.csv", work / "cal.csv"
     assert main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(meas)]) == 0
+    if not fit:
+        return {meas.name: _sha(meas.read_bytes())}
     assert main(["fit", str(meas), "--config", str(cfg), "--seed", "3", "--out", str(cal)]) == 0
     return {p.name: _sha(p.read_bytes()) for p in (meas, cal)}
 
 
+@PINNED_NUMPY
 def test_repeated_reference_point_digests(tmp_path, capsys):
     assert _run_repeated(tmp_path) == REPEATED_DIGESTS
     out = capsys.readouterr().out
     assert "wrote 150 measurement sets" in out
-    assert "kept 26 clean sets" in out
+    assert "kept 24 clean sets" in out
 
 
 def test_all_keys_config_sets_every_key(tmp_path):

@@ -682,10 +682,10 @@ def test_forest_grows_members_in_batches_of_bounded_slots(monkeypatch):
 
 def test_forest_build_memory_stays_within_its_batch_budget(monkeypatch):
     # members grow in batches of about 2 * _CHUNK_ELEMENTS slots, so a build's working memory does
-    # not grow with the number of trees: past its node tables, held twice while the batches' tables
-    # are joined, its peak stays within a fixed budget per slot of one batch. Here the 24 members
-    # span six batches and peak ~255 B per batch slot above the tables; the budget of 512 B leaves
-    # room, and growing all 24 members in one batch peaks ~1,170 B above them
+    # not grow with the number of trees, and the batches' tables are joined one table at a time,
+    # each batch's part freed as it is joined. Here the 24 members span six batches and the build
+    # peaks at ~1.88x its node tables, while the run tables are made after the join; joining every
+    # table at once peaked at ~2.45x, and growing all 24 members in one batch peaks at ~4.1x
     monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", 1000)
     rng = np.random.default_rng(83)
     train = _train(rng.uniform(1.0, 2500.0, size=(800, 3)), rng.integers(0, 4, size=800))
@@ -696,7 +696,34 @@ def test_forest_build_memory_stays_within_its_batch_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     tables = sum(a.nbytes for a in vars(forest).values() if isinstance(a, np.ndarray))
-    assert peak < 2 * tables + 512 * 2 * learners._CHUNK_ELEMENTS
+    assert peak < 2 * tables
+
+
+def test_shallow_forest_predicts_in_pieces_of_bounded_memory(monkeypatch):
+    # depth-3 members over 600 distinct labels keep ~75 labels a leaf, so 200 queries reach ~250,000
+    # (query, member, label) entries: one piece at the default _CHUNK_ELEMENTS, which peaks at ~22 MiB.
+    # In pieces of about 4 * 250 entries the prediction peaks at ~240 KiB and gives the same labels
+    rng = np.random.default_rng(59)
+    forest = ForestClassifier(_train(rng.uniform(1.0, 2500.0, size=(600, 3)), np.arange(600)),
+                              n_trees=4, max_depth=3, seed=2)
+    Q = rng.uniform(1.0, 2500.0, size=(200, 3))
+    leaf = forest.apply_batch(Q)
+    assert 50 * len(Q) < (forest._offset[leaf + 1] - forest._offset[leaf]).sum() < 4 * learners._CHUNK_ELEMENTS
+    want = forest.predict_batch(Q)
+    monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", 250)
+    tracemalloc.start()
+    try:
+        got = forest.predict_batch(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 2**19
+    # the masses the vote reads are the one-piece ones too
+    monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", 1 << 16)
+    whole = forest._masses(Q)
+    monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", 250)
+    assert all(np.array_equal(a, b) for a, b in zip(forest._masses(Q), whole))
 
 
 def test_tree_over_the_10mm_grid_recovers_every_training_label():

@@ -1,10 +1,10 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from uwbloc.simulator import (
     write_measurements,
 )
 
+import oracles
 from oracles import IDENTITY_NOISE, distance
 
 
@@ -195,13 +196,14 @@ def test_simulation_is_reproducible():
     assert [r.ranges.tolist() for r in first] == [r.ranges.tolist() for r in second]
 
 
-# -- the batched kernel against the single-draw oracle ------------------------
-# These compare with numpy's own SeedSequence and PCG64, so unlike the golden
-# digests they hold on every numpy version: a change to numpy's seeding fails
-# here instead of silently changing every stream.
+# -- the batched kernel against the single-draw streams ------------------------
+# A draw is a pure function of its key, so the batch kernel must give, row for
+# row, the bits of the package's one-key stream and of the pure-Python stream
+# in tests/oracles.py, which rebuilds every word from SplitMix64 and the
+# ziggurat one at a time.
 
-# one- and two-word entropy, and five words: more seed words than SeedSequence's pool holds
-KERNEL_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 5)
+# one, two and three 32-bit words, and five
+KERNEL_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**128 + 5)
 KERNEL_NOISES = {
     "default": NoiseConfig(),
     "outlier0.3": NoiseConfig(p_outlier=0.3),
@@ -214,12 +216,28 @@ KERNEL_NOISES = {
 EDGE_DISTANCES = (0.0, 980.0, np.nextafter(980.0, 0.0), np.nextafter(980.0, 2000.0),
                   1000.0, np.nextafter(1000.0, 0.0), np.nextafter(1000.0, 2000.0))
 
+PATH_SEED = 11
+# keys whose normal under PATH_SEED takes each path of the ziggurat, and the attempts it makes
+PATH_KEYS = {
+    (1969181736, 335, 1): ("wedge-accept",),
+    (867281912, 300, 1): ("wedge-accept",),  # layer 1, which is all wedge
+    (2321661935, 536, 2): ("wedge-reject", "fast"),
+    (62027659, 578, 1): ("wedge-reject", "wedge-accept"),
+    (3784578454, 575, 1): ("wedge-reject", "wedge-reject", "fast"),
+    (2081841404, 356, 2): ("tail", "tail-accept"),
+    (2325849432, 7, 2): ("tail", "tail-reject", "tail-accept"),
+}
 
-def _oracle(d, keys, noise, seed):
+
+def _oracle(d, keys, noise, seed, stream=oracles.DrawStream):
     return np.array([
-        simulate_range(float(di), noise, measurement_stream(seed, *(int(k) for k in key)))
+        simulate_range(float(di), noise, stream(seed, tuple(int(k) for k in key)))
         for di, key in zip(d, keys)
     ])
+
+
+def _package_stream(seed, key):
+    return measurement_stream(seed, *key)
 
 
 def _random_case(n, rng_seed):
@@ -240,7 +258,44 @@ def _same_bits(got, want):
 def test_batch_kernel_matches_single_draw_oracle(seed, noise):
     d, keys = _random_case(40, seed % 1000)
     keys[:4] = [(0, 0, 0), (2**32 - 1, 0, 2), (0, 2**32 - 1, 1), (2**32 - 1,) * 3]
-    assert _same_bits(simulate_range_batch(d, keys, noise, seed), _oracle(d, keys, noise, seed))
+    got = simulate_range_batch(d, keys, noise, seed)
+    assert _same_bits(got, _oracle(d, keys, noise, seed))
+    assert _same_bits(got, _oracle(d, keys, noise, seed, _package_stream))
+
+
+@pytest.mark.parametrize("noise", [NoiseConfig(), NoiseConfig(p_outlier=0.3)], ids=["default", "outlier0.3"])
+def test_batch_kernel_matches_the_streams_on_every_path(noise):
+    # the keys of PATH_KEYS among random ones, in a batch that spans a chunk edge
+    d, keys = _random_case(DRAW_CHUNK + 3, PATH_SEED)
+    keys[DRAW_CHUNK - 4:] = list(PATH_KEYS)
+    streams = [oracles.DrawStream(PATH_SEED, tuple(int(k) for k in key)) for key in keys]
+    want = np.array([simulate_range(float(di), noise, s) for di, s in zip(d, streams)])
+    assert [tuple(s.events) for s in streams[DRAW_CHUNK - 4:]] == list(PATH_KEYS.values())
+    if noise.p_outlier:  # both sides of the outlier coin: the second draw of each stream
+        coins = []
+        for key in keys:
+            stream = oracles.DrawStream(PATH_SEED, tuple(int(k) for k in key))
+            stream.normal()
+            coins.append(stream.random() < noise.p_outlier)
+        assert 0 < sum(coins) < len(coins)
+    assert _same_bits(simulate_range_batch(d, keys, noise, PATH_SEED), want)
+    assert _same_bits(_oracle(d, keys, noise, PATH_SEED, _package_stream), want)
+
+
+@pytest.mark.parametrize("n", [DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1])
+def test_a_draw_is_the_same_in_any_chunk_or_order(n, monkeypatch):
+    d, keys = _random_case(n, n)
+    keys[-len(PATH_KEYS):] = list(PATH_KEYS)
+    noise = NoiseConfig(p_outlier=0.3)
+    want = simulate_range_batch(d, keys, noise, PATH_SEED)
+    order = np.random.default_rng(n).permutation(n)
+    assert _same_bits(simulate_range_batch(d[order], keys[order], noise, PATH_SEED), want[order])
+    halves = [simulate_range_batch(d[part], keys[part], noise, PATH_SEED)
+              for part in (slice(None, n // 2), slice(n // 2, None))]
+    assert _same_bits(np.concatenate(halves), want)
+    # smaller chunks
+    monkeypatch.setattr(simulator, "DRAW_CHUNK", 7)
+    assert _same_bits(simulate_range_batch(d, keys, noise, PATH_SEED), want)
 
 
 def test_batch_kernel_spans_chunks():
@@ -258,6 +313,50 @@ def test_batch_kernel_spans_chunks():
     for noise in (NoiseConfig(), NoiseConfig(p_outlier=0.3)):
         got = simulator.simulate_visits(xy, DEFAULT_ANCHORS, reps, noise, seed)
         assert _same_bits(got.ravel(), _oracle(d, keys, noise, seed))
+
+
+def test_derive_seed_is_the_key_hash_of_master_and_stage():
+    # the scalar finalizer of derive_seed and the array one of the kernel are one hash
+    for master in (0, 5, 2**32 - 1, 2**32, 2**64 + 7, 2**200 + 3):
+        for stage in (STAGE_OBSERVATION, STAGE_FOREST, 2**32 - 1):
+            assert derive_seed(master, stage) == oracles.key_state(master, (stage,))
+    with pytest.raises(ValueError):
+        derive_seed(-1, STAGE_TRIALS)
+
+
+def test_normals_fit_the_normal_distribution():
+    # a binned chi-squared test of 1,002,000 fixed-key normals against math.erf; bins
+    # start at the ziggurat's tail, R = 3.654..., and split it at 4, which the tail's
+    # accept test moves from about half of its proposals to a quarter
+    n = 1_002_000
+    idx = np.arange(n)
+    keys = np.column_stack([idx // 1002, idx % 1002 // 3, idx % 3])
+    noise = NoiseConfig(offset=1000.0, sigma=1.0, inflation_threshold=1e9)
+    z = simulate_range_batch(np.zeros(n), keys, noise, 17)
+    z -= 1000.0
+    r = simulator._R
+    edges = np.array([-np.inf, -4.0, -r, -3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.0,
+                      0.5, 1.0, 1.5, 2.0, 2.5, 3.0, r, 4.0, np.inf])
+    observed = np.histogram(z, edges)[0]
+    cdf = [0.5 * math.erfc(-e / math.sqrt(2.0)) for e in edges]
+    expected = n * np.diff(cdf)
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    df = len(expected) - 1
+    # the 0.999 quantile of chi-squared, by Wilson and Hilferty's cube-root normal approximation
+    limit = df * (1.0 - 2.0 / (9 * df) + 3.0902 * math.sqrt(2.0 / (9 * df))) ** 3
+    assert chi2 < limit, (chi2, observed.tolist())
+    assert observed[0] > 0 and observed[-1] > 0  # the tail is drawn
+
+
+def test_ziggurat_tables_are_pinned():
+    # the bytes of (fast bound, width, density) per layer, little-endian
+    tables = simulator._ziggurat()
+    data = b"".join(t.astype(t.dtype.newbyteorder("<")).tobytes() for t in tables)
+    assert hashlib.sha256(data).hexdigest() == ZIGGURAT_DIGEST
+    assert [t.shape for t in tables] == [(256,)] * 3 and not any(t.flags.writeable for t in tables)
+
+
+ZIGGURAT_DIGEST = "e18396faaaa3cd0933cb90aab3700af2b4b415feec2b1f2c0802468a49be371d"
 
 
 def test_batch_draw_peak_memory_is_bounded():
@@ -288,15 +387,16 @@ def test_batch_kernel_rejects_what_the_single_draw_path_rejects():
         simulate_range_batch([5.0, -1.0], keys, NoiseConfig(), 0)
     with pytest.raises(ValueError, match="got nan"):
         simulate_range_batch([np.nan, np.inf], keys, NoiseConfig(), 0)
-    # a negative key or seed: ValueError, as numpy's SeedSequence raises
-    for key in ((-1, 0, 0), (0, 0, -1)):
+    # a negative key or seed, or a key of 2**32 or more: ValueError on both paths
+    for key in ((-1, 0, 0), (0, 0, -1), (0, 2**32, 0)):
         with pytest.raises(ValueError):
             measurement_stream(0, *key)
         with pytest.raises(ValueError):
             simulate_range_batch([5.0], np.array([key]), NoiseConfig(), 0)
     with pytest.raises(ValueError):
+        measurement_stream(-1, 0, 0, 0)
+    with pytest.raises(ValueError):
         simulate_range_batch([5.0], keys[:1], NoiseConfig(), -1)
-    # a key of 2**32 or more is two entropy words to numpy; the kernel refuses it
     with pytest.raises(ValueError, match="2\\*\\*32"):
         simulate_range_batch([5.0], np.array([(0, 2**32, 0)]), NoiseConfig(), 0)
     with pytest.raises(TypeError):
@@ -305,143 +405,27 @@ def test_batch_kernel_rejects_what_the_single_draw_path_rejects():
         simulate_range_batch([5.0, 6.0], keys[:1], NoiseConfig(), 0)
 
 
-# -- the array path and the per-key path ---------------------------------------
-# simulate_range_batch computes a draw in numpy arithmetic when numpy's
-# ziggurat takes its fast path on the key's first raw output, and draws every
-# other key on a generator that the call creates for itself. The oracle cases above meet such a slow key
-# about once in 200, so these make sure both paths run and agree.
-
-
-def _slow_kind(seed, key):
-    """None if numpy's normal on this key's stream uses one raw output, else
-    'tail' (layer 0), 'layer1' or 'wedge' (rabs >= ki)."""
-    key = tuple(int(k) for k in key)
-    normal = measurement_stream(seed, *key)
-    normal.standard_normal()
-    raw = measurement_stream(seed, *key).bit_generator
-    layer = raw.random_raw() & 0xFF
-    if normal.bit_generator.state == raw.state:
-        return None
-    return {0: "tail", 1: "layer1"}.get(layer, "wedge")
-
-
-@pytest.fixture
-def per_key_rows(monkeypatch):
-    """Counts the rows simulate_range_batch sends down the per-key path."""
-    simulator._ziggurat_tables()  # recovered before counting
-    rows = []
-    draw_per_key = simulator._draw_per_key
-
-    def spy(state, inc, outliers):
-        rows.append(state[0].size)
-        return draw_per_key(state, inc, outliers)
-
-    monkeypatch.setattr(simulator, "_draw_per_key", spy)
-    return rows
-
-
 @pytest.fixture
 def fresh_tables():
-    """Forget the recovered tables before and after the test."""
-    simulator._ziggurat_tables.cache_clear()
+    """Forget the ziggurat tables before and after the test."""
+    simulator._ziggurat.cache_clear()
     yield
-    simulator._ziggurat_tables.cache_clear()
+    simulator._ziggurat.cache_clear()
 
 
-SLOW_SEED = 11
-# keys in the ziggurat's tail (layer 0, rabs >= ki[0]) under SLOW_SEED: about
-# one key in 4,000 lands there, so a random batch this size may hold none
-TAIL_KEYS = [(1051586539, 226, 2), (3360535182, 157, 0), (2287284178, 319, 2)]
-
-
-@pytest.fixture(scope="module")
-def slow_case():
-    d, keys = _random_case(4096, SLOW_SEED)
-    keys[-len(TAIL_KEYS):] = TAIL_KEYS
-    kinds = [_slow_kind(SLOW_SEED, key) for key in keys]
-    return d, keys, kinds
-
-
-@pytest.mark.parametrize("noise", [NoiseConfig(), NoiseConfig(p_outlier=0.3)],
-                         ids=["default", "outlier0.3"])
-def test_batch_kernel_slow_keys_of_every_kind(slow_case, noise, per_key_rows):
-    d, keys, kinds = slow_case
-    slow = sum(k is not None for k in kinds)
-    assert {"tail", "layer1", "wedge"} <= set(kinds)
-    got = simulate_range_batch(d, keys, noise, SLOW_SEED)
-    # both paths ran, and the per-key one took exactly the slow keys
-    assert 0 < sum(per_key_rows) == slow < len(keys)
-    assert _same_bits(got, _oracle(d, keys, noise, SLOW_SEED))
-
-
-def test_most_keys_take_the_array_path(slow_case, per_key_rows):
-    d, keys, _ = slow_case
-    simulate_range_batch(d, keys, NoiseConfig(), SLOW_SEED)
-    assert sum(per_key_rows) <= 0.03 * len(keys)
-
-
-def test_ziggurat_tables_pass_their_self_check(fresh_tables):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ki, wi = simulator._ziggurat_tables()
-    assert ki.any() and wi.any()
-
-
-def test_per_key_fallback_keeps_the_bits(fresh_tables, monkeypatch, slow_case, per_key_rows):
-    # tables that cannot be recovered send every key down the per-key path
-    monkeypatch.setattr(simulator, "_recover_tables", lambda: None)
-    simulator._ziggurat_tables.cache_clear()
-    d, keys, _ = slow_case
-    d, keys = d[:300], keys[:300]
+def test_concurrent_batch_draws_keep_the_bits(fresh_tables):
+    # four threads draw the same keys three times each at once, switching often,
+    # while the tables are computed under them: every draw gets the serial run's bits
+    d, keys = _random_case(4096, PATH_SEED)
+    keys[-len(PATH_KEYS):] = list(PATH_KEYS)
     noise = NoiseConfig(p_outlier=0.3)
-    with pytest.warns(RuntimeWarning, match="per key"):
-        got = simulate_range_batch(d, keys, noise, SLOW_SEED)
-    assert per_key_rows[-1] == len(keys)
-    assert _same_bits(got, _oracle(d, keys, noise, SLOW_SEED))
-
-
-def test_self_check_rejects_wrong_tables(fresh_tables, monkeypatch):
-    ki, wi = simulator._recover_tables()
-    monkeypatch.setattr(simulator, "_recover_tables", lambda: (ki, np.nextafter(wi, 1.0)))
-    with pytest.warns(RuntimeWarning, match="per key"):
-        ki_used, _ = simulator._ziggurat_tables()
-    assert not ki_used.any()
-
-
-def test_reused_generator_keeps_no_state(fresh_tables, slow_case):
-    # every slow key sets the whole state of its call's generator: draws A, B, A
-    # give A's bits both times, and recovering the tables afterwards still
-    # passes the self-check
-    d, keys, kinds = slow_case
-    slow = [i for i, kind in enumerate(kinds) if kind is not None]
-    a, b = keys[slow[::2]], keys[slow[1::2]]
-    first = simulator._draw_per_key(*simulator._pcg64_seeded(SLOW_SEED, a), True)
-    simulator._draw_per_key(*simulator._pcg64_seeded(SLOW_SEED + 1, b), False)
-    again = simulator._draw_per_key(*simulator._pcg64_seeded(SLOW_SEED, a), True)
-    assert _same_bits(first, again)
-    noise = NoiseConfig(p_outlier=0.3)
-    want = _oracle(d[:300], keys[:300], noise, SLOW_SEED)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _same_bits(simulate_range_batch(d[:300], keys[:300], noise, SLOW_SEED), want)
-        simulator._ziggurat_tables.cache_clear()
-        ki, wi = simulator._ziggurat_tables()
-        assert ki.any() and wi.any()
-        assert _same_bits(simulate_range_batch(d[:300], keys[:300], noise, SLOW_SEED), want)
-
-
-def test_concurrent_batch_draws_keep_the_bits(fresh_tables, slow_case):
-    # four threads draw the slow case three times each at once, switching often,
-    # while the tables are recovered under them: every draw gets the serial run's bits
-    d, keys, _ = slow_case
-    noise = NoiseConfig(p_outlier=0.3)
-    want = simulate_range_batch(d, keys, noise, SLOW_SEED)
-    simulator._ziggurat_tables.cache_clear()
+    want = simulate_range_batch(d, keys, noise, PATH_SEED)
+    simulator._ziggurat.cache_clear()
     start, got = threading.Barrier(4), [[] for _ in range(4)]
 
     def draw(i):
         start.wait()
-        got[i] += [simulate_range_batch(d, keys, noise, SLOW_SEED) for _ in range(3)]
+        got[i] += [simulate_range_batch(d, keys, noise, PATH_SEED) for _ in range(3)]
 
     threads = [threading.Thread(target=draw, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -450,41 +434,15 @@ def test_concurrent_batch_draws_keep_the_bits(fresh_tables, slow_case):
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert [len(g) for g in got] == [3] * 4
     assert all(_same_bits(g, want) for draws in got for g in draws)
 
 
-# (threshold, guess) in (1, 2**52]: the guess exact, one off either way, two
-# below, far off either way or missing, and thresholds at both bounds
-LEAST_SLOW_HI = 2**52
-LEAST_SLOW_CASES = [
-    (1000, 1000), (1000, 999), (1000, 1001), (1000, 998), (1000, 10**9), (1000, 3), (1000, None),
-    (2, 2), (2, 1), (2, 3), (2, None),
-    (LEAST_SLOW_HI, LEAST_SLOW_HI - 1), (LEAST_SLOW_HI, LEAST_SLOW_HI), (LEAST_SLOW_HI, 2**60),
-    (LEAST_SLOW_HI, None), (LEAST_SLOW_HI - 1, LEAST_SLOW_HI),
-]
-
-
-@pytest.mark.parametrize("threshold, guess", LEAST_SLOW_CASES)
-def test_least_slow_finds_the_threshold(threshold, guess):
-    probes = []
-
-    def is_fast(v):
-        assert 1 < v < LEAST_SLOW_HI  # lo is known fast and hi counts as slow: neither is probed
-        probes.append(v)
-        return v < threshold
-
-    assert simulator._least_slow(is_fast, 1, LEAST_SLOW_HI, guess) == threshold
-    if guess is not None and abs(guess - threshold) <= 1:
-        assert len(probes) <= 3, probes
-    # the probes narrowed (lo, hi] by monotonicity alone: none repeats
-    assert len(set(probes)) == len(probes)
-
-
-def test_batch_draws_recover_nothing_at_set_up(tmp_path):
+def test_set_up_computes_no_ziggurat_tables(tmp_path):
     # what a fresh process does before its first evaluation: load and resolve
     # a config (overrides, or a file), no range drawn yet
     dense = tmp_path / "dense.cfg"
@@ -497,7 +455,7 @@ def test_batch_draws_recover_nothing_at_set_up(tmp_path):
         "                        (sys.argv[1], {})):\n"
         "    cfg = load_config(path, overrides)\n"
         "    cfg.pipeline(); cfg.anchors(); cfg.grid()\n"
-        "print(simulator._ziggurat_tables.cache_info().misses)\n"
+        "print(simulator._ziggurat.cache_info().misses)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", code, str(dense)], env=env,
