@@ -324,6 +324,28 @@ def test_derive_seed_is_the_key_hash_of_master_and_stage():
         derive_seed(-1, STAGE_TRIALS)
 
 
+@pytest.mark.parametrize("word", [0, 1, 2, 6])
+def test_derive_seed_reads_every_word_of_the_seed(word):
+    # run.seed is unbounded: a bit flipped in any 32-bit word of a seven-word seed moves every stage
+    master = int.from_bytes(bytes(range(1, 29)), "little")
+    flipped = master ^ 1 << (32 * word + 5)
+    for stage in (STAGE_OBSERVATION, STAGE_FOREST):
+        assert derive_seed(flipped, stage) != derive_seed(master, stage)
+        assert derive_seed(flipped, stage) == oracles.key_state(flipped, (stage,))
+
+
+@pytest.mark.parametrize("seed", [PATH_SEED, 2**32 + PATH_SEED, 2**64 + PATH_SEED],
+                         ids=["one-word", "two-word", "three-word"])
+def test_measurement_stream_draws_as_the_python_stream(seed):
+    # normal, random and uniform in an order simulate_range never asks for, draw by draw
+    for key in list(PATH_KEYS) + [(0, 0, 0), (2**32 - 1,) * 3]:
+        draws = []
+        for stream in (measurement_stream(seed, *key), oracles.DrawStream(seed, key)):
+            draws.append(np.array([stream.normal(), stream.random(), stream.normal(5.0, 2.0),
+                                   stream.uniform(1.5, 3.0), stream.normal(), stream.random()]))
+        assert _same_bits(*draws), key
+
+
 def test_normals_fit_the_normal_distribution():
     # a binned chi-squared test of 1,002,000 fixed-key normals against math.erf; bins
     # start at the ziggurat's tail, R = 3.654..., and split it at 4, which the tail's
@@ -357,6 +379,42 @@ def test_ziggurat_tables_are_pinned():
 
 
 ZIGGURAT_DIGEST = "e18396faaaa3cd0933cb90aab3700af2b4b415feec2b1f2c0802468a49be371d"
+
+
+def test_ziggurat_layers_have_equal_area():
+    # layer i >= 1 is [0, x[i]] x [f(x[i]), f(x[i-1])] and the base strip [0, V / f(R)] x [0, f(R)];
+    # a magnitude has 52 bits, so a layer's edge is its width times 2**52
+    _, width, density = simulator._ziggurat()
+    x, v = width * 2.0**52, float(simulator._ZIGGURAT_V)
+    assert x[-1] == simulator._R and density[0] == 1.0
+    assert np.all(np.diff(x[1:]) > 0) and np.all(np.diff(density) < 0)
+    np.testing.assert_allclose(density[1:], [math.exp(-e * e / 2) for e in x[1:]], rtol=1e-15)
+    assert x[0] * density[-1] == pytest.approx(v, rel=1e-12)
+    # V is given to 12 digits, so the layers close to about 1e-9
+    np.testing.assert_allclose(x[1:] * (density[:-1] - density[1:]), v, rtol=1e-8)
+
+
+def test_a_fast_magnitude_lies_under_the_layer_above():
+    # a magnitude m of layer i is fast when m < bound[i]: bound[i] is the least m with
+    # m * width[i] >= x[i-1], R for the base strip and 0 for layer 1, up to the widths' rounding
+    bound, width, _ = simulator._ziggurat()
+    below = np.concatenate([[simulator._R, 0.0], width[1:-1] * 2.0**52])
+    reach = bound.astype(float) * width
+    assert bound[1] == 0
+    assert np.all(reach <= below * (1 + 1e-15))
+    assert np.all(reach + width > below * (1 - 1e-15))
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 0.0), (-7.0, -1.0), (-745.0, -7.0), (-2000.0, -745.0)],
+                         ids=["near-zero", "wedge", "tail", "underflow"])
+def test_exp_is_within_an_ulp_of_math_exp(lo, hi):
+    # the wedge tests exp(-x*x/2) for x <= 3.92, the tail exp((R*R - x*x)/2) for any x >= R
+    t = np.random.default_rng(int(-lo)).uniform(lo, hi, 20_000)
+    t[:2] = lo, hi
+    got = simulator._exp(t.copy())
+    want = np.array([math.exp(v) for v in t])
+    assert np.all(np.abs(got - want) <= np.spacing(want))
+    assert _same_bits(got, np.array([oracles.exp_nonpositive(v) for v in t]))
 
 
 def test_batch_draw_peak_memory_is_bounded():
