@@ -404,13 +404,23 @@ class _Trees(_Classifier):
         head[self._left[same] + 1] = same
         while np.any(head[head] != head):
             head = head[head]
-        inner = inner[np.argsort(head[inner], kind="stable")]  # by run, then id: rising thresholds
-        end = np.flatnonzero(np.diff(head[inner], append=-1)) + 1  # just past each run's last node
-        self._steps = np.insert(self._threshold[inner], end, np.inf)
-        self._to = np.insert(self._left[inner], end, self._left[inner[end - 1]] + 1)
-        self._first, self._stop = np.zeros((2, head.shape[0]), dtype=np.int64)
-        run = head[inner[end - 1]]  # the runs' heads; run j has j sentinels before it
-        self._first[run], self._stop[run] = (end - np.diff(end, prepend=0), end) + np.arange(end.shape[0])
+        heads = head[inner]
+        del head, same, entries  # node-sized: freed before the run tables are made
+        order = np.argsort(heads, kind="stable")  # by run, then id: rising thresholds
+        inner, heads = inner[order], heads[order]
+        end = np.flatnonzero(np.diff(heads, append=-1)) + 1  # just past each run's last node
+        run = heads[end - 1]  # the runs' heads
+        del heads, order
+        sentinel = end + np.arange(end.shape[0])  # run j's +inf, after j earlier ones
+        node = np.ones(inner.shape[0] + end.shape[0], dtype=bool)
+        node[sentinel] = False
+        self._steps = np.full(node.shape[0], np.inf)
+        self._to = np.empty(node.shape[0], dtype=self._left.dtype)
+        self._steps[node], self._to[node] = self._threshold[inner], self._left[inner]
+        self._to[sentinel] = self._to[sentinel - 1] + 1  # the last node's right child
+        del inner, node
+        self._first, self._stop = np.zeros((2, self._feature.shape[0]), dtype=np.int64)
+        self._first[run], self._stop[run] = sentinel - np.diff(end, prepend=0), sentinel
 
     @staticmethod
     def _grow_batch(train, members, rngs, features_per_split, cap, min_leaf, first_id):

@@ -684,8 +684,9 @@ def test_forest_build_memory_stays_within_its_batch_budget(monkeypatch):
     # members grow in batches of about 2 * _CHUNK_ELEMENTS slots, so a build's working memory does
     # not grow with the number of trees, and the batches' tables are joined one table at a time,
     # each batch's part freed as it is joined. Here the 24 members span six batches and the build
-    # peaks at ~1.88x its node tables, while the run tables are made after the join; joining every
-    # table at once peaked at ~2.45x, and growing all 24 members in one batch peaks at ~4.1x
+    # peaks at ~1.45x its node tables, while the run tables are made after the join from the inner
+    # nodes alone; holding every node's run head and entry count while they were made peaked at
+    # ~1.88x, joining every table at once at ~2.45x, and growing all 24 members in one batch at ~4.1x
     monkeypatch.setattr(learners, "_CHUNK_ELEMENTS", 1000)
     rng = np.random.default_rng(83)
     train = _train(rng.uniform(1.0, 2500.0, size=(800, 3)), rng.integers(0, 4, size=800))
@@ -696,7 +697,7 @@ def test_forest_build_memory_stays_within_its_batch_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     tables = sum(a.nbytes for a in vars(forest).values() if isinstance(a, np.ndarray))
-    assert peak < 2 * tables
+    assert peak < 1.7 * tables
 
 
 def test_shallow_forest_predicts_in_pieces_of_bounded_memory(monkeypatch):

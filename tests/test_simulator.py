@@ -263,14 +263,21 @@ def test_batch_kernel_matches_single_draw_oracle(seed, noise):
     assert _same_bits(got, _oracle(d, keys, noise, seed, _package_stream))
 
 
+# keys per chunk in the tests that run the pure-Python oracle over batches across chunk edges,
+# so that their cost does not follow DRAW_CHUNK
+SMALL_CHUNK = 256
+
+
 @pytest.mark.parametrize("noise", [NoiseConfig(), NoiseConfig(p_outlier=0.3)], ids=["default", "outlier0.3"])
-def test_batch_kernel_matches_the_streams_on_every_path(noise):
-    # the keys of PATH_KEYS among random ones, in a batch that spans a chunk edge
-    d, keys = _random_case(DRAW_CHUNK + 3, PATH_SEED)
-    keys[DRAW_CHUNK - 4:] = list(PATH_KEYS)
+def test_batch_kernel_matches_the_streams_on_every_path(noise, monkeypatch):
+    # the keys of PATH_KEYS across the first of two chunk edges, among random ones
+    monkeypatch.setattr(simulator, "DRAW_CHUNK", SMALL_CHUNK)
+    d, keys = _random_case(2 * SMALL_CHUNK + 3, PATH_SEED)
+    paths = slice(SMALL_CHUNK - 4, SMALL_CHUNK + 3)
+    keys[paths] = list(PATH_KEYS)
     streams = [oracles.DrawStream(PATH_SEED, tuple(int(k) for k in key)) for key in keys]
     want = np.array([simulate_range(float(di), noise, s) for di, s in zip(d, streams)])
-    assert [tuple(s.events) for s in streams[DRAW_CHUNK - 4:]] == list(PATH_KEYS.values())
+    assert [tuple(s.events) for s in streams[paths]] == list(PATH_KEYS.values())
     if noise.p_outlier:  # both sides of the outlier coin: the second draw of each stream
         coins = []
         for key in keys:
@@ -282,10 +289,11 @@ def test_batch_kernel_matches_the_streams_on_every_path(noise):
     assert _same_bits(_oracle(d, keys, noise, PATH_SEED, _package_stream), want)
 
 
-@pytest.mark.parametrize("n", [DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1])
+@pytest.mark.parametrize("n", [3 * SMALL_CHUNK - 1, 3 * SMALL_CHUNK, 3 * SMALL_CHUNK + 1])
 def test_a_draw_is_the_same_in_any_chunk_or_order(n, monkeypatch):
+    monkeypatch.setattr(simulator, "DRAW_CHUNK", SMALL_CHUNK)
     d, keys = _random_case(n, n)
-    keys[-len(PATH_KEYS):] = list(PATH_KEYS)
+    keys[SMALL_CHUNK - 4:SMALL_CHUNK + 3] = list(PATH_KEYS)
     noise = NoiseConfig(p_outlier=0.3)
     want = simulate_range_batch(d, keys, noise, PATH_SEED)
     order = np.random.default_rng(n).permutation(n)
@@ -298,8 +306,22 @@ def test_a_draw_is_the_same_in_any_chunk_or_order(n, monkeypatch):
     assert _same_bits(simulate_range_batch(d, keys, noise, PATH_SEED), want)
 
 
-def test_batch_kernel_spans_chunks():
-    d, keys = _random_case(2 * DRAW_CHUNK + 3, 5)
+def test_a_batch_across_the_real_chunk_edge_draws_as_7_key_chunks(monkeypatch):
+    # at the module's own DRAW_CHUNK, with PATH_KEYS across its edge: every 97th row and
+    # the rows around the edge keep their bits when drawn again in chunks of 7 keys
+    n = DRAW_CHUNK + 8
+    d, keys = _random_case(n, 13)
+    keys[DRAW_CHUNK - 4:DRAW_CHUNK + 3] = list(PATH_KEYS)
+    noise = NoiseConfig(p_outlier=0.3)
+    want = simulate_range_batch(d, keys, noise, PATH_SEED)
+    rows = np.r_[0:DRAW_CHUNK - 7:97, DRAW_CHUNK - 7:n]
+    monkeypatch.setattr(simulator, "DRAW_CHUNK", 7)
+    assert _same_bits(simulate_range_batch(d[rows], keys[rows], noise, PATH_SEED), want[rows])
+
+
+def test_batch_kernel_spans_chunks(monkeypatch):
+    monkeypatch.setattr(simulator, "DRAW_CHUNK", SMALL_CHUNK)
+    d, keys = _random_case(2 * SMALL_CHUNK + 3, 5)
     for noise in (NoiseConfig(seed=9), NoiseConfig(p_outlier=0.3, seed=9)):
         assert _same_bits(simulate_range_batch(d, keys, noise, 9), _oracle(d, keys, noise, 9))
     # what every pipeline passes: a derived (two-word) seed, and simulate_visits'
@@ -307,12 +329,37 @@ def test_batch_kernel_spans_chunks():
     seed = derive_seed(4, STAGE_TRIALS)
     assert seed > 2**32
     xy = np.array([(100.0, 250.0), (900.0, 1750.0), (0.0, 0.0)])
-    reps = (2 * DRAW_CHUNK + 5) // 9 + 1
+    reps = (2 * SMALL_CHUNK + 5) // 9 + 1
     keys = np.array([(i, rep, j) for i in range(len(xy)) for rep in range(reps) for j in range(3)])
     d = np.array([distance(PointMM(*xy[i]), DEFAULT_ANCHORS.as_tuple()[j]) for i, _, j in keys])
     for noise in (NoiseConfig(), NoiseConfig(p_outlier=0.3)):
         got = simulator.simulate_visits(xy, DEFAULT_ANCHORS, reps, noise, seed)
         assert _same_bits(got.ravel(), _oracle(d, keys, noise, seed))
+
+
+# the wedge PATH_KEYS, the tail ones and both: a batch of one kind gives the shared exp
+# of every attempt an empty part
+WEDGE_KEYS = [key for key, events in PATH_KEYS.items() if events[0] != "tail"]
+TAIL_KEYS = [key for key, events in PATH_KEYS.items() if events[0] == "tail"]
+
+
+@pytest.mark.parametrize("keys", [WEDGE_KEYS, TAIL_KEYS, list(PATH_KEYS)], ids=["wedge", "tail", "both"])
+def test_wedge_and_tail_keys_draw_as_the_python_stream_alone_or_together(keys):
+    keys = np.array(keys)
+    d = np.full(len(keys), 1500.0)
+    for noise in (NoiseConfig(), NoiseConfig(p_outlier=0.3)):
+        got = simulate_range_batch(d, keys, noise, PATH_SEED)
+        assert _same_bits(got, _oracle(d, keys, noise, PATH_SEED))
+
+
+def test_exp_of_joined_arguments_is_the_joined_exps():
+    # _normals joins an attempt's wedge and tail arguments into one _exp call
+    rng = np.random.default_rng(3)
+    wedge = -0.5 * rng.uniform(0.0, 3.92, 1000) ** 2
+    tail = 0.5 * (simulator._R ** 2 - (simulator._R / rng.uniform(0.0, 1.0, 37) ** 0.125) ** 2)
+    for a, b in ((wedge, tail), (wedge, tail[:0]), (wedge[:0], tail), (tail, wedge)):
+        joined = simulator._exp(np.concatenate([a, b]))
+        assert _same_bits(joined, np.concatenate([simulator._exp(a.copy()), simulator._exp(b.copy())]))
 
 
 def test_derive_seed_is_the_key_hash_of_master_and_stage():
@@ -418,8 +465,8 @@ def test_exp_is_within_an_ulp_of_math_exp(lo, hi):
 
 
 def test_batch_draw_peak_memory_is_bounded():
-    # one 7,200-key call (6 points x 400 reps, as a default evaluation draws):
-    # the chunked kernel keeps its working set to a few hundred KiB
+    # one 7,200-key call (6 points x 400 reps, as a default evaluation draws) is
+    # one chunk, and its working set stays under a MiB (~0.7 MiB)
     xy = [(250.0, 500.0), (750.0, 500.0), (250.0, 1000.0), (750.0, 1000.0),
           (250.0, 1500.0), (750.0, 1500.0)]
     seed = derive_seed(0, STAGE_TRIALS)
