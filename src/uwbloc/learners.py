@@ -50,11 +50,14 @@ class TrainingSet:
 
     def __post_init__(self) -> None:
         X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
         if X.ndim != 2 or X.shape[1] != 3 or y.shape != (X.shape[0],):
             raise ValueError(f"shape mismatch: X {X.shape}, y {y.shape}")
         if X.shape[0] == 0:
             raise EmptyTrainingSetError("training set is empty")
+        if y.dtype.kind not in "iu":  # as cell_vertex: a float, str or bool label is no cell
+            raise TypeError(f"labels must be integers, got {y.dtype}")
+        y = y.astype(np.int64, copy=False)
         check_ranges(X)
         if np.any(y < 0):
             raise LabelOutOfRangeError("labels must be non-negative")

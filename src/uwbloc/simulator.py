@@ -12,15 +12,15 @@ on ``uint64`` (SplitMix64; Steele, Lea & Flood, OOPSLA 2014). Its normal is
 a 256-layer ziggurat (Marsaglia & Tsang, JSS 2000) whose tests use only +,
 −, ×, ÷ and sqrt. So a reading depends neither on the order or chunk it is
 drawn in nor on the numpy version. ``simulate_range_batch`` draws arrays of
-keys; ``measurement_stream`` and ``simulate_range`` are the same draws for
-one key.
+keys and ``simulate_range`` one ``measurement_stream`` key, both through
+``_noisy_reading``, whose order of operations the golden digests and the
+tests' scalar reference ``oracles.simulate_range`` pin.
 """
 
 from __future__ import annotations
 
 import decimal
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,7 +56,7 @@ __all__ = [
 # Simulated readings never drop below this floor (mm).
 MIN_SIMULATED_RANGE = 1.0
 
-# Keys per chunk in simulate_range_batch, which bounds its working set: a full chunk traces ~3.6 MiB
+# Keys per chunk in simulate_range_batch, which bounds its working set: a full chunk traces ~3.1 MiB
 # above its output and draws at ~47 ns a key (~92 ns in chunks of 4,096, whose rejection loop's fixed
 # cost dominated; 2-vCPU Xeon). Every batch a pipeline draws fits in one chunk.
 DRAW_CHUNK = 1 << 16
@@ -153,43 +153,20 @@ def derive_seed(master: int, stage: int) -> int:
     return _absorb_int(_seed_state(master, 1), stage)
 
 
-def measurement_stream(seed: int, location_index: int, rep: int, anchor_index: int) -> _KeyStream:
-    """The dedicated random stream of one (location, rep, anchor) measurement."""
+def measurement_stream(seed: int, location_index: int, rep: int, anchor_index: int) -> np.ndarray:
+    """The key state of one (location, rep, anchor) measurement, a one-element ``uint64`` array."""
     keys = np.array([(location_index, rep, anchor_index)])
     _check_keys(seed, keys)
-    return _KeyStream(_key_states(seed, keys))
+    return _key_states(seed, keys)
 
 
-def simulate_range(true_distance: float, noise: NoiseConfig, rng: _KeyStream) -> float:
-    """Draw one measured distance for a given true distance.
-
-    Draw order on ``rng`` is fixed: Gaussian disturbance first, then (only
-    when ``p_outlier`` > 0) the outlier coin and the outlier magnitude.
-    """
+def simulate_range(true_distance: float, noise: NoiseConfig, state: np.ndarray) -> float:
+    """Draw one measured distance for a given true distance, from the key state that
+    ``measurement_stream`` returns: ``simulate_range_batch``'s reading for that key."""
     check_true_distances(true_distance)
-    base = noise.slope * true_distance + noise.offset + rng.normal(0.0, noise.sigma)
-    if noise.p_outlier > 0.0:
-        if rng.random() < noise.p_outlier:
-            base *= rng.uniform(*OUTLIER_MAGNITUDE)
-    if base > noise.inflation_threshold:
-        base *= noise.inflation_factor
-    return max(base, MIN_SIMULATED_RANGE)
-
-
-class _KeyStream:
-    """The draws of one key in the order they are asked for: the p-th is the batch kernel's draw p."""
-
-    def __init__(self, state: np.ndarray):
-        self._state, self._purposes = state, itertools.count()
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
-        return loc + scale * float(_normals(self._state, next(self._purposes))[0])
-
-    def random(self) -> float:
-        return float(_uniforms(self._state, next(self._purposes))[0])
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return low + (high - low) * self.random()
+    out = np.full(1, true_distance, dtype=float)
+    _noisy_reading(out, state, noise, out)
+    return float(out[0])
 
 
 # SplitMix64: its increment and the two multipliers of its finalizer
@@ -332,14 +309,15 @@ def _normals(h: np.ndarray, purpose: int) -> np.ndarray:
         sign = w & _U64(_LAYERS)
         sign <<= _U64(63 - 8)  # bit 8 to a double's sign bit
         w >>= _MAGNITUDE_SHIFT
-        x = w * width.take(layer)
+        slow = np.flatnonzero(w >= bound.take(layer))
+        x = width.take(layer)
+        x *= w  # exact conversion: w < 2**52
         bits = x.view(np.uint64)
         bits |= sign
         if attempt:
             z[rows] = x
         else:  # attempt 0 draws every key, in order
             z = x
-        slow = np.flatnonzero(w >= bound.take(layer))
         base = layer.take(slow) == 0
         tail = np.concatenate([tail, rows.take(slow[base])])
         wedge = slow[~base]
@@ -383,9 +361,9 @@ def simulate_range_batch(
 ) -> np.ndarray:
     """Draw one measured distance per ``(location, rep, anchor)`` key row.
 
-    Row ``i`` is bit-identical to ``simulate_range(true_distances[i], noise,
-    measurement_stream(seed, *keys[i]))``. Keys are processed in chunks of
-    ``DRAW_CHUNK``; each must lie in [0, 2**32).
+    Row ``i`` is ``simulate_range(true_distances[i], noise, measurement_stream(seed, *keys[i]))``,
+    whose bits the golden digests and ``oracles.simulate_range`` pin. Keys are processed in
+    chunks of ``DRAW_CHUNK``; each must lie in [0, 2**32).
     """
     d = np.asarray(true_distances, dtype=float)
     keys = np.asarray(keys)
@@ -401,19 +379,18 @@ def simulate_range_batch(
 
 
 def _noisy_reading(d: np.ndarray, h: np.ndarray, noise: NoiseConfig, out: np.ndarray) -> None:
-    """simulate_range's arithmetic on arrays, in its operation order, with the draws of the key
-    states ``h`` (draw 0 the normal, draws 1 and 2 the outlier coin and magnitude), into ``out``."""
-    # an overflow gives inf silently, as in simulate_range; callers reject it
+    """The noise model: readings of true distances ``d`` into ``out`` (which may be ``d``) from the
+    draws of the key states ``h``: draw 0 the normal and, when ``p_outlier`` > 0, draws 1 and 2 the
+    outlier coin and magnitude. The golden digests and ``oracles.simulate_range`` pin its order of
+    operations."""
+    # an overflow gives inf silently; callers reject it
     with np.errstate(over="ignore"):
         np.multiply(d, noise.slope, out=out)
         out += noise.offset
-        # the stream's normal(0, sigma) returns 0 + sigma * z
         z = _normals(h, 0)
         z *= noise.sigma
-        z += 0.0
         out += z
         if noise.p_outlier > 0.0:
-            # the stream's uniform(low, high) returns low + (high - low) * random()
             low, high = OUTLIER_MAGNITUDE
             magnitude = _uniforms(h, 2)
             magnitude *= high - low

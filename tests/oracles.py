@@ -16,6 +16,8 @@ bit for bit.
 
 from __future__ import annotations
 
+import decimal
+import functools
 import itertools
 import math
 
@@ -26,8 +28,9 @@ from uwbloc.errors import FileFormatError, parse_number, read_text
 from uwbloc.fingerprint import FingerprintDB, GridSpec, _grid_axes
 from uwbloc.geometry import PointMM, check_ranges
 from uwbloc.learners import VoteWeights
-from uwbloc import simulator
-from uwbloc.simulator import MEASUREMENT_HEADER, NoiseConfig, Visits
+from uwbloc.simulator import (
+    MEASUREMENT_HEADER, MIN_SIMULATED_RANGE, OUTLIER_MAGNITUDE, NoiseConfig, Visits,
+)
 
 ClassProbabilities = dict[int, float]
 
@@ -186,19 +189,60 @@ def key_state(seed: int, key: tuple[int, ...]) -> int:
     return h
 
 
+# fdlibm's split of ln 2: the first part ends in 21 zero bits, so k * LN2_HI is exact for t >= -800
+LN2_HI, LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+# 1/n! for n = 13 .. 0, highest degree first
+EXP_TERMS = [
+    1.6059043836821613e-10, 2.08767569878681e-09, 2.505210838544172e-08, 2.755731922398589e-07,
+    2.7557319223985893e-06, 2.48015873015873e-05, 0.0001984126984126984, 0.001388888888888889,
+    0.008333333333333333, 0.041666666666666664, 0.16666666666666666, 0.5, 1.0, 1.0,
+]
+
+
 def exp_nonpositive(t: float) -> float:
-    """The kernel's ``exp`` for ``t <= 0``, in Python floats."""
+    """The kernel's ``exp`` for ``t <= 0``, in Python floats: a Taylor polynomial in
+    ``s = t - k ln 2``, times ``2**k``."""
     t = max(t, -800.0)
-    k = round(t / (simulator._LN2_HI + simulator._LN2_LO))
-    t = t - k * simulator._LN2_HI - k * simulator._LN2_LO
+    k = round(t / (LN2_HI + LN2_LO))
+    t = t - k * LN2_HI - k * LN2_LO
     p = 0.0
-    for c in simulator._EXP_TERMS:
+    for c in EXP_TERMS:
         p = p * t + c
     return math.ldexp(p, k)
 
 
+# Marsaglia & Tsang's published 256-layer ziggurat (JSS 2000): the base strip ends at R, and
+# every layer has area V
+ZIGGURAT_R, ZIGGURAT_V = "3.6541528853610088", "0.00492867323399"
+
+
+@functools.cache
+def ziggurat() -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
+    """Per layer, as tuples: the fast bound of a 52-bit magnitude, the width of one magnitude step
+    and the density ``exp(-x*x/2)`` at the layer's right edge, from R and V in 25-digit ``decimal``.
+
+    From the top layer's edge x = R down, the layer below's edge has density V / x + f(x). Layer 0
+    is the base strip, V / f(R) wide. A magnitude is fast below the edge of the layer above, and
+    in the base strip below R.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 25
+        r, v = decimal.Decimal(ZIGGURAT_R), decimal.Decimal(ZIGGURAT_V)
+        edges, densities = [r], [(-r * r / 2).exp()]
+        while len(edges) < 255:
+            densities.insert(0, v / edges[0] + densities[0])
+            edges.insert(0, (-2 * densities[0].ln()).sqrt())
+        widths = [v / densities[-1]] + edges
+        reaches = [r, decimal.Decimal(0)] + edges[:-1]
+        steps = 2**52
+        return (tuple(int(steps * reach / width) for reach, width in zip(reaches, widths)),
+                tuple(float(width / steps) for width in widths),
+                (1.0, *(float(f) for f in densities)))
+
+
 class DrawStream:
-    """``simulator.measurement_stream`` in Python ints and floats, one word at a time.
+    """One key's draws in Python ints and floats, one word at a time, in the order they are asked
+    for: the p-th is the kernel's draw p, ``simulator._normals`` or ``_uniforms`` of purpose p.
 
     ``events`` lists what each attempt of each normal did: ``fast``, ``wedge-accept``,
     ``wedge-reject``, ``tail`` (entered), ``tail-reject`` and ``tail-accept``.
@@ -214,8 +258,8 @@ class DrawStream:
         return (self._word(n) >> 11) * 2.0**-53
 
     def _standard_normal(self) -> float:
-        bound, width, density = (t.tolist() for t in simulator._ziggurat())
-        r, tail = simulator._R, False
+        bound, width, density = ziggurat()
+        r, tail = float(ZIGGURAT_R), False
         for attempt in itertools.count():
             if not tail:
                 w = self._word(3 * attempt)
@@ -253,3 +297,18 @@ class DrawStream:
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return low + (high - low) * self.random()
+
+
+def simulate_range(true_distance: float, noise: NoiseConfig, stream: DrawStream) -> float:
+    """One reading of the noise model (``simulator.simulate_range``), in Python floats.
+
+    The draws come in a fixed order: the normal, then, only when ``p_outlier`` > 0, the outlier
+    coin and the outlier magnitude.
+    """
+    base = noise.slope * true_distance + noise.offset + stream.normal(0.0, noise.sigma)
+    if noise.p_outlier > 0.0:
+        if stream.random() < noise.p_outlier:
+            base *= stream.uniform(*OUTLIER_MAGNITUDE)
+    if base > noise.inflation_threshold:
+        base *= noise.inflation_factor
+    return max(base, MIN_SIMULATED_RANGE)

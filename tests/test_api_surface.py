@@ -35,7 +35,7 @@ MODULES = [
 REMOVED = (
     "fit_pair", "mad_filter", "correct_range", "vertex_to_label", "IDENTITY_NOISE",
     "ClassProbabilities", "_ProbabilisticClassifier", "trilaterate_batch", "distances",
-    "predict_measured",
+    "predict_measured", "_KeyStream",
 )
 REMOVED_METHODS = ("predict", "predict_proba", "predict_proba_batch")
 

@@ -38,6 +38,11 @@ def test_training_set_validation():
         _train([[1.0, 2.0, 3.0]], [-1])
     with pytest.raises(LabelOutOfRangeError):
         _train([[1.0, 2.0, 3.0]], [99], GridSpec(50.0, 50.0, 25.0))
+    # non-integer labels are rejected, not truncated or parsed
+    X = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    for labels, dtype in (([0.7, 1.2], "float64"), (["1", "0"], "<U1"), ([True, False], "bool")):
+        with pytest.raises(TypeError, match=f"labels must be integers, got {dtype}"):
+            TrainingSet(X, labels)
 
 
 def test_training_set_from_arrays_and_db():

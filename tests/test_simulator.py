@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -60,11 +61,12 @@ def test_stage_seeds_are_distinct_and_stable():
 
 
 def test_measurement_stream_is_keyed_per_draw():
-    a = measurement_stream(7, 2, 14, 1).normal(0.0, 1.0)
-    b = measurement_stream(7, 2, 14, 1).normal(0.0, 1.0)
-    assert a == b
+    state = measurement_stream(7, 2, 14, 1)
+    assert state.dtype == np.uint64 and state.tolist() == [oracles.key_state(7, (2, 14, 1))]
+    a = simulator._normals(state, 0)
+    assert _same_bits(simulator._normals(measurement_stream(7, 2, 14, 1), 0), a)
     for other in ((8, 2, 14, 1), (7, 3, 14, 1), (7, 2, 15, 1), (7, 2, 14, 2)):
-        assert measurement_stream(*other).normal(0.0, 1.0) != a
+        assert simulator._normals(measurement_stream(*other), 0) != a
 
 
 def test_identity_noise_passes_distances_through():
@@ -87,28 +89,36 @@ def test_inflation_applies_beyond_threshold():
     assert simulate_range(1000.0, noise, measurement_stream(0, 0, 0, 2)) == 1000.0
 
 
-def test_outlier_coin_consumes_no_draws_when_disabled():
-    # with p_outlier == 0 only the Gaussian is drawn, so the stream's next
-    # value must line up with a fresh stream advanced by exactly one normal
-    noise = NoiseConfig(sigma=30.0, p_outlier=0.0)
-    rng = measurement_stream(3, 1, 2, 0)
-    simulate_range(500.0, noise, rng)
-    probe = rng.random()
-    fresh = measurement_stream(3, 1, 2, 0)
-    fresh.normal(0.0, 30.0)
-    assert probe == fresh.random()
+def test_outlier_coin_consumes_no_draws_when_disabled(monkeypatch):
+    # with p_outlier == 0 only the normal is drawn: neither the coin (draw 1) nor the magnitude
+    # (draw 2) is, in the package or in the oracle
+    asked, uniforms = [], simulator._uniforms
+
+    def counted(h, purpose):
+        asked.append(purpose)
+        return uniforms(h, purpose)
+
+    monkeypatch.setattr(simulator, "_uniforms", counted)
+    for p_outlier, purposes in ((0.0, []), (0.3, [2, 1])):
+        asked.clear()
+        noise = NoiseConfig(sigma=30.0, p_outlier=p_outlier)
+        got = simulate_range(500.0, noise, measurement_stream(3, 1, 2, 0))
+        stream = oracles.DrawStream(3, (1, 2, 0))
+        assert got == oracles.simulate_range(500.0, noise, stream)
+        assert asked == purposes
+        assert (stream.drawn == 1) == (p_outlier == 0.0)
 
 
 def test_outlier_multiplier_applies_before_inflation():
     # forced outlier: p = 1, magnitude in [1.5, 3] pushes 800 past the
     # inflation threshold, so both multipliers stack
     noise = NoiseConfig(sigma=0.0, offset=0.0, p_outlier=1.0, inflation_factor=2.0)
-    rng = measurement_stream(9, 0, 0, 0)
-    expect_rng = measurement_stream(9, 0, 0, 0)
-    expect_rng.normal(0.0, 0.0)
-    expect_rng.random()
-    magnitude = expect_rng.uniform(1.5, 3.0)
-    value = simulate_range(800.0, noise, rng)
+    stream = oracles.DrawStream(9, (0, 0, 0))
+    stream.normal(0.0, 0.0)
+    stream.random()
+    magnitude = stream.uniform(1.5, 3.0)
+    assert 800.0 * magnitude > noise.inflation_threshold
+    value = simulate_range(800.0, noise, measurement_stream(9, 0, 0, 0))
     assert value == 800.0 * magnitude * 2.0
 
 
@@ -196,11 +206,11 @@ def test_simulation_is_reproducible():
     assert [r.ranges.tolist() for r in first] == [r.ranges.tolist() for r in second]
 
 
-# -- the batched kernel against the single-draw streams ------------------------
+# -- the batched kernel against the single-draw oracle -------------------------
 # A draw is a pure function of its key, so the batch kernel must give, row for
-# row, the bits of the package's one-key stream and of the pure-Python stream
-# in tests/oracles.py, which rebuilds every word from SplitMix64 and the
-# ziggurat one at a time.
+# row, the bits of the scalar noise model over the pure-Python stream in
+# tests/oracles.py, which rebuilds every word from SplitMix64 and the ziggurat
+# one at a time.
 
 # one, two and three 32-bit words, and five
 KERNEL_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**128 + 5)
@@ -229,15 +239,11 @@ PATH_KEYS = {
 }
 
 
-def _oracle(d, keys, noise, seed, stream=oracles.DrawStream):
+def _oracle(d, keys, noise, seed):
     return np.array([
-        simulate_range(float(di), noise, stream(seed, tuple(int(k) for k in key)))
+        oracles.simulate_range(float(di), noise, oracles.DrawStream(seed, tuple(int(k) for k in key)))
         for di, key in zip(d, keys)
     ])
-
-
-def _package_stream(seed, key):
-    return measurement_stream(seed, *key)
 
 
 def _random_case(n, rng_seed):
@@ -258,9 +264,7 @@ def _same_bits(got, want):
 def test_batch_kernel_matches_single_draw_oracle(seed, noise):
     d, keys = _random_case(40, seed % 1000)
     keys[:4] = [(0, 0, 0), (2**32 - 1, 0, 2), (0, 2**32 - 1, 1), (2**32 - 1,) * 3]
-    got = simulate_range_batch(d, keys, noise, seed)
-    assert _same_bits(got, _oracle(d, keys, noise, seed))
-    assert _same_bits(got, _oracle(d, keys, noise, seed, _package_stream))
+    assert _same_bits(simulate_range_batch(d, keys, noise, seed), _oracle(d, keys, noise, seed))
 
 
 # keys per chunk in the tests that run the pure-Python oracle over batches across chunk edges,
@@ -276,7 +280,7 @@ def test_batch_kernel_matches_the_streams_on_every_path(noise, monkeypatch):
     paths = slice(SMALL_CHUNK - 4, SMALL_CHUNK + 3)
     keys[paths] = list(PATH_KEYS)
     streams = [oracles.DrawStream(PATH_SEED, tuple(int(k) for k in key)) for key in keys]
-    want = np.array([simulate_range(float(di), noise, s) for di, s in zip(d, streams)])
+    want = np.array([oracles.simulate_range(float(di), noise, s) for di, s in zip(d, streams)])
     assert [tuple(s.events) for s in streams[paths]] == list(PATH_KEYS.values())
     if noise.p_outlier:  # both sides of the outlier coin: the second draw of each stream
         coins = []
@@ -286,7 +290,6 @@ def test_batch_kernel_matches_the_streams_on_every_path(noise, monkeypatch):
             coins.append(stream.random() < noise.p_outlier)
         assert 0 < sum(coins) < len(coins)
     assert _same_bits(simulate_range_batch(d, keys, noise, PATH_SEED), want)
-    assert _same_bits(_oracle(d, keys, noise, PATH_SEED, _package_stream), want)
 
 
 @pytest.mark.parametrize("n", [3 * SMALL_CHUNK - 1, 3 * SMALL_CHUNK, 3 * SMALL_CHUNK + 1])
@@ -384,13 +387,16 @@ def test_derive_seed_reads_every_word_of_the_seed(word):
 @pytest.mark.parametrize("seed", [PATH_SEED, 2**32 + PATH_SEED, 2**64 + PATH_SEED],
                          ids=["one-word", "two-word", "three-word"])
 def test_measurement_stream_draws_as_the_python_stream(seed):
-    # normal, random and uniform in an order simulate_range never asks for, draw by draw
+    # the normal and the uniform of each purpose p = 0..5, including ones simulate_range never
+    # draws, against the oracle stream's p-th draw
     for key in list(PATH_KEYS) + [(0, 0, 0), (2**32 - 1,) * 3]:
-        draws = []
-        for stream in (measurement_stream(seed, *key), oracles.DrawStream(seed, key)):
-            draws.append(np.array([stream.normal(), stream.random(), stream.normal(5.0, 2.0),
-                                   stream.uniform(1.5, 3.0), stream.normal(), stream.random()]))
-        assert _same_bits(*draws), key
+        state = measurement_stream(seed, *key)
+        for p in range(6):
+            stream = oracles.DrawStream(seed, key)
+            stream.drawn = p
+            assert _same_bits(simulator._normals(state, p), np.array([stream.normal()])), (key, p)
+            stream.drawn = p
+            assert _same_bits(simulator._uniforms(state, p), np.array([stream.random()])), (key, p)
 
 
 def test_normals_fit_the_normal_distribution():
@@ -418,11 +424,14 @@ def test_normals_fit_the_normal_distribution():
 
 
 def test_ziggurat_tables_are_pinned():
-    # the bytes of (fast bound, width, density) per layer, little-endian
+    # the bytes of (fast bound, width, density) per layer, little-endian, of the package's
+    # tables and of the oracle's, which computes them on its own from R and V
     tables = simulator._ziggurat()
     data = b"".join(t.astype(t.dtype.newbyteorder("<")).tobytes() for t in tables)
     assert hashlib.sha256(data).hexdigest() == ZIGGURAT_DIGEST
     assert [t.shape for t in tables] == [(256,)] * 3 and not any(t.flags.writeable for t in tables)
+    data = struct.pack("<256Q256d256d", *(v for table in oracles.ziggurat() for v in table))
+    assert hashlib.sha256(data).hexdigest() == ZIGGURAT_DIGEST
 
 
 ZIGGURAT_DIGEST = "e18396faaaa3cd0933cb90aab3700af2b4b415feec2b1f2c0802468a49be371d"
@@ -466,7 +475,7 @@ def test_exp_is_within_an_ulp_of_math_exp(lo, hi):
 
 def test_batch_draw_peak_memory_is_bounded():
     # one 7,200-key call (6 points x 400 reps, as a default evaluation draws) is
-    # one chunk, and its working set stays under a MiB (~0.7 MiB)
+    # one chunk, and its working set stays under a MiB (~0.6 MiB)
     xy = [(250.0, 500.0), (750.0, 500.0), (250.0, 1000.0), (750.0, 1000.0),
           (250.0, 1500.0), (750.0, 1500.0)]
     seed = derive_seed(0, STAGE_TRIALS)
